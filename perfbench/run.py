@@ -3,9 +3,11 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root; the package is imported from ``src/``.
-With ``--trace 0`` the runner sets up the workload (timing it, and timing
-the same set-up in four fresh child processes), runs operations for
-``--seconds`` seconds and reports the end-to-end metrics of BENCHMARK.json.
+With ``--trace 0`` the runner sets up the workload, timing it, runs
+operations for ``--seconds`` seconds, times the same set-up in eight fresh
+child processes spread evenly over that window, and reports the end-to-end
+metrics of BENCHMARK.json, timings scaled to a reference machine speed
+(see REFERENCE_S).
 With ``--trace 1`` it runs every operation twice, untraced and traced,
 checks that both produced identical outputs, and reports the per-layer
 metrics; the spans go to ``.perfbench/spans-<workload>-s<seed>.jsonl``.
@@ -34,7 +36,13 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-SETUP_CHILDREN = 4
+SETUP_CHILDREN = 8
+# The machine's speed drifts by up to 1.5x over seconds to minutes, as much
+# on a pure Python loop as on the package.  Each timed event is bracketed by
+# reference_seconds(), and setup_s and blocks_per_s are reported at the speed
+# at which that probe takes REFERENCE_S, about its median on the 2-vCPU Xeon
+# the benchmark was written on; the raw figures are in the detail line.
+REFERENCE_S = 0.0045
 MIN_OPS = 3
 # Runs stop after this long past --seconds even if fewer than MIN_OPS
 # operations finished, so a slow build still exits in time.
@@ -145,30 +153,76 @@ class Runner:
                 return results
 
 
-def succeeded(outcomes) -> list:
-    return [o for o in outcomes if o is not None]
-
-
-def blocks_per_s(outcomes) -> float:
-    return statistics.median(o.blocks / o.seconds for o in outcomes)
+def reference_seconds() -> float:
+    """Time of a fixed mix of interpreter and numpy work that never calls
+    the package: a probe of the machine's speed, not the program's.  The
+    median of three repeats, so that one brief stall does not count."""
+    m = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+    x = np.linspace(-2.0, 2.0, 20_000)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(30_000):
+            total += i * i
+        for _ in range(30):
+            m @ m
+            np.tanh(x).sum()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def run_untraced(workload, args, detail):
+    probes = [reference_seconds()]
+
+    def speed() -> float:
+        """The machine's speed over the event that just ended, relative to
+        the reference: the probe before it, averaged with one taken now."""
+        probes.append(reference_seconds())
+        return REFERENCE_S / statistics.mean(probes[-2:])
+
     state, setup_s = timed_setup(workload, args.seed)
-    setups = [setup_s] + [child_setup_seconds(workload.name, args.seed)
-                          for _ in range(SETUP_CHILDREN)]
+    setups = [(setup_s, speed())]
     runner = Runner(workload, state, args.seed)
-    outcomes = succeeded(runner.run_for(args.seconds))
+    # The fresh-process set-ups are spread over the measured window, between
+    # operations, so that they sample the machine over the same stretch of
+    # time as the operations do.
+    due = [args.seconds * k / SETUP_CHILDREN for k in range(SETUP_CHILDREN)]
+    op_speeds = []
+
+    def child_setup():
+        seconds = child_setup_seconds(workload.name, args.seed)
+        setups.append((seconds, speed()))
+
+    start = time.perf_counter()
+
+    def step(index):
+        while due and time.perf_counter() - start >= due[0]:
+            due.pop(0)
+            child_setup()
+        outcome = runner.run_op(index)
+        op_speeds.append(speed())
+        return outcome
+
+    results = runner.run_for(args.seconds, step)
+    for _ in due:
+        child_setup()
+    done = [(o, s) for o, s in zip(results, op_speeds) if o is not None]
+    outcomes = [o for o, _ in done]
+    rates = [o.blocks / (o.seconds * s) for o, s in done]
     detail.update(
-        setup_samples_s=setups,
+        reference_s=REFERENCE_S,
+        setup_samples_s=[t for t, _ in setups],
+        setup_speeds=[s for _, s in setups],
         ops=len(outcomes),
         blocks_per_s_samples=[o.blocks / o.seconds for o in outcomes],
+        op_speeds=[s for _, s in done],
         rate_l=[o.rate_l for o in outcomes],
     )
     metrics = {
-        "setup_s": {"value": statistics.median(setups), "unit": "s"},
+        "setup_s": {"value": statistics.median(t * s for t, s in setups), "unit": "s"},
         "peak_rss_mb": {"value": peak_rss_mb(), "unit": "MB"},
-        "blocks_per_s": {"value": blocks_per_s(outcomes) if outcomes else 0.0, "unit": "1/s"},
+        "blocks_per_s": {"value": statistics.median(rates) if rates else 0.0, "unit": "1/s"},
     }
     return runner, outcomes, metrics
 

@@ -246,3 +246,26 @@ def test_runner_refuses_a_directory_without_the_package(tmp_path):
     )
     assert proc.returncode != 0
     assert '"correct"' not in proc.stdout
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_runner_prints_every_metric_of_benchmark_json(trace):
+    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    expected = spec["per_layer"] if trace else spec["end_to_end"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "bler_eval", "--seed", "5",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=REPO, capture_output=True, text=True, timeout=170, check=True,
+    )
+    *_, detail_line, result_line = proc.stdout.strip().splitlines()
+    result = json.loads(result_line)
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
+    assert {k: v["unit"] for k, v in result["metrics"].items()} == \
+        {m["name"]: m["unit"] for m in expected}
+    if not trace:
+        assert all(v["value"] > 0 for v in result["metrics"].values())
+        detail = json.loads(detail_line)["detail"]
+        assert len(detail["op_speeds"]) == detail["ops"] == len(detail["blocks_per_s_samples"])
+        assert len(detail["setup_speeds"]) == len(detail["setup_samples_s"]) == 9

@@ -103,6 +103,8 @@ class TrainState:
 
 class TrainSource(Workload):
     name = "train_source"
+    scale = "desk"
+    overrides = {}
     iterations = 20
     rate_floor = 0.3
 
@@ -114,8 +116,8 @@ class TrainSource(Workload):
         from simorx.channel.profiles import load_profile
         from simorx.config import make_train_config
 
-        cfg = make_train_config("desk", modulation="qpsk", profile=PROFILE,
-                                iterations=self.iterations, seed=seed)
+        cfg = make_train_config(self.scale, modulation="qpsk", profile=PROFILE,
+                                iterations=self.iterations, seed=seed, **self.overrides)
         code_for_grid(cfg.grid, cfg.scheme(), cfg.ldpc_seed)
         load_profile(cfg.profile)
         return TrainState(cfg, importlib.import_module("simorx.training"))
@@ -139,18 +141,9 @@ class TrainSource(Workload):
 
 class TrainFull(TrainSource):
     name = "train_full"
+    scale = "full"
+    overrides = {"batch": 2}
     iterations = 2
-
-    def setup(self, seed):
-        from simorx.chain import code_for_grid
-        from simorx.channel.profiles import load_profile
-        from simorx.config import make_train_config
-
-        cfg = make_train_config("full", modulation="qpsk", profile=PROFILE, batch=2,
-                                iterations=self.iterations, seed=seed)
-        code_for_grid(cfg.grid, cfg.scheme(), cfg.ldpc_seed)
-        load_profile(cfg.profile)
-        return TrainState(cfg, importlib.import_module("simorx.training"))
 
     def check(self, state, outcomes):
         # A few full-scale iterations from scratch do not learn yet; only
