@@ -3,46 +3,13 @@
 Times are per unit: per training iteration on the training workloads and
 per decoded batch on the BLER workloads, except where the name says per
 block or the entry says per call.  A layer the workload never runs reads 0.
-Where each metric should move is written down in perfbench/NOTES.md.
+The metrics' units are listed in BENCHMARK.json, and where each should move
+is written down in perfbench/NOTES.md.
 """
 
 from __future__ import annotations
 
 from tracer import ROOT
-
-# (name, unit, better)
-PER_LAYER = [
-    ("numerics.conv_fwd_ms", "ms", "lower"),
-    ("numerics.conv_bwd_ms", "ms", "lower"),
-    ("numerics.layernorm_fwd_ms", "ms", "lower"),
-    ("numerics.layernorm_bwd_ms", "ms", "lower"),
-    ("numerics.relu_ms", "ms", "lower"),
-    ("numerics.adam_ms", "ms", "lower"),
-    ("numerics.conv_calls", "count", "lower"),
-    ("numerics.conv_gflop", "GFLOP", "lower"),
-    ("numerics.conv_gflop_per_s", "GFLOP/s", "higher"),
-    ("numerics.frozen_bwd_share", "ratio", "lower"),
-    ("receiver.forward_self_ms", "ms", "lower"),
-    ("receiver.backward_self_ms", "ms", "lower"),
-    ("receiver.loss_ms", "ms", "lower"),
-    ("training.self_ms", "ms", "lower"),
-    ("training.final_rate_L", "bits", "higher"),
-    ("chain.simulate_batch_ms", "ms", "lower"),
-    ("phy.ldpc_decode_ms_per_block", "ms", "lower"),
-    ("phy.ldpc_converged_ratio", "ratio", "higher"),
-    ("phy.ldpc_encode_ms", "ms", "lower"),
-    ("phy.map_grid_ms", "ms", "lower"),
-    ("channel.freq_response_ms", "ms", "lower"),
-    ("channel.awgn_ms", "ms", "lower"),
-    ("harness.genie_ms_per_block", "ms", "lower"),
-    ("harness.neural_llr_ms_per_block", "ms", "lower"),
-    ("harness.run_bler_self_ms", "ms", "lower"),
-    ("checkpoint.read_ms", "ms", "lower"),
-    ("checkpoint.load_ms", "ms", "lower"),
-    ("transfer.surgery_ms", "ms", "lower"),
-    ("trace.overhead_ms", "ms", "lower"),
-    ("trace.remainder_ms", "ms", "lower"),
-]
 
 LOSS_SPANS = ("receiver.bmd_loss", "receiver.bmd_loss_grad", "receiver.extract_llr_bits",
               "receiver.scatter_llr_bit_grad")

@@ -6,8 +6,8 @@ Run from the repository root; the package is imported from ``src/``.
 With ``--trace 0`` the runner sets up the workload, timing it, runs
 operations for ``--seconds`` seconds, times the same set-up in eight fresh
 child processes spread evenly over that window, and reports the end-to-end
-metrics of BENCHMARK.json, timings scaled to a reference machine speed
-(see REFERENCE_S).
+metrics of BENCHMARK.json: throughput as measured, set-up time scaled to a
+reference machine speed (see REFERENCE_S).
 With ``--trace 1`` it runs every operation twice, untraced and traced,
 checks that both produced identical outputs, and reports the per-layer
 metrics; the spans go to ``.perfbench/spans-<workload>-s<seed>.jsonl``.
@@ -38,16 +38,23 @@ sys.path.insert(0, HERE)
 
 SETUP_CHILDREN = 8
 # The machine's speed drifts by up to 1.5x over seconds to minutes, as much
-# on a pure Python loop as on the package.  Each timed event is bracketed by
-# reference_seconds(), and setup_s and blocks_per_s are reported at the speed
-# at which that probe takes REFERENCE_S, about its median on the 2-vCPU Xeon
-# the benchmark was written on; the raw figures are in the detail line.
+# on a pure Python loop as on the package, and a set-up of about 0.1 s feels
+# it most.  Each set-up is therefore timed together with reference_seconds(),
+# run in the same process just before it, before any package code, and
+# setup_s is reported at the speed at which that probe takes REFERENCE_S,
+# about its median on the 2-vCPU Xeon the benchmark was written on.  The raw
+# set-up times are in the detail line.  Throughput is not scaled.
 REFERENCE_S = 0.0045
 MIN_OPS = 3
 # Runs stop after this long past --seconds even if fewer than MIN_OPS
 # operations finished, so a slow build still exits in time.
 OVERRUN_S = 60.0
 OUT_DIR = ".perfbench"
+
+
+def benchmark_spec() -> dict:
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def machine_info() -> dict:
@@ -101,19 +108,45 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def reference_seconds() -> float:
+    """Time of a fixed mix of interpreter and numpy work that never calls
+    the package: a probe of the machine's speed, not the program's.  The
+    median of three repeats, so that one brief stall does not count."""
+    m = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+    x = np.linspace(-2.0, 2.0, 20_000)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(30_000):
+            total += i * i
+        for _ in range(30):
+            m @ m
+            np.tanh(x).sum()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def timed_setup(workload, seed):
+    """The workload's state, its set-up time, and that time at reference
+    machine speed.  The probe runs just before the set-up, in this process,
+    before any package code has run, so nothing the package does can move it."""
+    speed = REFERENCE_S / reference_seconds()
     t0 = time.perf_counter()
     state = workload.setup(seed)
-    return state, time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    return state, seconds, seconds * speed
 
 
-def child_setup_seconds(name: str, seed: int) -> float:
+def child_setup_seconds(name: str, seed: int) -> tuple[float, float]:
+    """``timed_setup``'s two times, measured in a fresh process."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--setup-only",
          "--workload", name, "--seed", str(seed)],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    return float(proc.stdout.strip().splitlines()[-1])
+    seconds, scaled = json.loads(proc.stdout.strip().splitlines()[-1])
+    return seconds, scaled
 
 
 class Runner:
@@ -139,11 +172,9 @@ class Runner:
         self.attempted += outcome.units
         return outcome
 
-    def run_for(self, seconds: float, step=None) -> list:
-        """Results of ``step(index)`` for index 0, 1, ... (``run_op`` by
-        default, which gives ``None`` where an operation failed), until
-        ``seconds`` have passed and at least MIN_OPS ran."""
-        step = step or self.run_op
+    def run_for(self, seconds: float, step) -> list:
+        """Results of ``step(index)`` for index 0, 1, ..., until ``seconds``
+        have passed and at least MIN_OPS ran."""
         results = []
         start = time.perf_counter()
         while True:
@@ -153,78 +184,41 @@ class Runner:
                 return results
 
 
-def reference_seconds() -> float:
-    """Time of a fixed mix of interpreter and numpy work that never calls
-    the package: a probe of the machine's speed, not the program's.  The
-    median of three repeats, so that one brief stall does not count."""
-    m = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
-    x = np.linspace(-2.0, 2.0, 20_000)
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        total = 0
-        for i in range(30_000):
-            total += i * i
-        for _ in range(30):
-            m @ m
-            np.tanh(x).sum()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
 def run_untraced(workload, args, detail):
-    probes = [reference_seconds()]
-
-    def speed() -> float:
-        """The machine's speed over the event that just ended, relative to
-        the reference: the probe before it, averaged with one taken now."""
-        probes.append(reference_seconds())
-        return REFERENCE_S / statistics.mean(probes[-2:])
-
-    state, setup_s = timed_setup(workload, args.seed)
-    setups = [(setup_s, speed())]
+    state, setup_s, setup_scaled_s = timed_setup(workload, args.seed)
+    setups = [(setup_s, setup_scaled_s)]
     runner = Runner(workload, state, args.seed)
     # The fresh-process set-ups are spread over the measured window, between
     # operations, so that they sample the machine over the same stretch of
     # time as the operations do.
     due = [args.seconds * k / SETUP_CHILDREN for k in range(SETUP_CHILDREN)]
-    op_speeds = []
-
-    def child_setup():
-        seconds = child_setup_seconds(workload.name, args.seed)
-        setups.append((seconds, speed()))
-
     start = time.perf_counter()
 
     def step(index):
         while due and time.perf_counter() - start >= due[0]:
             due.pop(0)
-            child_setup()
-        outcome = runner.run_op(index)
-        op_speeds.append(speed())
-        return outcome
+            setups.append(child_setup_seconds(workload.name, args.seed))
+        return runner.run_op(index)
 
     results = runner.run_for(args.seconds, step)
     for _ in due:
-        child_setup()
-    done = [(o, s) for o, s in zip(results, op_speeds) if o is not None]
-    outcomes = [o for o, _ in done]
-    rates = [o.blocks / (o.seconds * s) for o, s in done]
+        setups.append(child_setup_seconds(workload.name, args.seed))
+    outcomes = [o for o in results if o is not None]
+    rates = [o.blocks / o.seconds for o in outcomes]
     detail.update(
         reference_s=REFERENCE_S,
         setup_samples_s=[t for t, _ in setups],
-        setup_speeds=[s for _, s in setups],
+        setup_scaled_s=[scaled for _, scaled in setups],
         ops=len(outcomes),
-        blocks_per_s_samples=[o.blocks / o.seconds for o in outcomes],
-        op_speeds=[s for _, s in done],
+        blocks_per_s_samples=rates,
         rate_l=[o.rate_l for o in outcomes],
     )
-    metrics = {
-        "setup_s": {"value": statistics.median(t * s for t, s in setups), "unit": "s"},
-        "peak_rss_mb": {"value": peak_rss_mb(), "unit": "MB"},
-        "blocks_per_s": {"value": statistics.median(rates) if rates else 0.0, "unit": "1/s"},
+    values = {
+        "setup_s": statistics.median(scaled for _, scaled in setups),
+        "peak_rss_mb": peak_rss_mb(),
+        "blocks_per_s": statistics.median(rates) if rates else 0.0,
     }
-    return runner, outcomes, metrics
+    return runner, outcomes, values
 
 
 def run_traced(workload, args, detail):
@@ -232,7 +226,7 @@ def run_traced(workload, args, detail):
     import layers
     from tracer import Tracer
 
-    state, _ = timed_setup(workload, args.seed)
+    state = workload.setup(args.seed)
     runner = Runner(workload, state, args.seed)
     # Set-up is traced once, so that checkpoint reads and loads are seen on
     # every workload that has them.
@@ -259,17 +253,15 @@ def run_traced(workload, args, detail):
     plain, traced = [p for p, _ in pairs], [t for _, t in pairs]
     runner.failures += checks.identical(
         workload.name, [o.output for o in plain], [o.output for o in traced])
-    metrics, accounting = layers.layer_metrics(tracer, setup_tracer, traced, plain)
+    values, accounting = layers.layer_metrics(tracer, setup_tracer, traced, plain)
     os.makedirs(OUT_DIR, exist_ok=True)
     spans_path = os.path.join(OUT_DIR, f"spans-{workload.name}-s{args.seed}.jsonl")
     tracer.write(spans_path)
     detail.update(ops=len(traced), spans=len(tracer.spans), spans_file=spans_path,
                   accounting_ms_per_unit=accounting, rate_l=[o.rate_l for o in plain])
-    units = {name: unit for name, unit, _ in layers.PER_LAYER}
-    metrics = {name: {"value": value, "unit": units[name]} for name, value in metrics.items()}
     # The traced outcomes equal the untraced ones (checked above), so the
     # output checks run on the untraced ones only.
-    return runner, plain, metrics
+    return runner, plain, values
 
 
 def main(argv=None) -> int:
@@ -289,15 +281,19 @@ def main(argv=None) -> int:
         return 2
 
     if args.setup_only:
-        print(repr(timed_setup(workload, args.seed)[1]))
+        print(json.dumps(timed_setup(workload, args.seed)[1:]))
         return 0
 
     detail = {"workload": workload.name, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace}
     if args.trace:
-        runner, outcomes, metrics = run_traced(workload, args, detail)
+        runner, outcomes, values = run_traced(workload, args, detail)
     else:
-        runner, outcomes, metrics = run_untraced(workload, args, detail)
+        runner, outcomes, values = run_untraced(workload, args, detail)
+    # Names and units come from BENCHMARK.json; a listed metric that the
+    # runner does not compute fails here, before any result is printed.
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+               for m in benchmark_spec()["per_layer" if args.trace else "end_to_end"]}
 
     errors = [e for o in outcomes for e in o.errors]
     if outcomes:

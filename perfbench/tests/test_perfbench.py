@@ -21,6 +21,7 @@ sys.path.insert(0, BENCH)
 
 import checks  # noqa: E402
 import layers  # noqa: E402
+import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -91,16 +92,16 @@ def test_traced_bler_counts_are_identical(bler_run):
     assert tr.counters["decoded_blocks"] == 48
 
 
-@pytest.mark.parametrize("run", ["train_run", "bler_run"])
-def test_self_times_and_remainder_sum_to_wall(run, request):
-    plain, traced, tr = request.getfixturevalue(run)
+@pytest.mark.parametrize("fixture", ["train_run", "bler_run"])
+def test_self_times_and_remainder_sum_to_wall(fixture, request):
+    plain, traced, tr = request.getfixturevalue(fixture)
     total = sum(tr.self_times().values())
     assert total == pytest.approx(tr.wall(), rel=1e-9)
     metrics, accounting = layers.layer_metrics(tr, tracer.Tracer(), [traced], [plain])
     parts = sum(v for k, v in accounting.items() if k != "wall")
     assert parts == pytest.approx(accounting["wall"], rel=1e-9)
     assert accounting["remainder"] >= 0.0
-    assert set(metrics) == {name for name, _, _ in layers.PER_LAYER}
+    assert set(metrics) == {m["name"] for m in run.benchmark_spec()["per_layer"]}
 
 
 def test_training_trace_sees_every_training_layer(train_run):
@@ -207,6 +208,11 @@ def test_workload_checks_reject_wrong_outputs():
     low = workloads.Outcome(units=1, blocks=1, seconds=1.0, output=b"", rate_l=0.05)
     assert train.check(None, [good, good, low]) == []
     assert train.check(None, [good, low, low])
+    adapt = workloads.AdaptTransfer()
+    negative = workloads.Outcome(units=1, blocks=1, seconds=1.0, output=b"", rate_l=-0.5)
+    assert adapt.check(None, [low, low]) == []
+    assert adapt.check(None, [low, negative, negative])
+    assert workloads.TrainFull().check(None, [negative]) == []
 
 
 def test_identical_rejects_a_different_output():
@@ -228,13 +234,6 @@ def test_checksum_mismatch_is_refused(tmp_path, monkeypatch):
 # -- the benchmark's description and command ----------------------------------
 
 
-def test_benchmark_json_matches_the_runner():
-    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == layers.PER_LAYER
-
-
 def test_runner_refuses_a_directory_without_the_package(tmp_path):
     shutil.copytree(BENCH, tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
@@ -250,9 +249,7 @@ def test_runner_refuses_a_directory_without_the_package(tmp_path):
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_runner_prints_every_metric_of_benchmark_json(trace):
-    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    expected = spec["per_layer"] if trace else spec["end_to_end"]
+    expected = run.benchmark_spec()["per_layer" if trace else "end_to_end"]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "bler_eval", "--seed", "5",
          "--seconds", "1", "--trace", str(trace)],
@@ -267,5 +264,5 @@ def test_runner_prints_every_metric_of_benchmark_json(trace):
     if not trace:
         assert all(v["value"] > 0 for v in result["metrics"].values())
         detail = json.loads(detail_line)["detail"]
-        assert len(detail["op_speeds"]) == detail["ops"] == len(detail["blocks_per_s_samples"])
-        assert len(detail["setup_speeds"]) == len(detail["setup_samples_s"]) == 9
+        assert detail["ops"] == len(detail["blocks_per_s_samples"])
+        assert len(detail["setup_scaled_s"]) == len(detail["setup_samples_s"]) == 9

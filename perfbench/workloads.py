@@ -77,6 +77,9 @@ def load_reference() -> dict:
 
 class Workload:
     name = ""
+    # Floor on the median over operations of their final rate L, in bits;
+    # None where no floor applies.
+    rate_floor = None
 
     def setup(self, seed: int):
         raise NotImplementedError
@@ -89,7 +92,10 @@ class Workload:
         raise NotImplementedError
 
     def check(self, state, outcomes: list) -> list:
-        return []
+        if self.rate_floor is None:
+            return []
+        rates = [o.rate_l for o in outcomes]
+        return checks.rate_floor(self.name, float(np.median(rates)), self.rate_floor)
 
 
 # -- training ---------------------------------------------------------------
@@ -134,21 +140,15 @@ class TrainSource(Workload):
             errors=checks.finite(f"{self.name} losses", result.losses),
         )
 
-    def check(self, state, outcomes):
-        rates = [o.rate_l for o in outcomes]
-        return checks.rate_floor(self.name, float(np.median(rates)), self.rate_floor)
-
 
 class TrainFull(TrainSource):
     name = "train_full"
     scale = "full"
     overrides = {"batch": 2}
     iterations = 2
-
-    def check(self, state, outcomes):
-        # A few full-scale iterations from scratch do not learn yet; only
-        # finiteness (checked per operation) applies.
-        return []
+    # A few full-scale iterations from scratch do not learn yet; only
+    # finiteness (checked per operation) applies.
+    rate_floor = None
 
 
 # -- adaptation -------------------------------------------------------------
@@ -213,10 +213,6 @@ class AdaptTransfer(Workload):
             rate_l=float(np.mean([l[-RATE_TAIL:].mean() for l in losses])),
             errors=errors,
         )
-
-    def check(self, state, outcomes):
-        rates = [o.rate_l for o in outcomes]
-        return checks.rate_floor(self.name, float(np.median(rates)), self.rate_floor)
 
 
 # -- BLER evaluation ----------------------------------------------------------
