@@ -211,6 +211,10 @@ def test_workload_checks_reject_wrong_outputs():
     adapt = workloads.AdaptTransfer()
     negative = workloads.Outcome(units=1, blocks=1, seconds=1.0, output=b"", rate_l=-0.5)
     assert adapt.check(None, [low, low]) == []
+    # Final L of the three operations of a normal run (seed 382451830).
+    normal = [workloads.Outcome(units=1, blocks=1, seconds=1.0, output=b"", rate_l=r)
+              for r in (0.133, -0.027, -0.007)]
+    assert adapt.check(None, normal) == []
     assert adapt.check(None, [low, negative, negative])
     assert workloads.TrainFull().check(None, [negative]) == []
 
