@@ -93,8 +93,8 @@ def apply_channel_awgn(tx, h, n0, rng: np.random.Generator) -> np.ndarray:
     n0 = np.asarray(n0, dtype=np.float64)
     if n0.ndim:
         n0 = n0.reshape(n0.shape + (1,) * (clean.ndim - n0.ndim))
-    if np.any(n0 < 0):
-        raise ConfigError("noise variance cannot be negative")
+    if not np.all(np.isfinite(n0)) or np.any(n0 < 0):
+        raise ConfigError("noise variance must be finite and non-negative")
     w = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     return clean + np.sqrt(n0 / 2.0) * w
 

@@ -52,6 +52,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.max_blocks < 1 or self.batch < 1:
             raise ConfigError("max_blocks and batch must be positive")
+        if self.max_block_errors < 1 or self.decoder_iters < 1:
+            raise ConfigError("max_block_errors and decoder_iters must be positive")
         if not self.ebno_grid_db:
             raise ConfigError("ebno_grid_db cannot be empty")
 

@@ -8,6 +8,10 @@ analytic gradient produced by ``model.backward``.  The model must expose
 - ``named_param_items()`` yielding ``(layer, kind, param, array, grad)``,
 - a ``dtype`` attribute; verification insists on float64.
 
+Every parameter is checked, so every layer must be trainable: a
+``ReceiverModel`` runs no backward through its frozen prefix, whose
+gradient slots then hold stale values.
+
 Relative errors use ``|a - f| / max(|a|, |f|, floor)``; the floor keeps
 finite-difference roundoff from dominating when a gradient is genuinely
 tiny.

@@ -10,16 +10,59 @@ pass is a single matrix product with no repacking; the canonical
 ``[c_out, c_in, kh, kw]`` view used by checkpoints is exposed through the
 ``weights`` property.
 
+A train-mode forward caches what its backward pass reads:
+
+- ``Conv2D``: its zero-padded input, not the im2col buffer built from it,
+  which is ``kh * kw`` times larger.  The backward pass rebuilds im2col.
+- ``LayerNorm``: the normalised input and the per-position inverse
+  standard deviation.
+- ``ReLU``: the mask of positive inputs.
+
+An eval-mode forward caches nothing and drops whatever an earlier
+train-mode forward left behind; a backward pass drops the cache it used.
+
+Conv im2col buffers and padded scratch live in a workspace owned by the
+calling thread, not by a layer.  Each buffer grows to the largest request
+and is reused by every later conv call on that thread, so a training step
+allocates no im2col memory after its first iteration.  Nothing in the
+workspace outlives the call that filled it: every forward and backward
+returns a freshly allocated array, and threads never share a workspace.
+
 Backward passes overwrite ``grad_*`` slots; gradients are not accumulated
 across calls.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError
+
+
+class _Workspace(threading.local):
+    """Scratch arrays of the calling thread, one per named slot.
+
+    ``take`` returns a view into the slot's buffer, which is only valid
+    until the next ``take`` of the same slot on the same thread.
+    """
+
+    def __init__(self):
+        self.slots = {}
+
+    def take(self, slot: str, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.slots.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self.slots[slot] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 def _pad_amounts(kernel: int, dilation: int) -> tuple[int, int]:
@@ -30,11 +73,39 @@ def _pad_amounts(kernel: int, dilation: int) -> tuple[int, int]:
     return lo, effective - 1 - lo
 
 
+def _padded(x: np.ndarray, pads: tuple[int, int, int, int], slot: str | None = None) -> np.ndarray:
+    """``x`` zero-padded by ``(top, bottom, left, right)`` on its spatial axes.
+
+    The result is a fresh array, or the workspace ``slot`` when one is
+    named; ``x`` itself when every pad is zero.
+    """
+    top, bottom, left, right = pads
+    if not (top or bottom or left or right):
+        return x
+    m, h, w, c = x.shape
+    shape = (m, h + top + bottom, w + left + right, c)
+    if slot is None:
+        xp = np.zeros(shape, dtype=x.dtype)
+    else:
+        # A reused buffer holds stale values: zero the border only.
+        xp = _WORKSPACE.take(slot, shape, x.dtype)
+        xp[:, :top] = 0
+        xp[:, top + h :] = 0
+        xp[:, top : top + h, :left] = 0
+        xp[:, top : top + h, left + w :] = 0
+    xp[:, top : top + h, left : left + w] = x
+    return xp
+
+
 class Conv2D:
     """2-D convolution with same-size zero padding.
 
-    ``forward`` runs one GEMM on an im2col buffer; the buffer is kept only
-    when ``train=True`` because the backward pass reuses it.
+    ``forward`` runs one GEMM on an im2col buffer built in the thread's
+    workspace.  With ``train=True`` the layer keeps its zero-padded input;
+    ``backward`` rebuilds the im2col buffer from it in the workspace for the
+    weight gradient, then reuses the same buffer for the im2col of the
+    padded output gradient, which gives the input gradient.  A 1x1 kernel
+    needs neither padding nor im2col and runs its GEMMs on the input as is.
     """
 
     kind = "conv2d"
@@ -69,8 +140,7 @@ class Conv2D:
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.grad_wmat = np.zeros_like(self.wmat)
         self.grad_bias = np.zeros_like(self.bias)
-        self._cols = None
-        self._spatial = None
+        self._padded_input = None
 
     @property
     def dtype(self):
@@ -117,23 +187,28 @@ class Conv2D:
         self.grad_bias = np.zeros_like(self.bias)
         return self
 
-    def _im2col(self, x: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
-        m, h, w, c = x.shape
+    def _same_pads(self) -> tuple[int, int, int, int]:
         kh, kw = self.kernel
         dh, dw = self.dilation
-        ph_lo, ph_hi, pw_lo, pw_hi = pads
-        if ph_lo or ph_hi or pw_lo or pw_hi:
-            xp = np.zeros((m, h + ph_lo + ph_hi, w + pw_lo + pw_hi, c), dtype=x.dtype)
-            xp[:, ph_lo : ph_lo + h, pw_lo : pw_lo + w, :] = x
-        else:
-            xp = x
+        return (*_pad_amounts(kh, dh), *_pad_amounts(kw, dw))
+
+    def _im2col(self, xp: np.ndarray, h: int, w: int) -> np.ndarray:
+        """``[m * h * w, kh * kw * c]`` taps of the padded ``xp``, in the
+        workspace (or ``xp`` itself reshaped, for a 1x1 kernel)."""
+        m, _, _, c = xp.shape
+        kh, kw = self.kernel
+        if kh == kw == 1:
+            return xp.reshape(m * h * w, c)
+        dh, dw = self.dilation
         sm, sh, sw, sc = xp.strides
-        view = as_strided(
+        taps = as_strided(
             xp,
             shape=(m, h, w, kh, kw, c),
             strides=(sm, sh, sw, sh * dh, sw * dw, sc),
         )
-        return view.reshape(m * h * w, kh * kw * c)
+        cols = _WORKSPACE.take("cols", taps.shape, xp.dtype)
+        np.copyto(cols, taps)
+        return cols.reshape(m * h * w, kh * kw * c)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[-1] != self.in_channels:
@@ -141,44 +216,47 @@ class Conv2D:
                 f"conv2d expects [batch, h, w, {self.in_channels}], got {x.shape}"
             )
         m, h, w, _ = x.shape
-        kh, kw = self.kernel
-        dh, dw = self.dilation
-        ph_lo, ph_hi = _pad_amounts(kh, dh)
-        pw_lo, pw_hi = _pad_amounts(kw, dw)
-        cols = self._im2col(x, (ph_lo, ph_hi, pw_lo, pw_hi))
-        out = cols @ self.wmat
-        out += self.bias
         if train:
-            self._cols = cols
-            self._spatial = (m, h, w)
+            xp = self._padded_input = _padded(x, self._same_pads())
+        else:
+            self._padded_input = None
+            xp = _padded(x, self._same_pads(), "pad")
+        out = self._im2col(xp, h, w) @ self.wmat
+        out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None:
+        if self._padded_input is None:
             raise RuntimeError("backward called without a train-mode forward")
-        m, h, w = self._spatial
+        xp, self._padded_input = self._padded_input, None
         kh, kw = self.kernel
         dh, dw = self.dilation
+        ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
+        m = xp.shape[0]
+        h = xp.shape[1] - ph_lo - ph_hi
+        w = xp.shape[2] - pw_lo - pw_hi
         gm = grad_out.reshape(m * h * w, self.out_channels)
         self.grad_bias = gm.sum(axis=0)
-        self.grad_wmat = self._cols.T @ gm
+        self.grad_wmat = self._im2col(xp, h, w).T @ gm
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
-        ph_lo, ph_hi = _pad_amounts(kh, dh)
-        pw_lo, pw_hi = _pad_amounts(kw, dw)
         eff_h = (kh - 1) * dh
         eff_w = (kw - 1) * dw
-        gcols = self._im2col(
-            grad_out, (eff_h - ph_lo, eff_h - ph_hi, eff_w - pw_lo, eff_w - pw_hi)
+        gp = _padded(
+            grad_out, (eff_h - ph_lo, eff_h - ph_hi, eff_w - pw_lo, eff_w - pw_hi), "pad"
         )
         wrot = np.ascontiguousarray(
             self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
             .transpose(0, 1, 3, 2)
             .reshape(kh * kw * self.out_channels, self.in_channels)
         )
-        self._cols = None
-        return (gcols @ wrot).reshape(m, h, w, self.in_channels)
+        return (self._im2col(gp, h, w) @ wrot).reshape(m, h, w, self.in_channels)
+
+
+def _channel_mean_vector(num_channels: int, dtype) -> np.ndarray:
+    # ``x2 @ this`` is the mean over the trailing axis as one GEMV.
+    return np.full((num_channels, 1), 1.0 / num_channels, dtype=dtype)
 
 
 class LayerNorm:
@@ -187,6 +265,12 @@ class LayerNorm:
     ``gamma`` and ``beta`` are per-channel.  ``epsilon`` is added to the
     variance before the square root; the default keeps the normalised
     variance within 1e-3 of one whenever the input variance exceeds 1e-6.
+
+    The channel means (of the input, its centred square, and the two
+    backward projections) are GEMVs of the ``[positions, channels]`` matrix
+    against a constant ``1 / channels`` vector, and the elementwise steps
+    update their arrays in place: a forward pass allocates two arrays of the
+    input's size, the normalised input and the output.
     """
 
     kind = "layer_norm"
@@ -224,27 +308,38 @@ class LayerNorm:
             raise ConfigError(
                 f"layer_norm expects trailing axis {self.num_channels}, got {x.shape}"
             )
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
-        xhat = xc * inv
-        if train:
-            self._cache = (xhat, inv)
-        return self.gamma * xhat + self.beta
+        x2 = x.reshape(-1, self.num_channels)
+        mean = _channel_mean_vector(self.num_channels, np.result_type(x, self.gamma))
+        xhat = x2 - x2 @ mean
+        out = np.square(xhat)
+        inv = out @ mean
+        inv += self.epsilon
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        xhat *= inv
+        np.multiply(xhat, self.gamma, out=out)
+        out += self.beta
+        self._cache = (xhat, inv) if train else None
+        return out.reshape(x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a train-mode forward")
-        xhat, inv = self._cache
-        lead = tuple(range(grad_out.ndim - 1))
-        self.grad_gamma = (grad_out * xhat).sum(axis=lead)
-        self.grad_beta = grad_out.sum(axis=lead)
-        g = grad_out * self.gamma
-        gmean = g.mean(axis=-1, keepdims=True)
-        proj = (g * xhat).mean(axis=-1, keepdims=True)
-        self._cache = None
-        return (g - gmean - xhat * proj) * inv
+        (xhat, inv), self._cache = self._cache, None
+        g2 = grad_out.reshape(xhat.shape)
+        mean = _channel_mean_vector(self.num_channels, xhat.dtype)
+        scratch = g2 * xhat
+        self.grad_gamma = scratch.sum(axis=0)
+        self.grad_beta = g2.sum(axis=0)
+        g = g2 * self.gamma
+        np.multiply(g, xhat, out=scratch)
+        proj = scratch @ mean
+        gmean = g @ mean
+        np.multiply(xhat, proj, out=scratch)
+        g -= gmean
+        g -= scratch
+        g *= inv
+        return g.reshape(grad_out.shape)
 
 
 class ReLU:
@@ -265,6 +360,8 @@ class ReLU:
             # Distance of the nearest pre-activation to the kink; the
             # gradient checker refuses inputs that sit on it.
             self.last_min_abs = float(np.min(np.abs(x))) if x.size else np.inf
+        else:
+            self._mask = None
         return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -93,8 +93,8 @@ class ResNetBlock:
         h = self.norm2.forward(h, train)
         h = self.relu2.forward(h, train)
         h = self.conv2.forward(h, train)
-        skip = x if self.proj is None else self.proj.forward(x, train)
-        return h + skip
+        h += x if self.proj is None else self.proj.forward(x, train)
+        return h
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.conv2.backward(grad_out)
@@ -103,9 +103,8 @@ class ResNetBlock:
         g = self.conv1.backward(g)
         g = self.relu1.backward(g)
         g = self.norm1.backward(g)
-        if self.proj is None:
-            return g + grad_out
-        return g + self.proj.backward(grad_out)
+        g += grad_out if self.proj is None else self.proj.backward(grad_out)
+        return g
 
     def relu_min_abs(self):
         vals = [r.last_min_abs for r in (self.relu1, self.relu2) if r.last_min_abs is not None]
@@ -174,22 +173,44 @@ class ReceiverModel:
         return self
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Real planes ``[batch, C, F, S]`` to the LLR grid ``[batch, F, S, K]``.
+
+        With ``train=True`` only the layers from the first trainable coarse
+        layer on run in train mode and cache activations for ``backward``;
+        the frozen prefix before it runs in eval mode.  Both modes compute
+        the same values bit for bit.
+        """
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
             raise ConfigError(
                 f"expected input [batch, {self.spec.in_channels}, F, S], got {x.shape}"
             )
         y = np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)), dtype=self.dtype)
-        y = self.input_conv.forward(y, train)
-        for block in self.blocks:
-            y = block.forward(y, train)
-        return self.output_conv.forward(y, train)
+        layers = self.coarse_layers()
+        first = self._first_trainable() if train else len(layers)
+        for i, (_, layer) in enumerate(layers):
+            y = layer.forward(y, i >= first)
+        return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.output_conv.backward(np.asarray(grad_out, dtype=self.dtype))
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        g = self.input_conv.backward(g)
-        return np.transpose(g, (0, 3, 1, 2))
+    def _first_trainable(self) -> int:
+        """Index of the first trainable coarse layer (their count if none)."""
+        flags = [self.trainable[name] for name, _ in self.coarse_layers()]
+        return flags.index(True) if True in flags else len(flags)
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Fill the ``grad_*`` slots of every trainable coarse layer.
+
+        The pass runs from the output back to the first trainable coarse
+        layer and stops there.  The frozen prefix before it ran its
+        train-mode forward in eval mode, so it caches nothing and runs no
+        backward; its ``grad_*`` slots keep whatever they held.  Frozen
+        layers after a trainable one still pass the gradient on.  Nothing
+        reads the gradient with respect to the model's input, so none is
+        returned.
+        """
+        g = np.asarray(grad_out, dtype=self.dtype)
+        layers = self.coarse_layers()
+        for _, layer in reversed(layers[self._first_trainable() :]):
+            g = layer.backward(g)
 
     def stage_forward_plan(self, x: np.ndarray):
         """Split the eval-mode forward into its coarse-layer chain.

@@ -161,7 +161,16 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
         model.backward(grad)
         # Backward replaces the grad arrays, so gather fresh references.
         items = model.trainable_param_items()
-        opt.step([a for a, _ in items], [g for _, g in items])
+        try:
+            opt.step([a for a, _ in items], [g for _, g in items])
+        except FloatingPointError as exc:
+            # Adam checks every gradient before it updates any parameter.
+            raise TrainingDiverged(
+                f"non-finite gradient at iteration {it} ({exc}); "
+                f"parameters kept at their pre-update values",
+                iteration=it,
+                checkpoint=checkpoint_from_model(model, cfg.fingerprint()),
+            ) from exc
         losses[it] = metric
         log_lines.append(
             f"{it},{metric!r},{bce!r},{cfg.ebno_lo_db!r},{cfg.ebno_hi_db!r},{cfg.seed}"

@@ -14,6 +14,12 @@ Whenever the target modulation changes the bit count, the output conv
 cannot be transplanted: it is freshly initialised and always trainable, no
 matter which technique runs.
 
+Frozen coarse layers in front of the first trainable one (the input conv
+and first block under ``fine_tuning_plus``, everything up to the added
+block under ``feature_extraction``) run their forward in eval mode and no
+backward at all (see ``ReceiverModel.backward``), so partial fine-tuning
+costs less per step than ``fine_tuning``.
+
 Two benchmarks bracket the techniques: ``without_tl`` trains from scratch
 on the same α budget, and ``model_transfer`` evaluates the source model on
 the target domain with zero updates.

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from simorx.phy.grid import GridConfig
+
+# Property tests draw the same examples on every run, so there is no
+# example database to keep, and no example has a deadline: on a shared
+# two-core machine one slow example says nothing.
+settings.register_profile("simorx", derandomize=True, deadline=None, database=None)
+settings.load_profile("simorx")
 
 
 @pytest.fixture

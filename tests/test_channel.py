@@ -245,10 +245,11 @@ def test_per_sample_noise_levels():
 def test_awgn_validation():
     with pytest.raises(ConfigError):
         apply_channel_awgn(np.zeros((14, 32)), np.zeros((2, 31)), 0.1, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        apply_channel_awgn(
-            np.zeros((14, 32)), np.zeros((2, 32)), -1.0, np.random.default_rng(0)
-        )
+    for bad in (-1.0, np.nan, np.inf, [0.1, np.nan]):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            apply_channel_awgn(
+                np.zeros((2, 14, 32)), np.zeros((2, 2, 32)), bad, np.random.default_rng(0)
+            )
 
 
 def test_ebno_conversion_closed_form():

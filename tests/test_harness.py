@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,9 @@ def test_eval_config_validation(tiny_grid):
         tiny_eval(tiny_grid, max_blocks=0)
     with pytest.raises(ConfigError):
         tiny_eval(tiny_grid, ebno_grid_db=())
+    for field in ("max_block_errors", "decoder_iters"):
+        with pytest.raises(ConfigError, match=field):
+            tiny_eval(tiny_grid, **{field: 0})
 
 
 def test_bler_stops_early_on_errors_and_late_on_clean_points(tiny_grid):
@@ -158,6 +162,44 @@ def test_parallel_evaluation_matches_serial_exactly(tiny_grid, monkeypatch):
     monkeypatch.setenv("SIMORX_MAX_WORKERS", "2")
     parallel = run_bler(cfg, rx)
     assert serial.points == parallel.points
+
+
+class RecordingReceiver:
+    """Passes LLRs on and records them by the received grid they came from."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = {}
+
+    def llrs(self, tb):
+        out = self.inner.llrs(tb)
+        self.seen[tb.rx.tobytes()] = out.tobytes()
+        return out
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def test_parallel_neural_evaluation_matches_serial_exactly(tiny_grid, monkeypatch):
+    # Worker threads run the model's convs at the same time; each must build
+    # its im2col buffers in its own workspace.
+    cfg = tiny_eval(tiny_grid, ebno_grid_db=(-4.0, 4.0), max_blocks=64, max_block_errors=64)
+    spec = make_train_config("desk", grid=tiny_grid, n_rx=1, width_in=4, width_res=6).model_spec()
+    model = ReceiverModel(spec, seed=3)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+    try:
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SIMORX_MAX_WORKERS", workers)
+            rx = RecordingReceiver(NeuralReceiver(model, tiny_grid))
+            runs[workers] = (run_bler(cfg, rx).points, rx.seen)
+    finally:
+        sys.setswitchinterval(interval)
+    (serial, serial_llrs), (parallel, parallel_llrs) = runs["1"], runs["2"]
+    assert serial == parallel
+    assert len(serial_llrs) == 32
+    assert parallel_llrs == serial_llrs
 
 
 def test_worker_env_must_be_an_integer(tiny_grid, monkeypatch):
@@ -476,3 +518,15 @@ def test_cli_reports_package_errors_as_exit_two(tmp_path, capsys):
     code = run_cli("eval", "--checkpoint", str(junk), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):
+    import simorx.training
+
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    code = run_cli(
+        "train-source", "--scale", "desk", "--profile", "flat",
+        "--iterations", "2", "--batch", "2", "--out", str(tmp_path / "src"),
+    )
+    assert code == 2
+    assert "non-finite gradient at iteration 0" in capsys.readouterr().err

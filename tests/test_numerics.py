@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simorx.errors import ConfigError
 from simorx.numerics.adam import Adam, adam_step
@@ -62,6 +64,70 @@ def test_gemm_path_matches_direct_convolution():
         got = conv2d(x, conv)
         want = conv2d_direct(x, conv.weights, conv.bias, dilation=dilation)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+KERNELS_AND_DILATIONS = [
+    ((3, 3), (1, 1)),
+    ((3, 3), (2, 2)),
+    ((1, 1), (1, 1)),
+    ((2, 3), (1, 2)),  # even effective height: asymmetric pad split
+    ((3, 2), (2, 1)),
+]
+
+
+@settings(max_examples=20)
+@given(
+    kd=st.sampled_from(KERNELS_AND_DILATIONS),
+    batch=st.integers(2, 3),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(3, 6),
+    w=st.integers(3, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_conv_matches_direct_and_finite_differences(kd, batch, cin, cout, h, w, seed):
+    kernel, dilation = kd
+    rng = np.random.default_rng(seed)
+    conv = Conv2D(cin, cout, kernel=kernel, dilation=dilation, rng=rng, dtype=np.float64)
+    conv.bias = rng.standard_normal(cout)
+    x = rng.standard_normal((batch, h, w, cin))
+    y = conv.forward(x, train=True)
+    for i in range(batch):
+        want = conv2d_direct(x[i].transpose(2, 0, 1), conv.weights, conv.bias, dilation=dilation)
+        np.testing.assert_allclose(y[i], want.transpose(1, 2, 0), rtol=0, atol=1e-12)
+
+    # The conv is affine in its input and its parameters, so central
+    # differences are exact up to roundoff.
+    c = rng.standard_normal(y.shape)
+    gx = conv.backward(c)
+    fd = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += 1.0
+        xm[idx] -= 1.0
+        fd[idx] = (np.sum(c * conv.forward(xp)) - np.sum(c * conv.forward(xm))) / 2.0
+    np.testing.assert_allclose(gx, fd, rtol=1e-9, atol=1e-9)
+    report = finite_diff_check(SingleConv(conv), x, step=1.0)
+    assert report.max_rel_err < 1e-9, report.format()
+
+
+def test_consecutive_forward_calls_return_unaliased_arrays():
+    rng = np.random.default_rng(13)
+    layers = [
+        Conv2D(3, 4, rng=rng, dtype=np.float64),
+        Conv2D(3, 4, kernel=(1, 1), rng=rng, dtype=np.float64),
+        LayerNorm(3, dtype=np.float64),
+        ReLU(),
+    ]
+    for layer in layers:
+        for train in (False, True):
+            x1, x2 = rng.standard_normal((2, 2, 5, 6, 3))
+            y1 = layer.forward(x1, train)
+            kept = y1.copy()
+            y2 = layer.forward(x2, train)
+            assert not np.shares_memory(y1, y2)
+            assert not np.shares_memory(y1, x1) and not np.shares_memory(y2, x2)
+            np.testing.assert_array_equal(y1, kept)
 
 
 def test_same_padding_preserves_spatial_shape():

@@ -273,3 +273,61 @@ def test_objective_gradient_matches_central_differences(tiny_grid, seeded):
 def test_objective_rejects_ragged_bit_counts(tiny_grid):
     with pytest.raises(ConfigError, match="whole number"):
         BmdGridObjective(np.zeros((1, tiny_grid.num_data_res * 2 + 1)), tiny_grid)
+
+
+# ---------------------------------------------------------------------------
+# frozen-prefix backward
+
+
+def _frozen_prefix_case(seeded, trainable_from):
+    """Two identical models; in the first, coarse layers before index
+    ``trainable_from`` are frozen (block2 stays frozen in both)."""
+    spec = small_spec(num_blocks=3)
+    full, truncated = ReceiverModel(spec, seed=5), ReceiverModel(spec, seed=5)
+    for i, name in enumerate(n for n, _ in truncated.coarse_layers()):
+        truncated.trainable[name] = i >= trainable_from and name != "block2"
+    rng = seeded(trainable_from)
+    x = rng.standard_normal((2, 4, 7, 9)).astype(np.float32)
+    g = rng.standard_normal((2, 7, 9, 4)).astype(np.float32)
+    return full, truncated, x, g
+
+
+def _cached(layer) -> bool:
+    return any(getattr(layer, a, None) is not None for a in ("_padded_input", "_cache", "_mask"))
+
+
+@pytest.mark.parametrize("trainable_from", [0, 1, 2, 4])
+def test_truncated_backward_gives_the_full_backwards_gradients(seeded, trainable_from):
+    full, truncated, x, g = _frozen_prefix_case(seeded, trainable_from)
+    np.testing.assert_array_equal(truncated.forward(x, train=True), full.forward(x, train=True))
+    assert truncated.backward(g) is None
+    full.backward(g)
+    trained = [name for name, _ in truncated.coarse_layers() if truncated.trainable[name]]
+    assert trained
+    compared = 0
+    for (name, a), (_, b) in zip(truncated.primitive_layers(), full.primitive_layers()):
+        if name.split(".")[0] not in trained:
+            continue
+        for (_, _, ga), (_, _, gb) in zip(a.param_items(), b.param_items()):
+            assert ga.tobytes() == gb.tobytes(), name
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("trainable_from", [1, 2, 4])
+def test_frozen_prefix_layers_hold_no_cache(seeded, trainable_from):
+    _, model, x, g = _frozen_prefix_case(seeded, trainable_from)
+    names = [name for name, _ in model.coarse_layers()]
+    prefix = names[: [model.trainable[n] for n in names].index(True)]
+    model.forward(x, train=True)
+    layers = model.primitive_layers()
+    for name, block in model.coarse_layers()[1:-1]:
+        layers += [(f"{name}.relu1", block.relu1), (f"{name}.relu2", block.relu2)]
+    for name, layer in layers:
+        if name.split(".")[0] in prefix:
+            assert not _cached(layer), f"{name} cached activations while frozen"
+        else:
+            assert _cached(layer), f"{name} cached nothing for its backward"
+    model.backward(g)
+    for name, layer in layers:
+        assert not _cached(layer), f"{name} still holds a cache after the step"

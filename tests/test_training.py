@@ -82,6 +82,20 @@ def test_divergence_raises_and_preserves_the_last_good_state(tiny_grid):
     assert ck.fingerprint["modulation"] == "qpsk"
 
 
+def test_non_finite_gradient_raises_with_the_pre_update_state(tiny_grid, monkeypatch):
+    import simorx.training
+
+    cfg = tiny_cfg(tiny_grid)
+    model = ReceiverModel(cfg.model_spec(), seed=cfg.seed)
+    run_training(model, cfg, iterations=2)
+    before = checkpoint_bytes(checkpoint_from_model(model, cfg.fingerprint()))
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    with pytest.raises(TrainingDiverged, match="non-finite gradient at iteration 0") as err:
+        run_training(model, cfg)
+    assert err.value.iteration == 0
+    assert checkpoint_bytes(err.value.checkpoint) == before
+
+
 def test_zero_iterations_returns_the_initial_model(tiny_grid):
     cfg = tiny_cfg(tiny_grid, iterations=0)
     result = train_source(cfg)
