@@ -26,10 +26,6 @@ class ChannelRealization:
     delays_s: np.ndarray = field(repr=False)  # [T]
     gains: np.ndarray = field(repr=False)     # [n_rx, T] complex
 
-    @property
-    def num_rx(self) -> int:
-        return self.gains.shape[0]
-
 
 def _draw_gains(powers, k_db, n_rx: int, rng: np.random.Generator) -> np.ndarray:
     t = len(powers)
@@ -65,16 +61,12 @@ def batch_frequency_response(
     alone.
     """
     if isinstance(profile, MixedProfile):
-        choices = rng.integers(len(profile.members), size=batch)
-        h = np.empty((batch, n_rx, cfg.num_subcarriers), dtype=np.complex128)
-        for i in range(batch):
-            h[i] = frequency_response(
-                realize_channel(profile.members[choices[i]], n_rx, rng), cfg
-            )
-        return h
+        members = [profile.members[c] for c in rng.integers(len(profile.members), size=batch)]
+    else:
+        members = [profile] * batch
     h = np.empty((batch, n_rx, cfg.num_subcarriers), dtype=np.complex128)
-    for i in range(batch):
-        h[i] = frequency_response(realize_channel(profile, n_rx, rng), cfg)
+    for i, member in enumerate(members):
+        h[i] = frequency_response(realize_channel(member, n_rx, rng), cfg)
     return h
 
 

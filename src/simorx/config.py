@@ -11,7 +11,8 @@ Two scales ship with the package:
   structural feature: guards, pilots, coding, fading, surgery.
 
 Helpers build ``TrainConfig`` / ``EvalConfig`` objects from a scale name
-plus overrides, and load/dump YAML for the CLI.
+plus overrides (an override of ``None`` keeps the preset), and load YAML
+for the CLI.
 """
 
 from __future__ import annotations
@@ -61,40 +62,42 @@ def _scale(name: str) -> dict:
         raise ConfigError(f"unknown scale {name!r}; choose from {sorted(SCALES)}") from None
 
 
+GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridConfig))
+
+
+def _resolve(defaults: dict, overrides: dict) -> dict:
+    """Preset ``defaults`` with every override that is not ``None`` applied.
+
+    Grid field overrides (``num_subcarriers``, ...) replace fields of the
+    preset grid; every other override replaces its key outright.
+    """
+    kwargs = dict(defaults)
+    given = {k: v for k, v in overrides.items() if v is not None}
+    grid = {k: given.pop(k) for k in list(given) if k in GRID_FIELDS}
+    if grid:
+        kwargs["grid"] = dataclasses.replace(kwargs["grid"], **grid)
+    kwargs.update(given)
+    return kwargs
+
+
 def make_train_config(scale: str = "desk", **overrides) -> TrainConfig:
     preset = _scale(scale)
-    kwargs = {
-        "grid": preset["grid"],
-        "width_in": preset["width_in"],
-        "width_res": preset["width_res"],
-        "batch": preset["batch"],
-        "iterations": preset["iterations"],
-    }
-    grid_overrides = {k: overrides.pop(k) for k in list(overrides) if k in GRID_FIELDS}
-    if grid_overrides:
-        kwargs["grid"] = dataclasses.replace(kwargs["grid"], **grid_overrides)
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    defaults = {k: preset[k] for k in ("grid", "width_in", "width_res", "batch", "iterations")}
+    return TrainConfig(**_resolve(defaults, overrides))
 
 
 def make_eval_config(scale: str = "desk", **overrides) -> EvalConfig:
     preset = _scale(scale)
-    kwargs = {
+    defaults = {
         "grid": preset["grid"],
         "max_blocks": preset["eval_max_blocks"],
         "max_block_errors": preset["eval_max_block_errors"],
         "batch": preset["eval_batch"],
         "ebno_grid_db": EBNO_GRID_DB,
     }
-    grid_overrides = {k: overrides.pop(k) for k in list(overrides) if k in GRID_FIELDS}
-    if grid_overrides:
-        kwargs["grid"] = dataclasses.replace(kwargs["grid"], **grid_overrides)
-    kwargs.update(overrides)
+    kwargs = _resolve(defaults, overrides)
     kwargs["ebno_grid_db"] = tuple(kwargs["ebno_grid_db"])
     return EvalConfig(**kwargs)
-
-
-GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridConfig))
 
 
 def load_yaml(path) -> dict:
@@ -103,8 +106,3 @@ def load_yaml(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return data
-
-
-def dump_yaml(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(obj, fh, sort_keys=True)

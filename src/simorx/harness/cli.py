@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Verbs map thinly onto the library: train-source, adapt, eval, sweep,
-baseline, params.  Outputs (checkpoints, run logs, CSV curves, manifest)
-land in --out; the resolved configuration is always echoed next to them.
+baseline, params.  Outputs (checkpoints, run logs, CSV curves) land in
+--out, next to a ``manifest.yaml`` that echoes the resolved configuration.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ import os
 import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
-from ..checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from ..checkpoint import load_checkpoint, save_checkpoint
 from ..errors import SimorxError
 from ..phy.modulation import get_scheme
 from ..training import train_source
 from ..transfer import TECHNIQUES, AdaptConfig, adapt, count_params, reference_comparison
 from .bler import GenieReceiver, NeuralReceiver, run_bler
-from .results import emit_results
+from .results import emit_results, write_manifest
 from .sweep import SweepConfig, sweep
 
 PROFILE_CHOICES = PACKAGED_PROFILES + ("mixed_cdl",)
@@ -78,51 +78,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_overrides(args) -> dict:
-    out = {}
-    if args.iterations is not None:
-        out["iterations"] = args.iterations
-    if args.batch is not None:
-        out["batch"] = args.batch
-    return out
-
-
-def _eval_cfg(args, **extra):
+def _eval_cfg(args):
     from ..config import make_eval_config
 
-    over = dict(extra)
-    if getattr(args, "ebno", None):
-        over["ebno_grid_db"] = args.ebno
-    if getattr(args, "max_blocks", None):
-        over["max_blocks"] = args.max_blocks
     return make_eval_config(
         args.scale,
         modulation=args.modulation,
         profile=args.profile,
         seed=args.seed,
-        **over,
+        ebno_grid_db=args.ebno,
+        max_blocks=args.max_blocks,
     )
 
 
-def _cmd_train_source(args) -> int:
-    from ..config import dump_yaml, make_train_config
+def _train_cfg(args):
+    from ..config import make_train_config
 
-    cfg = make_train_config(
+    return make_train_config(
         args.scale,
         modulation=args.modulation,
         profile=args.profile,
         seed=args.seed,
-        **_train_overrides(args),
+        iterations=args.iterations,
+        batch=args.batch,
     )
+
+
+def _cmd_train_source(args) -> int:
+    cfg = _train_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     result = train_source(cfg)
     ckpt = os.path.join(args.out, "source.ckpt")
     save_checkpoint(result.checkpoint, ckpt)
-    result.write_log(os.path.join(args.out, "source_log.csv"))
-    dump_yaml(
+    log = os.path.join(args.out, "source_log.csv")
+    result.write_log(log)
+    write_manifest(
         {"verb": "train-source", "scale": args.scale, **cfg.fingerprint(),
          "batch": cfg.batch, "iterations": cfg.iterations},
-        os.path.join(args.out, "config_echo.yaml"),
+        args.out,
+        files=(ckpt, log),
+        profiles={args.profile},
     )
     print(f"checkpoint: {ckpt}")
     print(f"final L: {result.final_loss:.4f}")
@@ -130,26 +125,21 @@ def _cmd_train_source(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    from ..config import dump_yaml, make_train_config
-
-    target = make_train_config(
-        args.scale,
-        modulation=args.modulation,
-        profile=args.profile,
-        seed=args.seed,
-        **_train_overrides(args),
-    )
+    target = _train_cfg(args)
     cfg = AdaptConfig(args.technique, args.alpha, target)
     os.makedirs(args.out, exist_ok=True)
     result = adapt(args.source, cfg)
     name = f"{args.technique}_a{args.alpha}"
     ckpt = os.path.join(args.out, f"{name}.ckpt")
     save_checkpoint(result.checkpoint, ckpt)
-    result.write_log(os.path.join(args.out, f"{name}_log.csv"))
-    dump_yaml(
+    log = os.path.join(args.out, f"{name}_log.csv")
+    result.write_log(log)
+    write_manifest(
         {"verb": "adapt", "technique": args.technique, "alpha": args.alpha,
          "steps": result.steps, "scale": args.scale, **target.fingerprint()},
-        os.path.join(args.out, "config_echo.yaml"),
+        args.out,
+        files=(ckpt, log),
+        profiles={args.profile},
     )
     for line in result.transplant_delta:
         print(line)

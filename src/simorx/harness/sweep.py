@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from ..checkpoint import Checkpoint, read_checkpoint, save_checkpoint
 from ..errors import ConfigError
-from ..training import train_source
-from ..transfer import BENCHMARKS, TECHNIQUES, AdaptConfig, adapt, run_benchmark
+from ..training import TrainResult, train_source
+from ..transfer import BENCHMARKS, TECHNIQUES, AdaptConfig, adapt, alpha_steps, run_benchmark
 from .bler import BlerCurve, GenieReceiver, NeuralReceiver, run_bler
 from .results import emit_results
 
@@ -60,6 +60,12 @@ class SweepConfig:
         for b in self.benchmarks:
             if b not in BENCHMARKS:
                 raise ConfigError(f"unknown benchmark {b!r}")
+        if self.alpha_technique not in TECHNIQUES:
+            raise ConfigError(f"unknown alpha_technique {self.alpha_technique!r}")
+        for a in (self.alpha, *self.alphas):
+            alpha_steps(a, 0)  # rejects a bad alpha before any training
+        if not self.seeds:
+            raise ConfigError("seeds cannot be empty")
 
     def to_dict(self) -> dict:
         raw = dataclasses.asdict(self)
@@ -87,48 +93,38 @@ class SweepResult:
     log_paths: list
 
 
-def _train_overrides(cfg: SweepConfig) -> dict:
-    out = {}
-    if cfg.iterations is not None:
-        out["iterations"] = cfg.iterations
-    if cfg.batch is not None:
-        out["batch"] = cfg.batch
-    return out
-
-
-def _eval_overrides(cfg: SweepConfig) -> dict:
-    out = {}
-    if cfg.eval_max_blocks is not None:
-        out["max_blocks"] = cfg.eval_max_blocks
-    if cfg.eval_max_block_errors is not None:
-        out["max_block_errors"] = cfg.eval_max_block_errors
-    if cfg.eval_batch is not None:
-        out["batch"] = cfg.eval_batch
-    return out
-
-
 def sweep(cfg, out_dir) -> SweepResult:
     """Run a full sweep into ``out_dir``; accepts a SweepConfig or its dict form."""
     from ..config import make_eval_config, make_train_config
 
     if isinstance(cfg, dict):
         cfg = SweepConfig.from_dict(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_paths: list = []
     log_paths: list = []
 
-    src_cfg = make_train_config(
+    def train_cfg(modulation: str, profile: str, seed: int):
+        return make_train_config(
+            cfg.scale, modulation=modulation, profile=profile, seed=seed,
+            iterations=cfg.iterations, batch=cfg.batch,
+        )
+
+    base_eval = make_eval_config(
         cfg.scale,
-        modulation=cfg.source_modulation,
-        profile=cfg.source_profile,
-        seed=cfg.source_seed,
-        **_train_overrides(cfg),
+        modulation=cfg.target_modulation,
+        profile=cfg.target_profile,
+        seed=cfg.seeds[0],
+        ebno_grid_db=cfg.ebno_grid_db,
+        max_blocks=cfg.eval_max_blocks,
+        max_block_errors=cfg.eval_max_block_errors,
+        batch=cfg.eval_batch,
     )
+
+    os.makedirs(out_dir, exist_ok=True)
     if cfg.source_checkpoint is not None:
         source = read_checkpoint(cfg.source_checkpoint)  # fail fast before any training
         source_path = cfg.source_checkpoint
     else:
-        result = train_source(src_cfg)
+        result = train_source(train_cfg(cfg.source_modulation, cfg.source_profile, cfg.source_seed))
         source = result.checkpoint
         source_path = os.path.join(out_dir, "source.ckpt")
         save_checkpoint(source, source_path)
@@ -137,24 +133,8 @@ def sweep(cfg, out_dir) -> SweepResult:
         log_paths.append(log)
         ckpt_paths.append(source_path)
 
-    def target_train(seed: int):
-        return make_train_config(
-            cfg.scale,
-            modulation=cfg.target_modulation,
-            profile=cfg.target_profile,
-            seed=seed,
-            **_train_overrides(cfg),
-        )
-
     def evaluate(model, seed: int, technique: str, alpha, target_fp: str) -> BlerCurve:
-        eval_cfg = make_eval_config(
-            cfg.scale,
-            modulation=cfg.target_modulation,
-            profile=cfg.target_profile,
-            seed=seed,
-            ebno_grid_db=cfg.ebno_grid_db,
-            **_eval_overrides(cfg),
-        )
+        eval_cfg = dataclasses.replace(base_eval, seed=seed)
         curve = run_bler(eval_cfg, NeuralReceiver(model, eval_cfg.grid, target_fp))
         curve.metadata.update(
             technique=technique,
@@ -164,20 +144,19 @@ def sweep(cfg, out_dir) -> SweepResult:
         )
         return curve
 
-    def store(name: str, res) -> None:
+    def store(name: str, res: TrainResult) -> None:
         path = os.path.join(out_dir, f"{name}.ckpt")
         save_checkpoint(res.checkpoint, path)
         ckpt_paths.append(path)
         if res.log_lines:
             log = os.path.join(out_dir, f"{name}_log.csv")
-            with open(log, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(res.log_lines) + "\n")
+            res.write_log(log)
             log_paths.append(log)
 
     curves: dict[str, BlerCurve] = {}
     if cfg.mode == "techniques":
         for seed in cfg.seeds:
-            tgt = target_train(seed)
+            tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
             for tech in cfg.techniques:
                 res = adapt(source, AdaptConfig(tech, cfg.alpha, tgt))
                 name = f"{tech}_a{cfg.alpha}_s{seed}"
@@ -191,7 +170,7 @@ def sweep(cfg, out_dir) -> SweepResult:
                 curves[name] = evaluate(res.model, seed, bench, alpha, res.checkpoint.fingerprint_id)
     else:
         seed = cfg.seeds[0]
-        tgt = target_train(seed)
+        tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
         for a in cfg.alphas:
             res = adapt(source, AdaptConfig(cfg.alpha_technique, float(a), tgt))
             name = f"{cfg.alpha_technique}_a{a}_s{seed}"
@@ -199,17 +178,9 @@ def sweep(cfg, out_dir) -> SweepResult:
             curves[name] = evaluate(res.model, seed, cfg.alpha_technique, float(a), res.checkpoint.fingerprint_id)
 
     if cfg.include_genie:
-        eval_cfg = make_eval_config(
-            cfg.scale,
-            modulation=cfg.target_modulation,
-            profile=cfg.target_profile,
-            seed=cfg.seeds[0],
-            ebno_grid_db=cfg.ebno_grid_db,
-            **_eval_overrides(cfg),
-        )
         from ..phy.modulation import get_scheme
 
-        curve = run_bler(eval_cfg, GenieReceiver(get_scheme(cfg.target_modulation), eval_cfg.grid))
+        curve = run_bler(base_eval, GenieReceiver(get_scheme(cfg.target_modulation), base_eval.grid))
         curve.metadata.update(technique="genie", alpha="", seed=cfg.seeds[0], source_fp="")
         curves["genie"] = curve
 

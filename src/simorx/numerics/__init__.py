@@ -1,25 +1,12 @@
-from .adam import Adam, adam_step
+from .adam import Adam
 from .gradcheck import GradCheckReport, LinearProbeObjective, finite_diff_check
-from .layers import (
-    Conv2D,
-    LayerNorm,
-    ReLU,
-    conv2d,
-    conv2d_direct,
-    layer_norm,
-    relu,
-)
+from .layers import Conv2D, LayerNorm, ReLU
 
 __all__ = [
     "Adam",
-    "adam_step",
     "Conv2D",
     "LayerNorm",
     "ReLU",
-    "conv2d",
-    "conv2d_direct",
-    "layer_norm",
-    "relu",
     "GradCheckReport",
     "LinearProbeObjective",
     "finite_diff_check",

@@ -38,9 +38,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def adam_step(params, grads, state: Adam) -> Adam:
-    """Apply one in-place Adam update and return the state for chaining."""
-    state.step(params, grads)
-    return state

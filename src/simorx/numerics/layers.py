@@ -1,9 +1,7 @@
 """Dense layers with explicit forward and backward passes.
 
 Activations use a channels-last layout ``[batch, height, width, channels]``
-internally so that the im2col buffer and the normalisation axis are both
-contiguous.  The functional wrappers at the bottom accept the channels-first
-single-sample layout ``[channels, height, width]`` used at the API boundary.
+so that the im2col buffer and the normalisation axis are both contiguous.
 
 Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]`` so the forward
 pass is a single matrix product with no repacking; the canonical
@@ -370,51 +368,3 @@ class ReLU:
         out = grad_out * self._mask
         self._mask = None
         return out
-
-
-def conv2d(x: np.ndarray, layer: Conv2D) -> np.ndarray:
-    """Convolve a single channels-first sample ``[c_in, h, w] -> [c_out, h, w]``."""
-    y = layer.forward(np.transpose(x, (1, 2, 0))[None])
-    return np.transpose(y[0], (2, 0, 1))
-
-
-def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, dilation=(1, 1)) -> np.ndarray:
-    """Reference convolution with explicit loops, channels-first single sample.
-
-    Slow; exists to cross-check the GEMM path.
-    """
-    c_out, c_in, kh, kw = weights.shape
-    if x.shape[0] != c_in:
-        raise ConfigError("input channels do not match the kernel")
-    _, h, w = x.shape
-    dh, dw = int(dilation[0]), int(dilation[1])
-    ph_lo, _ = _pad_amounts(kh, dh)
-    pw_lo, _ = _pad_amounts(kw, dw)
-    out = np.zeros((c_out, h, w), dtype=np.result_type(x, weights))
-    for o in range(c_out):
-        for i in range(h):
-            for j in range(w):
-                acc = 0.0
-                for c in range(c_in):
-                    for a in range(kh):
-                        for b in range(kw):
-                            ii = i + a * dh - ph_lo
-                            jj = j + b * dw - pw_lo
-                            if 0 <= ii < h and 0 <= jj < w:
-                                acc += weights[o, c, a, b] * x[c, ii, jj]
-                out[o, i, j] = acc + bias[o]
-    return out
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, *, epsilon: float = 1e-9, channel_axis: int = -1) -> np.ndarray:
-    """Functional layer normalisation over ``channel_axis``."""
-    xm = np.moveaxis(x, channel_axis, -1)
-    mu = xm.mean(axis=-1, keepdims=True)
-    xc = xm - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    out = gamma * (xc / np.sqrt(var + epsilon)) + beta
-    return np.moveaxis(out, -1, channel_axis)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)

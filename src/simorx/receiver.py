@@ -45,9 +45,6 @@ class ModelSpec:
     def with_extra_block(self) -> "ModelSpec":
         return replace(self, num_blocks=self.num_blocks + 1)
 
-    def with_out_bits(self, out_bits: int) -> "ModelSpec":
-        return replace(self, out_bits=out_bits)
-
 
 def _layer_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(slot,)))
@@ -248,19 +245,6 @@ def preprocess(rx: np.ndarray) -> np.ndarray:
     return out
 
 
-def reassemble_complex(planes: np.ndarray) -> np.ndarray:
-    """Inverse of ``preprocess``."""
-    planes = np.asarray(planes)
-    if planes.ndim != 4 or planes.shape[1] % 2:
-        raise ConfigError(f"expected [batch, 2 n_rx, F, S], got {planes.shape}")
-    return planes[:, 0::2] + 1j * planes[:, 1::2]
-
-
-def forward_llrs(model: ReceiverModel, x: np.ndarray) -> np.ndarray:
-    """Inference pass: real planes ``[batch, C, F, S]`` to LLR grid ``[batch, F, S, K]``."""
-    return model.forward(x, train=False)
-
-
 def expit(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(x, dtype=np.result_type(x, np.float32))
@@ -312,26 +296,3 @@ def scatter_llr_bit_grad(grad_bits: np.ndarray, cfg: GridConfig, out_bits: int) 
         m, cfg.num_data_res, out_bits
     )
     return grid
-
-
-class BmdGridObjective:
-    """Scalar training objective on an LLR grid against fixed coded bits.
-
-    ``value`` is the mean BCE in bits over data resource elements only;
-    pilot and guard positions contribute nothing, in value or gradient.
-    """
-
-    def __init__(self, bits: np.ndarray, cfg: GridConfig):
-        self.bits = np.asarray(bits)
-        self.cfg = cfg
-        if self.bits.shape[-1] % cfg.num_data_res:
-            raise ConfigError("bit count is not a whole number of bits per data RE")
-        self.out_bits = self.bits.shape[-1] // cfg.num_data_res
-
-    def value(self, llr_grid: np.ndarray) -> float:
-        _, bce = bmd_loss(extract_llr_bits(llr_grid, self.cfg), self.bits)
-        return bce
-
-    def grad(self, llr_grid: np.ndarray) -> np.ndarray:
-        flat = extract_llr_bits(llr_grid, self.cfg)
-        return scatter_llr_bit_grad(bmd_loss_grad(flat, self.bits), self.cfg, self.out_bits)

@@ -11,13 +11,14 @@ Every iteration appends one CSV row to the run log::
     iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed
 
 Randomness is derived per iteration from ``SeedSequence(seed,
-spawn_key=(iteration,))``, so runs are reproducible and restartable at any
-iteration boundary.
+spawn_key=(iteration,))``, so runs are reproducible.  They are not
+resumable: Adam's moments are not saved and the run log is written only
+when the run ends, so an interrupted run starts over (ROADMAP open item 4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,16 +98,25 @@ class TrainConfig:
             "ldpc_seed": self.ldpc_seed,
         }
 
-    def with_iterations(self, iterations: int) -> "TrainConfig":
-        return replace(self, iterations=iterations)
-
 
 @dataclass
 class TrainResult:
+    """One run: source training, an adaptation, or a benchmark.
+
+    ``transplant_delta`` lists what loading the source checkpoint changed
+    (adaptation and ``model_transfer`` only); ``model_transfer`` has no
+    log lines and no losses.
+    """
+
     checkpoint: Checkpoint
     model: ReceiverModel
     log_lines: list = field(default_factory=list)
     losses: np.ndarray = field(default_factory=lambda: np.empty(0))
+    transplant_delta: list = field(default_factory=list)
+
+    @property
+    def steps(self) -> int:
+        return self.losses.size
 
     @property
     def final_loss(self) -> float:

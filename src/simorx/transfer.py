@@ -28,7 +28,8 @@ the target domain with zero updates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .checkpoint import (
 )
 from .errors import ConfigError
 from .receiver import ReceiverModel, ResNetBlock
-from .training import TrainConfig, run_training
+from .training import TrainConfig, TrainResult, run_training
 
 logger = logging.getLogger(__name__)
 
@@ -197,6 +198,14 @@ def reference_comparison(train_cfg: TrainConfig) -> str:
     return "\n".join(lines)
 
 
+def alpha_steps(alpha: float, iterations: int) -> int:
+    """Iterations of an α-budgeted run: ``round(alpha * iterations)``, at
+    least one.  Rejects α outside (0, 1], NaN and non-numbers included."""
+    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 1.0:
+        raise ConfigError(f"alpha must be a number in (0, 1], got {alpha!r}")
+    return max(1, round(alpha * iterations))
+
+
 @dataclass(frozen=True)
 class AdaptConfig:
     technique: str
@@ -207,26 +216,11 @@ class AdaptConfig:
     def __post_init__(self):
         if self.technique not in TECHNIQUES:
             raise ConfigError(f"unknown technique {self.technique!r}; choose from {TECHNIQUES}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
+        alpha_steps(self.alpha, self.target.iterations)  # rejects a bad alpha now
 
     @property
     def steps(self) -> int:
-        return max(1, round(self.alpha * self.target.iterations))
-
-
-@dataclass
-class AdaptResult:
-    checkpoint: Checkpoint
-    model: ReceiverModel
-    log_lines: list
-    losses: np.ndarray
-    steps: int
-    transplant_delta: list = field(default_factory=list)
-
-    def write_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.log_lines) + "\n")
+        return alpha_steps(self.alpha, self.target.iterations)
 
 
 def _load_for_target(source, cfg: TrainConfig) -> LoadResult:
@@ -237,7 +231,7 @@ def _load_for_target(source, cfg: TrainConfig) -> LoadResult:
     return result
 
 
-def adapt(source, cfg: AdaptConfig) -> AdaptResult:
+def adapt(source, cfg: AdaptConfig) -> TrainResult:
     """Adapt a source checkpoint to the target domain in ``cfg.target``.
 
     ``source`` is a checkpoint object or path.  Runs ``round(alpha *
@@ -258,38 +252,21 @@ def adapt(source, cfg: AdaptConfig) -> AdaptResult:
     result = run_training(model, cfg.target, iterations=cfg.steps)
     fp = cfg.target.fingerprint()
     fp.update({"technique": cfg.technique, "alpha": repr(cfg.alpha)})
-    return AdaptResult(
-        checkpoint=checkpoint_from_model(model, fp),
-        model=model,
-        log_lines=result.log_lines,
-        losses=result.losses,
-        steps=cfg.steps,
-        transplant_delta=loaded.delta,
-    )
+    return replace(result, checkpoint=checkpoint_from_model(model, fp), transplant_delta=loaded.delta)
 
 
-@dataclass
-class BenchmarkResult:
-    kind: str
-    checkpoint: Checkpoint
-    model: ReceiverModel
-    log_lines: list
-    steps: int
-
-
-def run_benchmark(kind: str, source, target: TrainConfig, alpha: float | None = None) -> BenchmarkResult:
+def run_benchmark(kind: str, source, target: TrainConfig, alpha: float | None = None) -> TrainResult:
     """Run one of the bracketing benchmarks on the target domain."""
     if kind == "without_tl":
         if alpha is None:
             raise ConfigError("without_tl needs the alpha budget")
-        steps = max(1, round(alpha * target.iterations))
+        steps = alpha_steps(alpha, target.iterations)
         model = ReceiverModel(target.model_spec(), seed=target.seed)
-        result = run_training(model, target, iterations=steps)
-        return BenchmarkResult(kind, result.checkpoint, result.model, result.log_lines, steps)
+        return run_training(model, target, iterations=steps)
     if kind == "model_transfer":
         loaded = _load_for_target(source, target)
         fp = target.fingerprint()
         fp["technique"] = "model_transfer"
         ck = checkpoint_from_model(loaded.model, fp)
-        return BenchmarkResult(kind, ck, loaded.model, [], 0)
+        return TrainResult(ck, loaded.model, transplant_delta=loaded.delta)
     raise ConfigError(f"unknown benchmark {kind!r}; choose from {BENCHMARKS}")

@@ -206,6 +206,27 @@ def test_batch_frequency_response_is_reproducible(desk_grid):
     assert not np.allclose(h1[0], h1[1])
 
 
+@pytest.mark.parametrize("name", ["cdl_c_like", "mixed_cdl"])
+def test_batch_frequency_response_matches_per_sample_realizations(desk_grid, name):
+    p = load_profile(name)
+    batch, n_rx = 5, 2
+    got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    got = batch_frequency_response(p, batch, n_rx, desk_grid, got_rng)
+    # Reference draw order: mixed profiles pick every member up front, then
+    # each sample draws its realization in sample order.
+    if isinstance(p, MixedProfile):
+        members = [p.members[c] for c in ref_rng.integers(len(p.members), size=batch)]
+    else:
+        members = [p] * batch
+    want = np.stack(
+        [frequency_response(realize_channel(m, n_rx, ref_rng), desk_grid) for m in members]
+    )
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # both generators consumed exactly the same draws
+    assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+
 # ---------------------------------------------------------------------- noise
 
 

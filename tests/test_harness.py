@@ -11,7 +11,6 @@ import yaml
 from simorx.config import (
     EBNO_GRID_DB,
     SCALES,
-    dump_yaml,
     load_yaml,
     make_eval_config,
     make_train_config,
@@ -288,7 +287,7 @@ def test_emit_results_writes_curves_and_manifest(tmp_path):
 
 def test_read_manifest_rejects_other_yaml(tmp_path):
     p = tmp_path / "other.yaml"
-    dump_yaml({"not_config": 1}, p)
+    p.write_text(yaml.safe_dump({"not_config": 1}))
     with pytest.raises(ConfigError, match="not a run manifest"):
         read_manifest(p)
     assert load_yaml(p) == {"not_config": 1}
@@ -330,6 +329,15 @@ def test_grid_field_overrides_reach_the_grid():
     assert ev.batch == SCALES["desk"]["eval_batch"]
 
 
+def test_none_overrides_keep_the_preset():
+    assert make_train_config("desk", iterations=None, batch=None, guard_lo=None) == make_train_config("desk")
+    ev = make_eval_config("desk", max_blocks=None, ebno_grid_db=None, batch=None)
+    assert ev == make_eval_config("desk")
+    # A falsy value is an override like any other, and is validated.
+    with pytest.raises(ConfigError, match="max_blocks"):
+        make_eval_config("desk", max_blocks=0)
+
+
 def test_ebno_grid_spans_minus_four_to_eight():
     assert EBNO_GRID_DB == tuple(range(-4, 9))
     assert make_eval_config("desk").ebno_grid_db == EBNO_GRID_DB
@@ -369,6 +377,33 @@ def test_sweep_config_round_trips_through_dict_form():
         tiny_sweep_config(mode="grid")
     with pytest.raises(ConfigError, match="unknown technique"):
         tiny_sweep_config(techniques=("fine_tuning", "prompting"))
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"alpha_technique": "distillation"}, "alpha_technique"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": "0.1"}, "alpha"),
+        ({"alphas": (0.0, 2.0)}, "alpha"),
+        ({"alphas": (0.5, 2.0)}, "alpha"),
+        ({"seeds": ()}, "seeds"),
+    ],
+)
+def test_sweep_config_rejects_bad_values_before_any_training(tmp_path, monkeypatch, bad, match):
+    import importlib
+
+    def no_training(cfg):
+        raise AssertionError("trained before rejecting the config")
+
+    # ``simorx.harness.sweep`` the attribute is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("simorx.harness.sweep"), "train_source", no_training)
+    with pytest.raises(ConfigError, match=match):
+        tiny_sweep_config(**bad)
+    with pytest.raises(ConfigError, match=match):
+        sweep({**tiny_sweep_config().to_dict(), **bad}, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
@@ -463,8 +498,10 @@ def test_cli_train_adapt_eval_chain(tmp_path, capsys):
     assert code == 0
     ckpt = src_dir / "source.ckpt"
     assert ckpt.exists() and (src_dir / "source_log.csv").exists()
-    echo = load_yaml(src_dir / "config_echo.yaml")
-    assert echo["verb"] == "train-source" and echo["iterations"] == 2
+    manifest = read_manifest(src_dir / "manifest.yaml")
+    assert manifest["config"]["verb"] == "train-source" and manifest["config"]["iterations"] == 2
+    assert manifest["files"] == ["source.ckpt", "source_log.csv"]
+    assert set(manifest["profiles"]) == {"flat"}
 
     adapt_dir = tmp_path / "adapt"
     code = run_cli(
@@ -474,6 +511,9 @@ def test_cli_train_adapt_eval_chain(tmp_path, capsys):
     )
     assert code == 0
     assert (adapt_dir / "feature_extraction_a0.5.ckpt").exists()
+    manifest = read_manifest(adapt_dir / "manifest.yaml")
+    assert manifest["config"]["verb"] == "adapt" and manifest["config"]["steps"] == 1
+    assert manifest["files"] == ["feature_extraction_a0.5.ckpt", "feature_extraction_a0.5_log.csv"]
     out = capsys.readouterr().out
     assert "1 iterations" in out  # round(0.5 * 2) = 1 step
 
@@ -502,14 +542,32 @@ def test_cli_baseline_writes_a_genie_curve(tmp_path):
 
 def test_cli_sweep_runs_a_yaml_config(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.yaml"
-    dump_yaml(
-        tiny_sweep_config(mode="alpha", alphas=(0.5,)).to_dict(), cfg_path
-    )
+    cfg_path.write_text(yaml.safe_dump(tiny_sweep_config(mode="alpha", alphas=(0.5,)).to_dict()))
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
     printed = capsys.readouterr().out
     assert "manifest.yaml" in printed
     assert (out / "fine_tuning_a0.5_s0.csv").exists()
+
+
+def test_cli_sweep_rejects_a_bad_config_with_exit_two(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), "seeds": []}))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_baseline_rejects_zero_max_blocks_with_exit_two(tmp_path, capsys):
+    out = tmp_path / "genie"
+    code = run_cli(
+        "baseline", "--scale", "desk", "--profile", "flat",
+        "--ebno", "8", "--max-blocks", "0", "--out", str(out),
+    )
+    assert code == 2
+    assert "max_blocks" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_reports_package_errors_as_exit_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Receiver network, bit-metric loss, and LLR grid extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,13 @@ import pytest
 from simorx.errors import ConfigError
 from simorx.phy.grid import GridConfig, extract_data_res
 from simorx.receiver import (
-    BmdGridObjective,
     ModelSpec,
     ReceiverModel,
     bmd_loss,
     bmd_loss_grad,
     expit,
     extract_llr_bits,
-    forward_llrs,
     preprocess,
-    reassemble_complex,
     scatter_llr_bit_grad,
 )
 
@@ -43,7 +41,7 @@ def test_preprocess_round_trip_is_bit_exact(cdtype, rdtype, seeded):
     rx = (rng.standard_normal((2, 2, 5, 6)) + 1j * rng.standard_normal((2, 2, 5, 6))).astype(cdtype)
     planes = preprocess(rx)
     assert planes.dtype == rdtype
-    back = reassemble_complex(planes)
+    back = planes[:, 0::2] + 1j * planes[:, 1::2]
     np.testing.assert_array_equal(back, rx)
 
 
@@ -52,8 +50,6 @@ def test_preprocess_rejects_non_complex_or_wrong_rank():
         preprocess(np.zeros((1, 2, 3, 4)))
     with pytest.raises(ConfigError):
         preprocess(np.zeros((2, 3, 4), dtype=np.complex128))
-    with pytest.raises(ConfigError):
-        reassemble_complex(np.zeros((1, 3, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ def small_spec(**kw):
 def test_forward_shapes_and_dtype(seeded):
     model = ReceiverModel(small_spec(), seed=7)
     x = seeded(0).standard_normal((3, 4, 10, 12)).astype(np.float32)
-    y = forward_llrs(model, x)
+    y = model.forward(x)
     assert y.shape == (3, 10, 12, 4)
     assert y.dtype == np.float32
 
@@ -91,7 +87,9 @@ def test_spec_rejects_non_positive_fields():
 def test_spec_edits_return_new_specs():
     spec = small_spec()
     assert spec.with_extra_block().num_blocks == spec.num_blocks + 1
-    assert spec.with_out_bits(6).out_bits == 6
+    assert replace(spec, out_bits=6).out_bits == 6
+    with pytest.raises(ConfigError):
+        replace(spec, out_bits=0)
     assert spec.num_blocks == 2  # originals untouched
 
 
@@ -236,18 +234,27 @@ def test_scatter_touches_only_data_resource_elements(tiny_grid, seeded):
     assert np.count_nonzero(grid) == np.count_nonzero(vec)
 
 
+def objective_value(llr_grid, bits, cfg):
+    """Mean BCE in bits over data REs, as ``run_training`` computes it."""
+    return bmd_loss(extract_llr_bits(llr_grid, cfg), bits)[1]
+
+
+def objective_grad(llr_grid, bits, cfg):
+    flat = extract_llr_bits(llr_grid, cfg)
+    return scatter_llr_bit_grad(bmd_loss_grad(flat, bits), cfg, llr_grid.shape[-1])
+
+
 def test_objective_ignores_pilot_and_guard_positions(tiny_grid, seeded):
     rng = seeded(11)
     k = 2
     bits = rng.integers(0, 2, (1, tiny_grid.num_data_res * k)).astype(float)
-    obj = BmdGridObjective(bits, tiny_grid)
     grid = rng.standard_normal((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, k))
-    base = obj.value(grid)
+    base = objective_value(grid, bits, tiny_grid)
     poked = grid.copy()
     poked[0, tiny_grid.pilot_symbols[0], :, :] += 100.0  # pilot symbol row
     poked[0, :, 0, :] += 100.0  # guard column
-    assert obj.value(poked) == base
-    g = obj.grad(grid)
+    assert objective_value(poked, bits, tiny_grid) == base
+    g = objective_grad(grid, bits, tiny_grid)
     assert np.all(g[0, tiny_grid.pilot_symbols[0]] == 0.0)
     assert np.all(g[0, :, 0] == 0.0)
 
@@ -256,9 +263,8 @@ def test_objective_gradient_matches_central_differences(tiny_grid, seeded):
     rng = seeded(12)
     k = 2
     bits = rng.integers(0, 2, (1, tiny_grid.num_data_res * k)).astype(float)
-    obj = BmdGridObjective(bits, tiny_grid)
     grid = rng.standard_normal((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, k))
-    g = obj.grad(grid)
+    g = objective_grad(grid, bits, tiny_grid)
     eps = 1e-6
     t0 = int(tiny_grid.data_symbol_index[5])
     f0 = int(tiny_grid.data_subcarrier_index[5])
@@ -266,13 +272,14 @@ def test_objective_gradient_matches_central_differences(tiny_grid, seeded):
         up, dn = grid.copy(), grid.copy()
         up[0, t0, f0, bit] += eps
         dn[0, t0, f0, bit] -= eps
-        fd = (obj.value(up) - obj.value(dn)) / (2 * eps)
+        fd = (objective_value(up, bits, tiny_grid) - objective_value(dn, bits, tiny_grid)) / (2 * eps)
         assert g[0, t0, f0, bit] == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
 
 def test_objective_rejects_ragged_bit_counts(tiny_grid):
-    with pytest.raises(ConfigError, match="whole number"):
-        BmdGridObjective(np.zeros((1, tiny_grid.num_data_res * 2 + 1)), tiny_grid)
+    grid = np.zeros((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, 2))
+    with pytest.raises(ConfigError, match="must match"):
+        objective_value(grid, np.zeros((1, tiny_grid.num_data_res * 2 + 1)), tiny_grid)
 
 
 # ---------------------------------------------------------------------------

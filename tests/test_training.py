@@ -1,5 +1,7 @@
 """Training loop: determinism, logging, divergence handling, edge budgets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ def test_config_validation(tiny_grid):
 
 def test_model_and_config_must_agree(tiny_grid):
     cfg = tiny_cfg(tiny_grid)
-    wrong_bits = ReceiverModel(cfg.model_spec().with_out_bits(4), seed=0)
+    wrong_bits = ReceiverModel(replace(cfg.model_spec(), out_bits=4), seed=0)
     with pytest.raises(ConfigError, match="bits per RE"):
         run_training(wrong_bits, cfg)
     cfg2 = tiny_cfg(tiny_grid, n_rx=2)

@@ -14,12 +14,13 @@ from simorx.checkpoint import (
 )
 from simorx.errors import CheckpointError, ConfigError
 from simorx.receiver import ModelSpec, ReceiverModel
-from simorx.training import TrainConfig, run_training
+from simorx.training import TrainConfig, TrainResult, run_training
 from simorx.transfer import (
     REFERENCE_PARAM_TOTALS,
     AdaptConfig,
     add_resnet_block,
     adapt,
+    alpha_steps,
     count_params,
     reference_comparison,
     run_benchmark,
@@ -335,14 +336,17 @@ def test_reference_comparison_prints_ours_beside_published(tiny_grid):
 
 def test_adapt_config_budget_rounding(tiny_grid):
     target = tiny_cfg(tiny_grid, iterations=2000)
-    assert AdaptConfig("fine_tuning", 0.1, target).steps == 200
-    assert AdaptConfig("fine_tuning", 1.0, target).steps == 2000
-    assert AdaptConfig("fine_tuning", 0.0001, target).steps == 1
+    for alpha, want in ((0.1, 200), (1.0, 2000), (0.0001, 1)):
+        assert AdaptConfig("fine_tuning", alpha, target).steps == want
+        assert alpha_steps(alpha, target.iterations) == want
     with pytest.raises(ConfigError, match="unknown technique"):
         AdaptConfig("distillation", 0.1, target)
-    for bad_alpha in (0.0, -0.1, 1.5):
+    # Adaptation and the without_tl benchmark share one alpha rule.
+    for bad_alpha in (0.0, -0.1, 1.5, 3.0, float("nan")):
         with pytest.raises(ConfigError, match="alpha"):
             AdaptConfig("fine_tuning", bad_alpha, target)
+        with pytest.raises(ConfigError, match="alpha"):
+            run_benchmark("without_tl", None, target, alpha=bad_alpha)
 
 
 @pytest.fixture
@@ -367,7 +371,8 @@ def changed(src_ck, model, coarse):
 def test_fine_tuning_updates_every_layer(tiny_source):
     src, cfg = tiny_source
     out = adapt(src, AdaptConfig("fine_tuning", 0.25, cfg))
-    assert out.steps == 5
+    assert isinstance(out, TrainResult)
+    assert out.steps == 5 == out.losses.size
     assert out.model.spec.num_blocks == 4
     for name, _ in out.model.coarse_layers():
         assert changed(src, out.model, name), f"{name} never moved"
@@ -423,6 +428,7 @@ def test_adapt_log_has_one_row_per_step(tiny_source, tmp_path):
 def test_without_tl_benchmark_spends_the_alpha_budget(tiny_grid):
     cfg = tiny_cfg(tiny_grid)
     out = run_benchmark("without_tl", None, cfg, alpha=0.25)
+    assert isinstance(out, TrainResult)
     assert out.steps == 5
     assert len(out.log_lines) == 6
     with pytest.raises(ConfigError, match="alpha budget"):
@@ -432,6 +438,7 @@ def test_without_tl_benchmark_spends_the_alpha_budget(tiny_grid):
 def test_model_transfer_benchmark_runs_zero_updates(tiny_source):
     src, cfg = tiny_source
     out = run_benchmark("model_transfer", src, cfg)
+    assert isinstance(out, TrainResult)
     assert out.steps == 0
     assert out.log_lines == []
     for name, _ in out.model.coarse_layers():
