@@ -96,7 +96,10 @@ def make_eval_config(scale: str = "desk", **overrides) -> EvalConfig:
         "ebno_grid_db": EBNO_GRID_DB,
     }
     kwargs = _resolve(defaults, overrides)
-    kwargs["ebno_grid_db"] = tuple(kwargs["ebno_grid_db"])
+    try:
+        kwargs["ebno_grid_db"] = tuple(kwargs["ebno_grid_db"])
+    except TypeError:
+        raise ConfigError(f"ebno_grid_db must be a list of numbers, got {kwargs['ebno_grid_db']!r}") from None
     return EvalConfig(**kwargs)
 
 

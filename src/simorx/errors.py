@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+config validation uses."""
+
+import math
+import numbers
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number; False for NaN, infinities, bools,
+    strings and everything else that is not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class SimorxError(Exception):

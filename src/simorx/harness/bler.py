@@ -24,7 +24,7 @@ import numpy as np
 from ..chain import TransmissionBatch, code_for_grid, simulate_batch
 from ..channel.fading import ebno_to_n0
 from ..channel.profiles import load_profile
-from ..errors import ConfigError
+from ..errors import ConfigError, is_finite_real
 from ..phy.grid import GridConfig
 from ..phy.ldpc import decode
 from ..phy.modulation import get_scheme
@@ -56,6 +56,10 @@ class EvalConfig:
             raise ConfigError("max_block_errors and decoder_iters must be positive")
         if not self.ebno_grid_db:
             raise ConfigError("ebno_grid_db cannot be empty")
+        # Checked, not converted: the values are echoed into manifests as given.
+        bad = [v for v in self.ebno_grid_db if not is_finite_real(v)]
+        if bad:
+            raise ConfigError(f"ebno_grid_db entries must be finite numbers, got {bad!r}")
 
 
 @dataclass(frozen=True)

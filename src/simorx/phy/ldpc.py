@@ -14,6 +14,20 @@ LLR convention throughout the package: positive means bit 1 is more likely
 (``log P(b=1)/P(b=0)``).  The decoder works internally in the opposite
 polarity, which is the one the standard min-sum update rules are written
 in, and converts at the boundary.
+
+The decoder is normalised min-sum (Chen et al., "Reduced-Complexity
+Decoding of LDPC Codes", IEEE Trans. Commun. 2005) laid out around the
+blocks of the batch.  Blocks sit on the contiguous inner axis: edge
+messages are ``[6, m, B]`` (slot ``j`` of check ``c`` at row ``j * m +
+c``) and posteriors ``[n, B]``, so every gather between the two copies
+whole rows.  The minimum over a check's other five edges comes from
+prefix and suffix running minima over the six slots, and the sign from
+the XOR of the check's sign bits with the edge's own.  A block whose hard
+decision satisfies every check is written out and leaves the active set;
+only unconverged blocks keep iterating.  Blocks never interact, and every
+per-edge float operation rounds as in the textbook flooding decoder, so
+the output is bit-identical to that decoder, which the tests keep as the
+oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, is_finite_real
 
 logger = logging.getLogger(__name__)
 
 ROW_WEIGHT = 6
 COL_WEIGHT = 3
 DEFAULT_CONSTRUCTION_SEED = 1
+_SIGN_BIT = np.uint32(0x80000000)
 
 
 @dataclass(frozen=True)
@@ -39,7 +54,7 @@ class LdpcCode:
     k: int
     construction_seed: int
     row_vars: np.ndarray = field(repr=False)         # [m, 6] variable indices per check
-    var_edges: np.ndarray = field(repr=False)        # [n, 3] flat edge index per variable
+    var_slot_edges: np.ndarray = field(repr=False)   # [3, n] slot-major edges per variable
     encoder_matrix: np.ndarray = field(repr=False)   # [m, k] uint8, parity = A @ info
 
     @property
@@ -145,8 +160,12 @@ def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED, max_attempts: int 
     flat_vars = row_vars.reshape(-1)
     if not np.all(np.bincount(flat_vars, minlength=n) == COL_WEIGHT):
         raise ConfigError("construction lost the regular column weight")
-    edge_of = np.argsort(flat_vars, kind="stable").reshape(n, COL_WEIGHT)
-    return LdpcCode(n, n - m, seed, row_vars, edge_of, encoder)
+    # Each variable's three edges in check order, renumbered from
+    # check-major (c * 6 + j) to slot-major (j * m + c).
+    edges = np.argsort(flat_vars, kind="stable").reshape(n, COL_WEIGHT)
+    slot_major = (edges % ROW_WEIGHT) * m + edges // ROW_WEIGHT
+    var_slot_edges = np.ascontiguousarray(slot_major.T, dtype=np.intp)
+    return LdpcCode(n, n - m, seed, row_vars, var_slot_edges, encoder)
 
 
 def encode(bits: np.ndarray, code: LdpcCode) -> np.ndarray:
@@ -176,52 +195,122 @@ def decode(
 
     Returns ``(info_bits, converged)``: hard information bits ``[..., k]``
     uint8 and a boolean per block.  A block converges when its hard decision
-    satisfies every check; its output freezes at that point.  A posterior of
-    exactly zero carries no decision (the bit defaults to 0), so all-zero
-    input LLRs report ``converged=False`` even though the zero word
-    trivially satisfies the checks.
+    satisfies every check; its output freezes at that point and it leaves
+    the active set.  A block that never converges returns the hard decision
+    of iteration ``max_iters``.  A posterior of exactly zero carries no
+    decision (the bit defaults to 0), so all-zero input LLRs report
+    ``converged=False`` even though the zero word trivially satisfies the
+    checks.
+
+    Blocks are the inner axis of every array (see the module docstring):
+    messages are ``[6 * m, B]`` slot-major, posteriors ``[n, B]``, where
+    ``B`` counts the blocks still active.  Each check computes the minimum
+    over its other five edges from prefix and suffix running minima, and
+    the sign over its other five edges as the XOR of the check's sign
+    bits with the edge's own.  Every per-edge value is rounded as in the
+    textbook flooding decoder (``normalization * min`` in float32, the
+    variable sum as ``channel + ((r_0 + r_1) + r_2)`` in check order), so
+    bits and flags are bit-identical to it, whichever other blocks share
+    the batch; ``tests/test_phy.py`` keeps that decoder as the oracle.
+
+    ``max_iters`` must be an integer >= 1 and ``normalization`` a finite
+    number in (0, 1]; it is applied in float32.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    if not (is_finite_real(normalization) and 0.0 < normalization <= 1.0):
+        raise ConfigError(f"normalization must be a finite number in (0, 1], got {normalization!r}")
     llrs = np.asarray(llrs)
-    if llrs.shape[-1] != code.n:
-        raise ConfigError(f"expected {code.n} LLRs, got {llrs.shape[-1]}")
+    if llrs.ndim == 0 or llrs.shape[-1] != code.n:
+        raise ConfigError(f"expected {code.n} LLRs per block, got shape {llrs.shape}")
     if not np.all(np.isfinite(llrs)):
         raise ConfigError("LLRs must be finite")
     lead = llrs.shape[:-1]
-    l0 = -llrs.reshape(-1, code.n).astype(np.float32)  # positive favours bit 0
-    batch = l0.shape[0]
-    m = code.m
+    flat = llrs.reshape(-1, code.n)
+    batch = flat.shape[0]
+    m, k = code.m, code.k
 
-    q = l0[:, code.row_vars]
-    done = np.zeros(batch, dtype=bool)
-    final = np.zeros((batch, code.n), dtype=np.uint8)
-    hard = np.zeros_like(final)
-    pos = np.arange(ROW_WEIGHT)
+    # Channel values [n, B], positive favouring bit 0.
+    with np.errstate(over="ignore"):
+        l0 = np.array(flat.T, dtype=np.float32, order="C")
+    if not np.all(np.isfinite(l0)):
+        raise ConfigError("LLRs must fit in float32")
+    np.negative(l0, out=l0)
+    check_vars = code.row_vars.T.reshape(-1)  # slot j of check c at j * m + c
+    e0, e1, e2 = code.var_slot_edges
+    norm = np.float32(normalization)
 
-    for _ in range(max_iters):
-        absq = np.abs(q)
-        sg = np.where(q < 0, -1.0, 1.0).astype(np.float32)
-        part = np.partition(absq, 1, axis=-1)
-        min1, min2 = part[..., 0], part[..., 1]
-        amin = np.argmin(absq, axis=-1)
-        sign_ex = sg.prod(axis=-1, keepdims=True) * sg  # product excluding self
-        mag_ex = np.where(pos == amin[..., None], min2[..., None], min1[..., None])
-        r = normalization * sign_ex * mag_ex
-
-        post = l0 + r.reshape(batch, m * ROW_WEIGHT)[:, code.var_edges].sum(axis=-1)
-        hard = (post < 0).astype(np.uint8)
-        parity = np.bitwise_xor.reduce(hard[:, code.row_vars], axis=-1)
-        ok = ~parity.any(axis=-1) & post.any(axis=-1)
-        newly = ok & ~done
-        if newly.any():
-            final[newly] = hard[newly]
-            done = done | newly
-        if done.all():
+    info = np.zeros((batch, k), dtype=np.uint8)
+    converged = np.zeros(batch, dtype=bool)
+    active = np.arange(batch)
+    q = np.take(l0, check_vars, axis=0)  # variable-to-check messages [6m, B]
+    for it in range(max_iters):
+        if active.size == 0:
             break
-        q = post[:, code.row_vars] - r
+        r = _check_update(q.reshape(ROW_WEIGHT, m, active.size), norm)
+        post = np.take(r, e0, axis=0)
+        post += np.take(r, e1, axis=0)
+        post += np.take(r, e2, axis=0)
+        np.add(l0, post, out=post)
+        # Posteriors gathered per check serve both the syndrome and the
+        # next variable-to-check messages.
+        q = np.take(post, check_vars, axis=0)
+        neg = (q < 0).reshape(ROW_WEIGHT, m, -1)
+        unsat = neg[0] ^ neg[1]
+        for j in range(2, ROW_WEIGHT):
+            unsat ^= neg[j]
+        ok = ~unsat.any(axis=0)
+        if ok.any():
+            ok[ok] = post[:, ok].any(axis=0)
+        last = it == max_iters - 1
+        if last or ok.any():
+            out = np.ones_like(ok) if last else ok
+            info[active[out]] = (post[:k, out] < 0).T
+            converged[active[ok]] = True
+            if last:
+                break
+            keep = ~ok
+            active = active[keep]
+            l0, q, r = l0[:, keep], q[:, keep], r[:, keep]
+        np.subtract(q, r, out=q)
 
-    final[~done] = hard[~done]
-    info = final[:, : code.k]
-    return info.reshape(lead + (code.k,)), done.reshape(lead)
+    return info.reshape(lead + (k,)), converged.reshape(lead)
+
+
+def _check_update(q: np.ndarray, norm: np.float32) -> np.ndarray:
+    """Check-to-variable messages ``[6m, B]`` from messages ``q`` ``[6, m, B]``.
+
+    Edge ``j`` gets ``norm`` times the minimum magnitude over the other
+    five edges of its check, ``min(prefix_{j-1}, suffix_{j+1})``, with the
+    product of their signs: the check's sign-bit parity XOR the edge's own
+    sign bit.  A message of -0.0 counts as negative here and as positive in
+    the flooding decoder; that flips only messages whose magnitude is 0,
+    since the minimum over the other edges then includes it, and the sign
+    of a zero changes no posterior's value or comparison.
+    """
+    a = np.abs(q)
+    r = np.empty_like(a)
+    p1 = np.minimum(a[0], a[1])
+    p2 = np.minimum(p1, a[2])
+    p3 = np.minimum(p2, a[3])
+    s4 = np.minimum(a[4], a[5])
+    s3 = np.minimum(a[3], s4)
+    s2 = np.minimum(a[2], s3)
+    np.minimum(a[1], s2, out=r[0])
+    np.minimum(a[0], s2, out=r[1])
+    np.minimum(p1, s3, out=r[2])
+    np.minimum(p2, s4, out=r[3])
+    np.minimum(p3, a[5], out=r[4])
+    np.minimum(p3, a[4], out=r[5])
+    r *= norm
+    sign = q.view(np.uint32) & _SIGN_BIT
+    parity = sign[0] ^ sign[1]
+    for j in range(2, ROW_WEIGHT):
+        parity ^= sign[j]
+    sign ^= parity
+    bits = r.view(np.uint32)
+    bits |= sign
+    return r.reshape(-1, q.shape[-1])
 
 
 def export_parity_check(code: LdpcCode) -> str:

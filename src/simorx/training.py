@@ -26,7 +26,7 @@ from .chain import code_for_grid, simulate_batch
 from .channel.fading import ebno_to_n0
 from .channel.profiles import load_profile
 from .checkpoint import Checkpoint, checkpoint_from_model
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, is_finite_real
 from .numerics.adam import Adam
 from .phy.grid import GridConfig
 from .phy.modulation import get_scheme
@@ -64,6 +64,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch < 1 or self.iterations < 0:
             raise ConfigError("batch must be positive and iterations non-negative")
+        if not (is_finite_real(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
+        for name in ("ebno_lo_db", "ebno_hi_db"):
+            if not is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.ebno_hi_db < self.ebno_lo_db:
             raise ConfigError("ebno_hi_db must not be below ebno_lo_db")
 

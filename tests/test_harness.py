@@ -132,6 +132,15 @@ def test_eval_config_validation(tiny_grid):
     for field in ("max_block_errors", "decoder_iters"):
         with pytest.raises(ConfigError, match=field):
             tiny_eval(tiny_grid, **{field: 0})
+    for grid in ((float("nan"), "x"), (4.0, float("inf")), ("4",), (True,), (None,)):
+        with pytest.raises(ConfigError, match="ebno_grid_db"):
+            tiny_eval(tiny_grid, ebno_grid_db=grid)
+    for grid in ((float("nan"), "x"), 4.0, "4"):
+        with pytest.raises(ConfigError, match="ebno_grid_db"):
+            make_eval_config(ebno_grid_db=grid)
+    # Checked, not converted: integer grids stay integers in manifests.
+    assert make_eval_config(ebno_grid_db=[-2, np.int64(2), 6.5]).ebno_grid_db == (-2, 2, 6.5)
+    assert all(type(v) is int for v in make_eval_config().ebno_grid_db)
 
 
 def test_bler_stops_early_on_errors_and_late_on_clean_points(tiny_grid):
@@ -556,6 +565,21 @@ def test_cli_sweep_rejects_a_bad_config_with_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
     assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_a_string_ebno_before_any_training(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    def no_training(cfg):
+        raise AssertionError("trained before rejecting the config")
+
+    monkeypatch.setattr(importlib.import_module("simorx.harness.sweep"), "train_source", no_training)
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), "ebno_grid_db": [2, "x"]}))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert "ebno_grid_db" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simorx.errors import ConfigError
 from simorx.phy.grid import GridConfig, build_grid, extract_data_res, pilot_values
@@ -231,6 +233,139 @@ def test_every_codeword_has_zero_syndrome():
     np.testing.assert_array_equal((cw @ h.T) % 2, np.zeros((200, 24)))
 
 
+def flooding_decode(llrs, code, max_iters=20, normalization=0.75):
+    """The plain flooding min-sum decoder, block index outermost: the oracle.
+
+    Kept as the package shipped it before the batch-minor decoder, apart
+    from deriving its check-major edge index (edge ``c * 6 + j`` is slot
+    ``j`` of check ``c``) from ``row_vars`` here.
+    """
+    var_edges = np.argsort(code.row_vars.reshape(-1), kind="stable").reshape(code.n, COL_WEIGHT)
+    llrs = np.asarray(llrs)
+    lead = llrs.shape[:-1]
+    l0 = -llrs.reshape(-1, code.n).astype(np.float32)  # positive favours bit 0
+    batch = l0.shape[0]
+    m = code.m
+
+    q = l0[:, code.row_vars]
+    done = np.zeros(batch, dtype=bool)
+    final = np.zeros((batch, code.n), dtype=np.uint8)
+    hard = np.zeros_like(final)
+    pos = np.arange(ROW_WEIGHT)
+
+    for _ in range(max_iters):
+        absq = np.abs(q)
+        sg = np.where(q < 0, -1.0, 1.0).astype(np.float32)
+        part = np.partition(absq, 1, axis=-1)
+        min1, min2 = part[..., 0], part[..., 1]
+        amin = np.argmin(absq, axis=-1)
+        sign_ex = sg.prod(axis=-1, keepdims=True) * sg  # product excluding self
+        mag_ex = np.where(pos == amin[..., None], min2[..., None], min1[..., None])
+        r = normalization * sign_ex * mag_ex
+
+        post = l0 + r.reshape(batch, m * ROW_WEIGHT)[:, var_edges].sum(axis=-1)
+        hard = (post < 0).astype(np.uint8)
+        parity = np.bitwise_xor.reduce(hard[:, code.row_vars], axis=-1)
+        ok = ~parity.any(axis=-1) & post.any(axis=-1)
+        newly = ok & ~done
+        if newly.any():
+            final[newly] = hard[newly]
+            done = done | newly
+        if done.all():
+            break
+        q = post[:, code.row_vars] - r
+
+    final[~done] = hard[~done]
+    info = final[:, : code.k]
+    return info.reshape(lead + (code.k,)), done.reshape(lead)
+
+
+def noisy_llrs(code, batch, rng, kind="real", zero_rows=0):
+    """LLRs of random codewords, each block at its own SNR between -1 and 8 dB.
+
+    The spread of SNRs makes blocks converge at different iterations (or
+    not at all).  ``kind`` "integer" rounds to whole numbers, so check
+    minima tie and zero LLRs appear; "wide" scales each LLR by 10**(-4..8),
+    so float32 sums round and their order matters.  The first
+    ``zero_rows`` blocks are all zero.
+    """
+    bits = rng.integers(0, 2, size=(batch, code.k))
+    cw = encode(bits, code)
+    snr = 10 ** (rng.uniform(-1.0, 8.0, size=(batch, 1)) / 10)
+    sigma = np.sqrt(1.0 / (2.0 * 0.5 * snr))
+    y = (2.0 * cw - 1.0) + sigma * rng.standard_normal(cw.shape)
+    llrs = 2.0 * y / sigma**2
+    if kind == "integer":
+        llrs = np.round(llrs / 2.0)
+    elif kind == "wide":
+        llrs *= 10.0 ** rng.uniform(-4.0, 8.0, size=llrs.shape)
+    llrs[:zero_rows] = 0.0
+    return llrs
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 20])
+@pytest.mark.parametrize("batch", [0, 1, 37])
+@pytest.mark.parametrize("n", [48, 96, 648])
+@settings(max_examples=6)
+@given(
+    layout=st.sampled_from(["flat", "3d", "single"]),
+    kind=st.sampled_from(["real", "integer", "wide"]),
+    zero_rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_matches_the_flooding_oracle_bit_for_bit(
+    n, batch, layout, max_iters, kind, zero_rows, seed
+):
+    code = build_code(n)
+    llrs = noisy_llrs(code, batch, np.random.default_rng(seed), kind, min(zero_rows, batch))
+    if layout == "3d":
+        llrs = llrs.reshape(1, batch, 1, n)
+    elif layout == "single" and batch == 1:
+        llrs = llrs[0]
+    info, converged = decode(llrs, code, max_iters=max_iters)
+    want_info, want_converged = flooding_decode(llrs, code, max_iters=max_iters)
+    assert info.dtype == want_info.dtype and converged.dtype == want_converged.dtype
+    assert info.shape == want_info.shape and converged.shape == want_converged.shape
+    np.testing.assert_array_equal(info, want_info)
+    np.testing.assert_array_equal(converged, want_converged)
+
+
+def test_blocks_leave_the_active_set_at_different_iterations():
+    code = build_code(648)
+    llrs = noisy_llrs(code, 37, np.random.default_rng(8), "integer", zero_rows=2)
+    counts = []
+    for max_iters in (1, 2, 5, 20):
+        info, converged = decode(llrs, code, max_iters=max_iters)
+        want_info, want_converged = flooding_decode(llrs, code, max_iters=max_iters)
+        np.testing.assert_array_equal(info, want_info)
+        np.testing.assert_array_equal(converged, want_converged)
+        counts.append(int(converged.sum()))
+    # Some blocks converge in the first iteration, more later, some never.
+    assert 0 < counts[0] < counts[1] < counts[3] < 35
+
+
+@pytest.mark.parametrize("small, negative, bit", [(2, 1, 0), (1, 2, 1)])
+def test_variable_sum_rounds_in_check_order(small, negative, bit):
+    # Variable v (channel value -0.5) gets +-3*2**24 from two of its checks
+    # and +0.75 from the one in position ``small``.  Only the sum
+    # ``l0 + ((r_0 + r_1) + r_2)`` in check order gives the hard bit ``bit``:
+    # other orders round the 0.75 or the -0.5 away.
+    code = build_code(96)
+    checks_of = [np.nonzero((code.row_vars == v).any(axis=1))[0] for v in range(code.n)]
+    for v in range(code.k):
+        others = [set(code.row_vars[c]) - {v} for c in checks_of[v]]
+        if not (others[0] & others[1] or others[0] & others[2] or others[1] & others[2]):
+            break
+    l0 = np.full(code.n, 2.0**26)  # decoder polarity: positive favours bit 0
+    l0[min(others[negative])] = -(2.0**26)
+    l0[min(others[small])] = 1.0
+    l0[v] = -0.5
+    info, _ = decode(-l0, code, max_iters=1)
+    want, _ = flooding_decode(-l0, code, max_iters=1)
+    assert want[v] == bit
+    np.testing.assert_array_equal(info, want)
+
+
 def test_noiseless_decode_is_exact():
     code = build_code(96)
     rng = np.random.default_rng(4)
@@ -291,10 +426,24 @@ def test_decode_input_validation():
     code = build_code(48)
     with pytest.raises(ConfigError):
         decode(np.zeros(47), code)
+    with pytest.raises(ConfigError):
+        decode(np.float64(1.0), code)
     bad = np.zeros(48)
     bad[3] = np.inf
     with pytest.raises(ConfigError):
         decode(bad, code)
+    bad[3] = 1e39  # finite, but not in float32
+    with pytest.raises(ConfigError):
+        decode(bad, code)
+    llrs = np.ones((2, 48))  # every LLR favours bit 1
+    for max_iters in (0, -1, 2.0, True, "3", None):
+        with pytest.raises(ConfigError):
+            decode(llrs, code, max_iters=max_iters)
+    for normalization in (0.0, -0.5, 1.5, np.nan, np.inf, False, "0.75", None):
+        with pytest.raises(ConfigError):
+            decode(llrs, code, normalization=normalization)
+    info, _ = decode(llrs, code, max_iters=np.int64(1), normalization=1)
+    np.testing.assert_array_equal(info, np.ones((2, code.k), dtype=np.uint8))
 
 
 def test_parity_check_export_lists_every_check():

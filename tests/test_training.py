@@ -123,6 +123,16 @@ def test_config_validation(tiny_grid):
         tiny_cfg(tiny_grid, batch=0)
     with pytest.raises(ConfigError):
         tiny_cfg(tiny_grid, iterations=-1)
+    with pytest.raises(ConfigError, match="lr"):
+        tiny_cfg(tiny_grid, lr=-1.0, ebno_lo_db=float("nan"))
+    for lr in (0.0, float("nan"), float("inf"), "1e-3", None):
+        with pytest.raises(ConfigError, match="lr"):
+            tiny_cfg(tiny_grid, lr=lr)
+    for bad in (float("nan"), float("-inf"), "4", None):
+        with pytest.raises(ConfigError, match="ebno_lo_db"):
+            tiny_cfg(tiny_grid, ebno_lo_db=bad)
+        with pytest.raises(ConfigError, match="ebno_hi_db"):
+            tiny_cfg(tiny_grid, ebno_hi_db=bad)
 
 
 def test_model_and_config_must_agree(tiny_grid):
