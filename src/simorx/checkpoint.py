@@ -17,6 +17,13 @@ exactly; anything else is rejected.
 
 Writes are atomic (temp file in the same directory, then ``os.replace``).
 Optimiser state is never stored; adaptation always restarts Adam fresh.
+
+``load_checkpoint`` has two paths, chosen by whether a target spec is
+given.  Without one it rebuilds the architecture the fingerprint names and
+every tensor must apply (``simorx eval`` and evaluation of a stored
+receiver).  With one it transplants every tensor that fits into a fresh
+model of the target spec (adaptation and the ``model_transfer``
+benchmark).
 """
 
 from __future__ import annotations
@@ -33,24 +40,6 @@ from .numerics.layers import Conv2D, LayerNorm
 from .receiver import ModelSpec, ReceiverModel
 
 MAGIC = b"NRXCKPT1"
-
-# Fingerprint keys that must agree for a strict-policy load.  Seeds are
-# deliberately excluded: two runs over the same domain are compatible.
-STRICT_KEYS = (
-    "modulation",
-    "profile",
-    "n_rx",
-    "num_symbols",
-    "num_subcarriers",
-    "guard_lo",
-    "guard_hi",
-    "scs_khz",
-    "in_channels",
-    "width_in",
-    "width_res",
-    "num_blocks",
-    "out_bits",
-)
 
 SPEC_KEYS = ("in_channels", "width_in", "width_res", "num_blocks", "out_bits")
 
@@ -284,7 +273,6 @@ def _apply_layer(target, rec: CheckpointLayer) -> bool:
 class LoadResult:
     model: ReceiverModel
     checkpoint: Checkpoint
-    transplanted: list
     reinitialized: list
 
     @property
@@ -292,46 +280,29 @@ class LoadResult:
         return [f"reinitialized {name}: {why}" for name, why in self.reinitialized]
 
 
-def load_checkpoint(path_or_ck, policy: str = "strict", target_spec: ModelSpec | None = None, init_seed: int = 0) -> LoadResult:
+def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed: int = 0) -> LoadResult:
     """Rebuild a model from a checkpoint.
 
-    With no ``target_spec`` the architecture comes from the fingerprint and
-    every tensor must apply.  With one, ``strict`` additionally requires
-    the domain fingerprint keys to agree; ``permissive`` transplants every
-    shape-compatible tensor into a freshly initialised target model
-    (seeded by ``init_seed``) and reports the rest in ``reinitialized``.
+    With no ``target_spec`` the architecture and the init seed come from the
+    fingerprint, and every tensor must apply: a checkpoint whose layer
+    records disagree with its own fingerprint raises ``CheckpointError``.
+    With one, every shape-compatible tensor is transplanted into a freshly
+    initialised target model (seeded by ``init_seed``) and the rest are
+    reported in ``reinitialized``.
     """
     ck = path_or_ck if isinstance(path_or_ck, Checkpoint) else read_checkpoint(path_or_ck)
-    if policy not in ("strict", "permissive"):
-        raise CheckpointError(f"unknown load policy {policy!r}")
-
     if target_spec is None:
-        spec = ck.spec()
-        strict = True
+        model = ReceiverModel(ck.spec(), seed=int(ck.fingerprint.get("seed", 0)))
     else:
-        spec = target_spec
-        strict = policy == "strict"
-        if strict:
-            ours = {k: str(getattr(spec, k, "")) for k in SPEC_KEYS}
-            for key in STRICT_KEYS:
-                if key in ck.fingerprint and key in ours and ck.fingerprint[key] != ours[key]:
-                    raise CheckpointError(
-                        f"fingerprint mismatch on {key}: checkpoint "
-                        f"{ck.fingerprint[key]!r}, target {ours[key]!r} "
-                        f"(use policy='permissive' to transplant)"
-                    )
-
-    seed = init_seed if target_spec is not None else int(ck.fingerprint.get("seed", 0))
-    model = ReceiverModel(spec, seed=seed)
+        model = ReceiverModel(target_spec, seed=init_seed)
     by_name = {qual: layer for qual, layer in model.primitive_layers()}
-    transplanted, reinitialized = [], []
+    reinitialized = []
     for rec in ck.layers:
         target = by_name.get(rec.name)
         if target is None:
             reinitialized.append((rec.name, "absent from the target architecture"))
             continue
         if _apply_layer(target, rec):
-            transplanted.append(rec.name)
             coarse = rec.name.split(".")[0]
             if coarse in model.trainable:
                 model.trainable[coarse] = rec.trainable
@@ -340,7 +311,7 @@ def load_checkpoint(path_or_ck, policy: str = "strict", target_spec: ModelSpec |
     missing = [q for q in by_name if q not in {r.name for r in ck.layers}]
     for name in missing:
         reinitialized.append((name, "not present in the checkpoint"))
-    if strict and reinitialized:
+    if target_spec is None and reinitialized:
         detail = "; ".join(f"{n} ({w})" for n, w in reinitialized)
-        raise CheckpointError(f"strict load could not apply every tensor: {detail}")
-    return LoadResult(model, ck, transplanted, reinitialized)
+        raise CheckpointError(f"could not apply every tensor: {detail}")
+    return LoadResult(model, ck, reinitialized)

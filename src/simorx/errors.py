@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check that
+"""Exception types shared across the package, and the number checks that
 config validation uses."""
 
 import math
@@ -9,6 +9,12 @@ def is_finite_real(value) -> bool:
     """True for a finite real number; False for NaN, infinities, bools,
     strings and everything else that is not a number."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer; False for bools, floats (even
+    integral ones), strings and everything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SimorxError(Exception):

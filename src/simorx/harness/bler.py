@@ -6,17 +6,13 @@ decoding.  Each Eb/No point accumulates whole batches until it has seen
 
 Every batch draws its randomness from ``SeedSequence(seed,
 spawn_key=(point_index, batch_index))``, so the stream of any batch is
-independent of how many batches ran before it.  Batches may therefore be
-computed in parallel; results are folded in batch order with integer
-counters, which keeps the counts identical to a serial run.  The
-``SIMORX_MAX_WORKERS`` environment variable caps the thread pool (default
-1, meaning serial).
+independent of how many batches ran before it.  Batches run one after
+another and are folded with integer counters; the counts depend on the
+config alone.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +20,13 @@ import numpy as np
 from ..chain import TransmissionBatch, code_for_grid, simulate_batch
 from ..channel.fading import ebno_to_n0
 from ..channel.profiles import load_profile
-from ..errors import ConfigError, is_finite_real
+from ..errors import ConfigError, is_finite_real, is_integer
 from ..phy.grid import GridConfig
 from ..phy.ldpc import decode
 from ..phy.modulation import get_scheme
 from ..receiver import ReceiverModel, extract_llr_bits, preprocess
 from ..training import CODE_RATE
 from .genie import genie_lmmse_baseline
-
-MAX_WORKERS_ENV = "SIMORX_MAX_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -50,10 +44,10 @@ class EvalConfig:
     decoder_iters: int = 20
 
     def __post_init__(self):
-        if self.max_blocks < 1 or self.batch < 1:
-            raise ConfigError("max_blocks and batch must be positive")
-        if self.max_block_errors < 1 or self.decoder_iters < 1:
-            raise ConfigError("max_block_errors and decoder_iters must be positive")
+        for name in ("max_blocks", "max_block_errors", "batch", "decoder_iters"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.ebno_grid_db:
             raise ConfigError("ebno_grid_db cannot be empty")
         # Checked, not converted: the values are echoed into manifests as given.
@@ -116,61 +110,28 @@ class GenieReceiver:
         return {"receiver": "genie", "target_fp": ""}
 
 
-def _num_workers() -> int:
-    raw = os.environ.get(MAX_WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{MAX_WORKERS_ENV}={raw!r} is not an integer") from None
-
-
 def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
     """Evaluate one receiver over the Eb/No grid."""
     scheme = get_scheme(cfg.modulation)
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
-    workers = _num_workers()
-
-    def one_batch(point_idx: int, batch_idx: int, n0: float):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx))
-        )
-        tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-        info, _ = decode(receiver.llrs(tb), code, max_iters=cfg.decoder_iters)
-        return (info != tb.info_bits).sum(axis=1)
 
     points = []
     for point_idx, ebno in enumerate(cfg.ebno_grid_db):
         n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
         blocks = block_errors = bit_errors = 0
-        next_idx = 0
-
-        def fold(wrong_bits: np.ndarray) -> bool:
-            nonlocal blocks, block_errors, bit_errors
-            take = min(cfg.batch, cfg.max_blocks - blocks)
-            taken = wrong_bits[:take]
-            blocks += take
-            block_errors += int((taken > 0).sum())
-            bit_errors += int(taken.sum())
-            return blocks >= cfg.max_blocks or block_errors >= cfg.max_block_errors
-
-        if workers == 1:
-            while True:
-                if fold(one_batch(point_idx, next_idx, n0)):
-                    break
-                next_idx += 1
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = False
-                while not done:
-                    futures = [
-                        pool.submit(one_batch, point_idx, next_idx + j, n0)
-                        for j in range(workers)
-                    ]
-                    next_idx += workers
-                    for fut in futures:  # fold strictly in batch order
-                        if not done and fold(fut.result()):
-                            done = True
+        batch_idx = 0
+        while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx))
+            )
+            tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
+            info, _ = decode(receiver.llrs(tb), code, max_iters=cfg.decoder_iters)
+            wrong_bits = (info != tb.info_bits).sum(axis=1)[: cfg.max_blocks - blocks]
+            blocks += wrong_bits.size
+            block_errors += int((wrong_bits > 0).sum())
+            bit_errors += int(wrong_bits.sum())
+            batch_idx += 1
         points.append(BlerPoint(float(ebno), blocks, block_errors, bit_errors))
     meta = {"modulation": cfg.modulation, "profile": cfg.profile, "seed": cfg.seed}
     meta.update(receiver.describe())

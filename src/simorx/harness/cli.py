@@ -148,7 +148,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    loaded = load_checkpoint(args.checkpoint, policy="strict")
+    loaded = load_checkpoint(args.checkpoint)
     eval_cfg = _eval_cfg(args)
     receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
     curve = run_bler(eval_cfg, receiver)

@@ -25,6 +25,8 @@ and is reused by every later conv call on that thread, so a training step
 allocates no im2col memory after its first iteration.  Nothing in the
 workspace outlives the call that filled it: every forward and backward
 returns a freshly allocated array, and threads never share a workspace.
+The package itself runs on one thread; the per-thread workspace is what
+lets a caller run one model's eval-mode forward from threads of its own.
 
 Backward passes overwrite ``grad_*`` slots; gradients are not accumulated
 across calls.
@@ -63,12 +65,11 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _pad_amounts(kernel: int, dilation: int) -> tuple[int, int]:
+def _pad_amounts(kernel: int) -> tuple[int, int]:
     # Zero padding that preserves the spatial size ("same").  For even
-    # effective kernels the extra zero goes on the high side.
-    effective = (kernel - 1) * dilation + 1
-    lo = (effective - 1) // 2
-    return lo, effective - 1 - lo
+    # kernels the extra zero goes on the high side.
+    lo = (kernel - 1) // 2
+    return lo, kernel - 1 - lo
 
 
 def _padded(x: np.ndarray, pads: tuple[int, int, int, int], slot: str | None = None) -> np.ndarray:
@@ -113,7 +114,6 @@ class Conv2D:
         in_channels: int,
         out_channels: int,
         kernel=(3, 3),
-        dilation=(1, 1),
         *,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
@@ -123,7 +123,6 @@ class Conv2D:
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.kernel = (int(kernel[0]), int(kernel[1]))
-        self.dilation = (int(dilation[0]), int(dilation[1]))
         kh, kw = self.kernel
         fan_in = in_channels * kh * kw
         fan_out = out_channels * kh * kw
@@ -187,8 +186,7 @@ class Conv2D:
 
     def _same_pads(self) -> tuple[int, int, int, int]:
         kh, kw = self.kernel
-        dh, dw = self.dilation
-        return (*_pad_amounts(kh, dh), *_pad_amounts(kw, dw))
+        return (*_pad_amounts(kh), *_pad_amounts(kw))
 
     def _im2col(self, xp: np.ndarray, h: int, w: int) -> np.ndarray:
         """``[m * h * w, kh * kw * c]`` taps of the padded ``xp``, in the
@@ -197,13 +195,8 @@ class Conv2D:
         kh, kw = self.kernel
         if kh == kw == 1:
             return xp.reshape(m * h * w, c)
-        dh, dw = self.dilation
         sm, sh, sw, sc = xp.strides
-        taps = as_strided(
-            xp,
-            shape=(m, h, w, kh, kw, c),
-            strides=(sm, sh, sw, sh * dh, sw * dw, sc),
-        )
+        taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
         cols = _WORKSPACE.take("cols", taps.shape, xp.dtype)
         np.copyto(cols, taps)
         return cols.reshape(m * h * w, kh * kw * c)
@@ -228,7 +221,6 @@ class Conv2D:
             raise RuntimeError("backward called without a train-mode forward")
         xp, self._padded_input = self._padded_input, None
         kh, kw = self.kernel
-        dh, dw = self.dilation
         ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
         m = xp.shape[0]
         h = xp.shape[1] - ph_lo - ph_hi
@@ -239,11 +231,7 @@ class Conv2D:
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
-        eff_h = (kh - 1) * dh
-        eff_w = (kw - 1) * dw
-        gp = _padded(
-            grad_out, (eff_h - ph_lo, eff_h - ph_hi, eff_w - pw_lo, eff_w - pw_hi), "pad"
-        )
+        gp = _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo), "pad")
         wrot = np.ascontiguousarray(
             self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
             .transpose(0, 1, 3, 2)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, is_finite_real
+from ..errors import ConfigError, is_finite_real, is_integer
 
 logger = logging.getLogger(__name__)
 
@@ -216,7 +216,7 @@ def decode(
     ``max_iters`` must be an integer >= 1 and ``normalization`` a finite
     number in (0, 1]; it is applied in float32.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+    if not (is_integer(max_iters) and max_iters >= 1):
         raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     if not (is_finite_real(normalization) and 0.0 < normalization <= 1.0):
         raise ConfigError(f"normalization must be a finite number in (0, 1], got {normalization!r}")

@@ -6,7 +6,7 @@ logits favour bit 1 (the package-wide LLR convention).
 
 Architecture: an input convolution, ``num_blocks`` residual blocks, and an
 output convolution down to ``out_bits`` channels.  Every convolution is
-3x3, dilation 1, zero same-padding.  Blocks follow the pre-activation
+3x3 with zero same-padding.  Blocks follow the pre-activation
 pattern (norm, ReLU, conv, twice) with an additive skip; the skip uses a
 1x1 projection only where the width changes.
 

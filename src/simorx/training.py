@@ -26,7 +26,7 @@ from .chain import code_for_grid, simulate_batch
 from .channel.fading import ebno_to_n0
 from .channel.profiles import load_profile
 from .checkpoint import Checkpoint, checkpoint_from_model
-from .errors import ConfigError, TrainingDiverged, is_finite_real
+from .errors import ConfigError, TrainingDiverged, is_finite_real, is_integer
 from .numerics.adam import Adam
 from .phy.grid import GridConfig
 from .phy.modulation import get_scheme
@@ -62,8 +62,10 @@ class TrainConfig:
     ldpc_seed: int = 1
 
     def __post_init__(self):
-        if self.batch < 1 or self.iterations < 0:
-            raise ConfigError("batch must be positive and iterations non-negative")
+        if not (is_integer(self.batch) and self.batch >= 1):
+            raise ConfigError(f"batch must be an integer >= 1, got {self.batch!r}")
+        if not (is_integer(self.iterations) and self.iterations >= 0):
+            raise ConfigError(f"iterations must be an integer >= 0, got {self.iterations!r}")
         if not (is_finite_real(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
         for name in ("ebno_lo_db", "ebno_hi_db"):

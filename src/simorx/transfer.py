@@ -10,8 +10,10 @@ of the source sample budget):
 - ``feature_extraction``: same surgery, but everything transferred stays
   frozen; only the added block and the output conv train.
 
-Whenever the target modulation changes the bit count, the output conv
-cannot be transplanted: it is freshly initialised and always trainable, no
+Every technique starts from ``load_checkpoint`` with the target's spec,
+which transplants each source tensor whose shape fits.  Whenever the
+target modulation changes the bit count, the output conv cannot be
+transplanted: it is freshly initialised and always trainable, no
 matter which technique runs.
 
 Frozen coarse layers in front of the first trainable one (the input conv
@@ -48,6 +50,10 @@ logger = logging.getLogger(__name__)
 
 TECHNIQUES = ("fine_tuning", "fine_tuning_plus", "feature_extraction")
 BENCHMARKS = ("without_tl", "model_transfer")
+
+# Coarse layers that ``fine_tuning_plus`` freezes: the input conv and the
+# first residual block.
+FINE_TUNING_PLUS_FROZEN = 2
 
 # Published totals for the architecture family this model approximates
 # (report-only; see reference_comparison).  That layout feeds five input
@@ -175,7 +181,7 @@ def reference_comparison(train_cfg: TrainConfig) -> str:
     wide = ReceiverModel(train_cfg.model_spec(), seed=train_cfg.seed)
     add_resnet_block(wide)
     seven_total = count_params(wide).total
-    ftp = count_params(set_trainable(wide, "freeze_first_k", k=2))
+    ftp = count_params(set_trainable(wide, "freeze_first_k", k=FINE_TUNING_PLUS_FROZEN))
     fe = count_params(set_trainable(wide, "freeze_transferred"))
 
     ours = {
@@ -211,7 +217,6 @@ class AdaptConfig:
     technique: str
     alpha: float
     target: TrainConfig       # iterations here is the source-scale budget
-    freeze_k: int = 2
 
     def __post_init__(self):
         if self.technique not in TECHNIQUES:
@@ -225,7 +230,7 @@ class AdaptConfig:
 
 def _load_for_target(source, cfg: TrainConfig) -> LoadResult:
     ck = source if isinstance(source, Checkpoint) else read_checkpoint(source)
-    result = load_checkpoint(ck, policy="permissive", target_spec=cfg.model_spec(), init_seed=cfg.seed)
+    result = load_checkpoint(ck, target_spec=cfg.model_spec(), init_seed=cfg.seed)
     for line in result.delta:
         logger.info("transplant: %s", line)
     return result
@@ -243,7 +248,7 @@ def adapt(source, cfg: AdaptConfig) -> TrainResult:
     if cfg.technique != "fine_tuning":
         add_resnet_block(model)
         if cfg.technique == "fine_tuning_plus":
-            set_trainable(model, "freeze_first_k", k=cfg.freeze_k)
+            set_trainable(model, "freeze_first_k", k=FINE_TUNING_PLUS_FROZEN)
         else:
             set_trainable(model, "freeze_transferred")
     if any(name.startswith("output_conv") for name, _ in loaded.reinitialized):

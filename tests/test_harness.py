@@ -3,11 +3,14 @@
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 import yaml
 
+from simorx.chain import code_for_grid, simulate_batch
+from simorx.channel.profiles import load_profile
 from simorx.config import (
     EBNO_GRID_DB,
     SCALES,
@@ -126,12 +129,14 @@ def tiny_eval(grid, **kw):
 
 def test_eval_config_validation(tiny_grid):
     with pytest.raises(ConfigError):
-        tiny_eval(tiny_grid, max_blocks=0)
-    with pytest.raises(ConfigError):
         tiny_eval(tiny_grid, ebno_grid_db=())
-    for field in ("max_block_errors", "decoder_iters"):
+    for field in ("max_blocks", "max_block_errors", "batch", "decoder_iters"):
+        for bad in (0, 2.5, 4.0, True, "4", None):
+            with pytest.raises(ConfigError, match=field):
+                tiny_eval(tiny_grid, **{field: bad})
         with pytest.raises(ConfigError, match=field):
-            tiny_eval(tiny_grid, **{field: 0})
+            make_eval_config(**{field: 2.5})
+        assert getattr(tiny_eval(tiny_grid, **{field: np.int64(4)}), field) == 4
     for grid in ((float("nan"), "x"), (4.0, float("inf")), ("4",), (True,), (None,)):
         with pytest.raises(ConfigError, match="ebno_grid_db"):
             tiny_eval(tiny_grid, ebno_grid_db=grid)
@@ -162,58 +167,38 @@ def test_bler_counts_are_deterministic(tiny_grid):
     assert run_bler(cfg, rx).points == run_bler(cfg, rx).points
 
 
-def test_parallel_evaluation_matches_serial_exactly(tiny_grid, monkeypatch):
-    cfg = tiny_eval(tiny_grid, max_blocks=16, max_block_errors=16)
-    rx = GenieReceiver(get_scheme("qpsk"), tiny_grid)
-    monkeypatch.delenv("SIMORX_MAX_WORKERS", raising=False)
-    serial = run_bler(cfg, rx)
-    monkeypatch.setenv("SIMORX_MAX_WORKERS", "2")
-    parallel = run_bler(cfg, rx)
-    assert serial.points == parallel.points
-
-
-class RecordingReceiver:
-    """Passes LLRs on and records them by the received grid they came from."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.seen = {}
-
-    def llrs(self, tb):
-        out = self.inner.llrs(tb)
-        self.seen[tb.rx.tobytes()] = out.tobytes()
-        return out
-
-    def describe(self):
-        return self.inner.describe()
-
-
-def test_parallel_neural_evaluation_matches_serial_exactly(tiny_grid, monkeypatch):
-    # Worker threads run the model's convs at the same time; each must build
+def test_parallel_neural_evaluation_matches_serial_exactly(tiny_grid):
+    # Two threads run the model's convs at the same time; each must build
     # its im2col buffers in its own workspace.
-    cfg = tiny_eval(tiny_grid, ebno_grid_db=(-4.0, 4.0), max_blocks=64, max_block_errors=64)
     spec = make_train_config("desk", grid=tiny_grid, n_rx=1, width_in=4, width_res=6).model_spec()
-    model = ReceiverModel(spec, seed=3)
-    runs = {}
+    rx = NeuralReceiver(ReceiverModel(spec, seed=3), tiny_grid)
+    scheme = get_scheme("qpsk")
+    code = code_for_grid(tiny_grid, scheme, 1)
+    profile = load_profile("flat")
+    batches = [
+        simulate_batch(tiny_grid, scheme, code, profile, n0, 4, 1, np.random.default_rng(i))
+        for i, n0 in enumerate((1.0, 0.1) * 8)
+    ]
+    serial = [rx.llrs(tb).tobytes() for tb in batches]
+    seen = {}
+
+    def run(order):
+        seen[order] = [rx.llrs(batches[i]).tobytes() for i in order]
+
+    orders = (tuple(range(len(batches))), tuple(reversed(range(len(batches)))))
+    threads = [threading.Thread(target=run, args=(order,)) for order in orders]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
     try:
-        for workers in ("1", "2"):
-            monkeypatch.setenv("SIMORX_MAX_WORKERS", workers)
-            rx = RecordingReceiver(NeuralReceiver(model, tiny_grid))
-            runs[workers] = (run_bler(cfg, rx).points, rx.seen)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    (serial, serial_llrs), (parallel, parallel_llrs) = runs["1"], runs["2"]
-    assert serial == parallel
-    assert len(serial_llrs) == 32
-    assert parallel_llrs == serial_llrs
-
-
-def test_worker_env_must_be_an_integer(tiny_grid, monkeypatch):
-    monkeypatch.setenv("SIMORX_MAX_WORKERS", "many")
-    with pytest.raises(ConfigError, match="SIMORX_MAX_WORKERS"):
-        run_bler(tiny_eval(tiny_grid), GenieReceiver(get_scheme("qpsk"), tiny_grid))
+    assert not any(t.is_alive() for t in threads)
+    for order in orders:
+        assert seen[order] == [serial[i] for i in order]
 
 
 def test_neural_receiver_adapter_runs_end_to_end(tiny_grid):
@@ -568,7 +553,7 @@ def test_cli_sweep_rejects_a_bad_config_with_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_rejects_a_string_ebno_before_any_training(tmp_path, capsys, monkeypatch):
+def cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, bad: dict, match: str):
     import importlib
 
     def no_training(cfg):
@@ -576,11 +561,21 @@ def test_cli_sweep_rejects_a_string_ebno_before_any_training(tmp_path, capsys, m
 
     monkeypatch.setattr(importlib.import_module("simorx.harness.sweep"), "train_source", no_training)
     cfg_path = tmp_path / "sweep.yaml"
-    cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), "ebno_grid_db": [2, "x"]}))
+    cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), **bad}))
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
-    assert "ebno_grid_db" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_rejects_a_string_ebno_before_any_training(tmp_path, capsys, monkeypatch):
+    cli_sweep_rejects_before_any_training(
+        tmp_path, capsys, monkeypatch, {"ebno_grid_db": [2, "x"]}, "ebno_grid_db"
+    )
+
+
+def test_cli_sweep_rejects_a_fractional_eval_batch_before_any_training(tmp_path, capsys, monkeypatch):
+    cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, {"eval_batch": 2.5}, "batch")
 
 
 def test_cli_baseline_rejects_zero_max_blocks_with_exit_two(tmp_path, capsys):

@@ -12,7 +12,7 @@ from simorx.numerics.layers import Conv2D, LayerNorm, ReLU, _pad_amounts
 from simorx.receiver import ModelSpec, ReceiverModel
 
 
-def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, dilation=(1, 1)) -> np.ndarray:
+def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Reference convolution with explicit loops, channels-first single sample.
 
     Slow; exists to cross-check the GEMM path.
@@ -21,9 +21,8 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, dilation
     if x.shape[0] != c_in:
         raise ConfigError("input channels do not match the kernel")
     _, h, w = x.shape
-    dh, dw = int(dilation[0]), int(dilation[1])
-    ph_lo, _ = _pad_amounts(kh, dh)
-    pw_lo, _ = _pad_amounts(kw, dw)
+    ph_lo, _ = _pad_amounts(kh)
+    pw_lo, _ = _pad_amounts(kw)
     out = np.zeros((c_out, h, w), dtype=np.result_type(x, weights))
     for o in range(c_out):
         for i in range(h):
@@ -32,8 +31,8 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, dilation
                 for c in range(c_in):
                     for a in range(kh):
                         for b in range(kw):
-                            ii = i + a * dh - ph_lo
-                            jj = j + b * dw - pw_lo
+                            ii = i + a - ph_lo
+                            jj = j + b - pw_lo
                             if 0 <= ii < h and 0 <= jj < w:
                                 acc += weights[o, c, a, b] * x[c, ii, jj]
                 out[o, i, j] = acc + bias[o]
@@ -68,6 +67,13 @@ class SingleConv:
 
 # ---------------------------------------------------------------- convolution
 
+KERNELS = [
+    (3, 3),
+    (1, 1),
+    (2, 3),  # even height: asymmetric pad split
+    (3, 2),
+]
+
 
 def test_identity_kernel_passes_input_through():
     conv = Conv2D(1, 1, dtype=np.float64)
@@ -91,26 +97,17 @@ def test_all_ones_kernel_counts_padded_neighbourhood():
 
 def test_gemm_path_matches_direct_convolution():
     rng = np.random.default_rng(1)
-    for kernel, dilation in [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((1, 1), (1, 1)), ((2, 3), (1, 2))]:
-        conv = Conv2D(3, 4, kernel=kernel, dilation=dilation, rng=rng, dtype=np.float64)
+    for kernel in KERNELS:
+        conv = Conv2D(3, 4, kernel=kernel, rng=rng, dtype=np.float64)
         x = rng.standard_normal((3, 6, 5))
         got = conv_chw(conv, x)
-        want = conv2d_direct(x, conv.weights, conv.bias, dilation=dilation)
+        want = conv2d_direct(x, conv.weights, conv.bias)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-KERNELS_AND_DILATIONS = [
-    ((3, 3), (1, 1)),
-    ((3, 3), (2, 2)),
-    ((1, 1), (1, 1)),
-    ((2, 3), (1, 2)),  # even effective height: asymmetric pad split
-    ((3, 2), (2, 1)),
-]
 
 
 @settings(max_examples=20)
 @given(
-    kd=st.sampled_from(KERNELS_AND_DILATIONS),
+    kernel=st.sampled_from(KERNELS),
     batch=st.integers(2, 3),
     cin=st.integers(1, 3),
     cout=st.integers(1, 3),
@@ -118,15 +115,14 @@ KERNELS_AND_DILATIONS = [
     w=st.integers(3, 6),
     seed=st.integers(0, 2**16),
 )
-def test_batched_conv_matches_direct_and_finite_differences(kd, batch, cin, cout, h, w, seed):
-    kernel, dilation = kd
+def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
     rng = np.random.default_rng(seed)
-    conv = Conv2D(cin, cout, kernel=kernel, dilation=dilation, rng=rng, dtype=np.float64)
+    conv = Conv2D(cin, cout, kernel=kernel, rng=rng, dtype=np.float64)
     conv.bias = rng.standard_normal(cout)
     x = rng.standard_normal((batch, h, w, cin))
     y = conv.forward(x, train=True)
     for i in range(batch):
-        want = conv2d_direct(x[i].transpose(2, 0, 1), conv.weights, conv.bias, dilation=dilation)
+        want = conv2d_direct(x[i].transpose(2, 0, 1), conv.weights, conv.bias)
         np.testing.assert_allclose(y[i], want.transpose(1, 2, 0), rtol=0, atol=1e-12)
 
     # The conv is affine in its input and its parameters, so central
@@ -169,9 +165,8 @@ def test_same_padding_preserves_spatial_shape():
         cin = int(rng.integers(1, 4))
         cout = int(rng.integers(1, 4))
         kernel = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        dilation = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         h, w = int(rng.integers(4, 9)), int(rng.integers(4, 9))
-        conv = Conv2D(cin, cout, kernel=kernel, dilation=dilation, rng=rng)
+        conv = Conv2D(cin, cout, kernel=kernel, rng=rng)
         out = conv.forward(rng.standard_normal((2, h, w, cin)).astype(np.float32))
         assert out.shape == (2, h, w, cout)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from simorx.checkpoint import checkpoint_bytes, checkpoint_from_model
+from simorx.config import make_train_config
 from simorx.errors import ConfigError, TrainingDiverged
 from simorx.receiver import ReceiverModel
 from simorx.training import RUN_LOG_HEADER, TrainConfig, run_training, train_source
@@ -119,10 +120,17 @@ def test_iterations_override_takes_precedence(tiny_grid):
 def test_config_validation(tiny_grid):
     with pytest.raises(ConfigError, match="ebno_hi_db"):
         tiny_cfg(tiny_grid, ebno_lo_db=4.0, ebno_hi_db=-4.0)
-    with pytest.raises(ConfigError):
-        tiny_cfg(tiny_grid, batch=0)
-    with pytest.raises(ConfigError):
-        tiny_cfg(tiny_grid, iterations=-1)
+    for bad in (0, 2.5, 4.0, True, "4", None):
+        with pytest.raises(ConfigError, match="batch"):
+            tiny_cfg(tiny_grid, batch=bad)
+    for bad in (-1, 2.5, 4.0, False, "4", None):
+        with pytest.raises(ConfigError, match="iterations"):
+            tiny_cfg(tiny_grid, iterations=bad)
+    for field in ("batch", "iterations"):
+        with pytest.raises(ConfigError, match=field):
+            make_train_config("desk", **{field: 2.5})
+    cfg = tiny_cfg(tiny_grid, batch=np.int64(4), iterations=np.int32(0))
+    assert (cfg.batch, cfg.iterations) == (4, 0)
     with pytest.raises(ConfigError, match="lr"):
         tiny_cfg(tiny_grid, lr=-1.0, ebno_lo_db=float("nan"))
     for lr in (0.0, float("nan"), float("inf"), "1e-3", None):

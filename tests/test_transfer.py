@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from simorx.checkpoint import (
-    STRICT_KEYS,
     Checkpoint,
     checkpoint_bytes,
     checkpoint_from_model,
@@ -154,22 +153,14 @@ def test_rejects_non_header_garbage(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# load policies
-
-
-def test_strict_load_requires_matching_spec_keys():
-    src = checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5))
-    with pytest.raises(CheckpointError, match="fingerprint mismatch on out_bits"):
-        load_checkpoint(src, policy="strict", target_spec=ModelSpec(2, 4, 6, 2, 4))
-    ok = load_checkpoint(src, policy="strict", target_spec=ModelSpec(2, 4, 6, 2, 2))
-    assert ok.reinitialized == []
+# loading with and without a target spec
 
 
 def test_permissive_load_transplants_what_fits():
     source_model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
     src = checkpoint_from_model(source_model)
     target_spec = ModelSpec(2, 4, 6, 2, 4)  # wider head: 4 bits per RE
-    out = load_checkpoint(src, policy="permissive", target_spec=target_spec, init_seed=9)
+    out = load_checkpoint(src, target_spec=target_spec, init_seed=9)
 
     assert [n for n, _ in out.reinitialized] == ["output_conv"]
     assert "shape mismatch" in out.delta[0]
@@ -183,20 +174,17 @@ def test_permissive_load_transplants_what_fits():
 
 
 def test_strict_load_refuses_partial_application():
-    src = checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5))
-    bigger = ModelSpec(2, 4, 6, 3, 2)
-    with pytest.raises(CheckpointError, match="fingerprint mismatch on num_blocks"):
-        load_checkpoint(src, policy="strict", target_spec=bigger)
-    out = load_checkpoint(src, policy="permissive", target_spec=bigger)
-    assert {n for n, _ in out.reinitialized} == {
-        f"block3.{sub}" for sub in ("norm1", "conv1", "norm2", "conv2")
-    }
-
-
-def test_unknown_policy_rejected():
-    src = checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 2, 2)))
-    with pytest.raises(CheckpointError, match="unknown load policy"):
-        load_checkpoint(src, policy="lenient", target_spec=ModelSpec(2, 4, 6, 2, 2))
+    # A fingerprint that names three blocks over the layer records of two:
+    # without a target, every tensor of the rebuilt model must apply.
+    model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
+    src = checkpoint_from_model(model, {"num_blocks": 3})
+    block3 = {f"block3.{sub}" for sub in ("norm1", "conv1", "norm2", "conv2")}
+    with pytest.raises(CheckpointError, match="could not apply every tensor") as err:
+        load_checkpoint(src)
+    assert all(name in str(err.value) for name in block3)
+    # With a target, what fits is transplanted and the rest reported.
+    out = load_checkpoint(src, target_spec=ModelSpec(2, 4, 6, 3, 2))
+    assert {n for n, _ in out.reinitialized} == block3
 
 
 def test_spec_comes_from_fingerprint_when_no_target_given():
