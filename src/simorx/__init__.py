@@ -10,7 +10,7 @@ The package is organised as a plain numpy library:
   responses, and AWGN.
 - ``simorx.receiver`` / ``simorx.training``: the convolutional receiver
   producing per-bit LLRs and its bit-metric-decoding training loop.
-- ``simorx.transfer``: checkpoints, network surgery, freeze policies, and
+- ``simorx.transfer``: checkpoints, network surgery, the freeze rule, and
   the adaptation entry point.
 - ``simorx.harness``: BLER evaluation, a genie-aided baseline, result
   files, sweeps, and the command line.

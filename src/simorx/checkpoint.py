@@ -57,10 +57,23 @@ class CheckpointLayer:
         return sum(a.nbytes for a in self.arrays)
 
 
+def _int_field(where: str, key: str, value, lo: int = 1) -> int:
+    """``value`` parsed as an integer >= ``lo``; a ``CheckpointError``
+    naming ``where`` and ``key`` otherwise."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = lo - 1
+    if n < lo:
+        raise CheckpointError(f"{where}: {key} must be an integer >= {lo}, got {value!r}")
+    return n
+
+
 @dataclass
 class Checkpoint:
     fingerprint: dict
     layers: list
+    source: str = field(default="checkpoint", compare=False)   # file it was read from
 
     @property
     def fingerprint_id(self) -> str:
@@ -74,10 +87,15 @@ class Checkpoint:
         raise KeyError(name)
 
     def spec(self) -> ModelSpec:
-        try:
-            return ModelSpec(**{k: int(self.fingerprint[k]) for k in SPEC_KEYS})
-        except KeyError as missing:
-            raise CheckpointError(f"fingerprint lacks {missing}") from None
+        """The architecture the fingerprint names; its widths must match the
+        conv records, so it cannot build a model larger than the file."""
+        fp = self.fingerprint
+        spec = ModelSpec(**{k: _int_field(self.source, f"fingerprint.{k}", fp.get(k)) for k in SPEC_KEYS})
+        ends = [spec.in_channels, spec.width_in, spec.width_res, spec.out_bits]
+        meta = {rec.name: rec.shape_meta for rec in self.layers}
+        if [meta.get(n, {}).get(k) for n in ("input_conv", "output_conv") for k in ("in", "out")] != ends:
+            raise CheckpointError(f"{self.source}: fingerprint widths disagree with the conv records")
+        return spec
 
 
 def checkpoint_from_model(model: ReceiverModel, fingerprint: dict | None = None) -> Checkpoint:
@@ -149,19 +167,16 @@ def save_checkpoint(model_or_ck, path, fingerprint: dict | None = None) -> None:
         raise
 
 
-def _parse_header(text: str) -> dict:
+def _parse_header(text: str, path) -> dict:
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
         if "=" not in line:
-            raise CheckpointError(f"header line {lineno} is not key=value: {line!r}")
+            raise CheckpointError(f"{path}: header line {lineno} is not key=value: {line!r}")
         key, value = line.split("=", 1)
         pairs[key] = value
     return pairs
-
-
-_EXPECTED_META = {"conv2d": ("in", "out", "kernel"), "layer_norm": ("channels",)}
 
 
 def read_checkpoint(path) -> Checkpoint:
@@ -178,7 +193,7 @@ def read_checkpoint(path) -> Checkpoint:
             f"bytes, file has {len(blob)})"
         )
     try:
-        pairs = _parse_header(blob[24 : 24 + header_len].decode("utf-8"))
+        pairs = _parse_header(blob[24 : 24 + header_len].decode("utf-8"), path)
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: header is not UTF-8") from None
     if pairs.get("format") != "1":
@@ -186,35 +201,32 @@ def read_checkpoint(path) -> Checkpoint:
     payload = blob[24 + header_len :]
 
     fp = {k[len("fingerprint.") :]: v for k, v in pairs.items() if k.startswith("fingerprint.")}
-    try:
-        num_layers = int(pairs["num_layers"])
-    except (KeyError, ValueError):
-        raise CheckpointError(f"{path}: missing or bad num_layers") from None
+    num_layers = _int_field(path, "num_layers", pairs.get("num_layers"), lo=0)
 
     layers = []
     extents = []
     for i in range(num_layers):
-        def get(suffix, i=i):
+        def get(suffix, lo=None, i=i):
+            """The value of ``layer.<i>.<suffix>``; an integer >= ``lo`` if given."""
             key = f"layer.{i}.{suffix}"
             if key not in pairs:
                 raise CheckpointError(f"{path}: missing {key}")
-            return pairs[key]
+            return pairs[key] if lo is None else _int_field(path, key, pairs[key], lo)
 
         kind = get("kind")
-        if kind not in _EXPECTED_META:
+        if kind not in ("conv2d", "layer_norm"):
             raise CheckpointError(f"{path}: unknown layer kind {kind!r}")
-        meta = {mk: get(mk) for mk in _EXPECTED_META[kind]}
-        try:
-            offset, nbytes = int(get("offset")), int(get("nbytes"))
-        except ValueError:
-            raise CheckpointError(f"{path}: non-integer extent for layer {i}") from None
-        if offset < 0 or nbytes < 0 or offset + nbytes > payload_len:
+        offset, nbytes = get("offset", lo=0), get("nbytes", lo=0)
+        if offset + nbytes > payload_len:
             raise CheckpointError(f"{path}: layer {i} extent outside the payload")
         extents.append((offset, nbytes, i))
 
         if kind == "conv2d":
-            c_in, c_out = int(meta["in"]), int(meta["out"])
-            kh, kw = (int(v) for v in meta["kernel"].split("x"))
+            c_in, c_out = get("in", lo=1), get("out", lo=1)
+            kernel = [_int_field(path, f"layer.{i}.kernel", v) for v in get("kernel").split("x")]
+            if len(kernel) != 2:
+                raise CheckpointError(f"{path}: layer.{i}.kernel must read KHxKW, got {get('kernel')!r}")
+            kh, kw = kernel
             wbytes = c_out * c_in * kh * kw * 4
             if nbytes != wbytes + c_out * 4:
                 raise CheckpointError(f"{path}: layer {i} size disagrees with its shape")
@@ -224,7 +236,7 @@ def read_checkpoint(path) -> Checkpoint:
             arrays = [weights.copy(), bias.copy()]
             shape_meta = {"in": c_in, "out": c_out, "kernel": f"{kh}x{kw}"}
         else:
-            c = int(meta["channels"])
+            c = get("channels", lo=1)
             if nbytes != 2 * c * 4:
                 raise CheckpointError(f"{path}: layer {i} size disagrees with its shape")
             raw = payload[offset : offset + nbytes]
@@ -248,7 +260,7 @@ def read_checkpoint(path) -> Checkpoint:
         cursor += nbytes
     if cursor != payload_len:
         raise CheckpointError(f"{path}: {payload_len - cursor} unaccounted payload bytes")
-    return Checkpoint(fp, layers)
+    return Checkpoint(fp, layers, str(path))
 
 
 def _apply_layer(target, rec: CheckpointLayer) -> bool:
@@ -292,7 +304,8 @@ def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed:
     """
     ck = path_or_ck if isinstance(path_or_ck, Checkpoint) else read_checkpoint(path_or_ck)
     if target_spec is None:
-        model = ReceiverModel(ck.spec(), seed=int(ck.fingerprint.get("seed", 0)))
+        seed = _int_field(ck.source, "fingerprint.seed", ck.fingerprint.get("seed", 0), lo=0)
+        model = ReceiverModel(ck.spec(), seed=seed)
     else:
         model = ReceiverModel(target_spec, seed=init_seed)
     by_name = {qual: layer for qual, layer in model.primitive_layers()}
@@ -313,5 +326,5 @@ def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed:
         reinitialized.append((name, "not present in the checkpoint"))
     if target_spec is None and reinitialized:
         detail = "; ".join(f"{n} ({w})" for n, w in reinitialized)
-        raise CheckpointError(f"could not apply every tensor: {detail}")
+        raise CheckpointError(f"{ck.source}: could not apply every tensor: {detail}")
     return LoadResult(model, ck, reinitialized)

@@ -44,7 +44,7 @@ class EvalConfig:
     decoder_iters: int = 20
 
     def __post_init__(self):
-        for name in ("max_blocks", "max_block_errors", "batch", "decoder_iters"):
+        for name in ("n_rx", "max_blocks", "max_block_errors", "batch", "decoder_iters"):
             value = getattr(self, name)
             if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")

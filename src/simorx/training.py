@@ -62,8 +62,10 @@ class TrainConfig:
     ldpc_seed: int = 1
 
     def __post_init__(self):
-        if not (is_integer(self.batch) and self.batch >= 1):
-            raise ConfigError(f"batch must be an integer >= 1, got {self.batch!r}")
+        for name in ("n_rx", "width_in", "width_res", "num_blocks", "batch"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not (is_integer(self.iterations) and self.iterations >= 0):
             raise ConfigError(f"iterations must be an integer >= 0, got {self.iterations!r}")
         if not (is_finite_real(self.lr) and self.lr > 0):

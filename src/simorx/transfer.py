@@ -10,17 +10,20 @@ of the source sample budget):
 - ``feature_extraction``: same surgery, but everything transferred stays
   frozen; only the added block and the output conv train.
 
-Every technique starts from ``load_checkpoint`` with the target's spec,
-which transplants each source tensor whose shape fits.  Whenever the
-target modulation changes the bit count, the output conv cannot be
-transplanted: it is freshly initialised and always trainable, no
-matter which technique runs.
+One rule sets the trainable flags: the coarse layers in ``names[:k]``
+freeze and all others train, with k from ``FROZEN_PREFIX`` (0, 2 and -2),
+so the rule holds for any block count.  ``load_checkpoint`` transplants
+each source tensor whose shape fits the target and re-initialises the
+rest: the output conv when the modulation changes the bit count, the
+input conv when the antenna count changes.  A coarse layer holding a
+re-initialised tensor always trains, whatever k says: freezing it would
+keep a random layer random, and refusing the adaptation would leave
+those mismatch axes without transfer.
 
-Frozen coarse layers in front of the first trainable one (the input conv
-and first block under ``fine_tuning_plus``, everything up to the added
-block under ``feature_extraction``) run their forward in eval mode and no
-backward at all (see ``ReceiverModel.backward``), so partial fine-tuning
-costs less per step than ``fine_tuning``.
+Frozen coarse layers in front of the first trainable one run their
+forward in eval mode and no backward at all (see
+``ReceiverModel.backward``), so partial fine-tuning costs less per step
+than ``fine_tuning``.
 
 Two benchmarks bracket the techniques: ``without_tl`` trains from scratch
 on the same α budget, and ``model_transfer`` evaluates the source model on
@@ -48,12 +51,11 @@ from .training import TrainConfig, TrainResult, run_training
 
 logger = logging.getLogger(__name__)
 
-TECHNIQUES = ("fine_tuning", "fine_tuning_plus", "feature_extraction")
+# k of the freeze rule for each technique: nothing, the input conv and the
+# first block, everything but the added block and the output conv.
+FROZEN_PREFIX = {"fine_tuning": 0, "fine_tuning_plus": 2, "feature_extraction": -2}
+TECHNIQUES = tuple(FROZEN_PREFIX)
 BENCHMARKS = ("without_tl", "model_transfer")
-
-# Coarse layers that ``fine_tuning_plus`` freezes: the input conv and the
-# first residual block.
-FINE_TUNING_PLUS_FROZEN = 2
 
 # Published totals for the architecture family this model approximates
 # (report-only; see reference_comparison).  That layout feeds five input
@@ -71,53 +73,26 @@ REFERENCE_PARAM_TOTALS = {
 def add_resnet_block(model: ReceiverModel, rng: np.random.Generator | None = None) -> ReceiverModel:
     """Insert a fresh width-preserving block just before the output conv.
 
-    Defined exactly once per model: a four-block receiver becomes a
-    five-block one.  Existing tensors are untouched; applying it again is
-    rejected.
+    Existing tensors and trainable flags are untouched; the new block
+    trains until ``set_trainable`` says otherwise.
     """
-    if model.spec.num_blocks != 4:
-        raise ConfigError(
-            f"surgery is defined for the four-block receiver only; this model has "
-            f"{model.spec.num_blocks} blocks"
-        )
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(99,)))
     width = model.spec.width_res
-    block = ResNetBlock(width, width, rng, dtype=model.dtype)
-    model.blocks.append(block)
+    model.blocks.append(ResNetBlock(width, width, rng, dtype=model.dtype))
     model.spec = model.spec.with_extra_block()
-    flags = {name: model.trainable.get(name, True) for name, _ in model.coarse_layers()}
-    model.trainable = flags
+    model.trainable = {name: model.trainable.get(name, True) for name, _ in model.coarse_layers()}
     return model
 
 
-def set_trainable(model: ReceiverModel, policy: str, k: int | None = None) -> ReceiverModel:
-    """Apply a freeze policy over coarse layers.
-
-    - ``"all"``: everything trains.
-    - ``"freeze_first_k"``: the first ``k`` coarse layers freeze.
-    - ``"freeze_transferred"``: only the last two coarse layers (the added
-      block and the output conv) train; everything carried over from the
-      source stays fixed.
-    """
+def set_trainable(model: ReceiverModel, k: int, fresh=()) -> ReceiverModel:
+    """The freeze rule: the coarse layers in ``names[:k]`` freeze, except
+    those named in ``fresh`` (layers holding a re-initialised tensor), and
+    every other coarse layer trains."""
     names = [name for name, _ in model.coarse_layers()]
-    if policy == "all":
-        for name in names:
-            model.trainable[name] = True
-        return model
-    if policy == "freeze_first_k":
-        if k is None or not 0 <= k < len(names):
-            raise ConfigError(f"freeze_first_k needs 0 <= k < {len(names)}, got {k}")
-        for i, name in enumerate(names):
-            model.trainable[name] = i >= k
-        return model
-    if policy == "freeze_transferred":
-        if len(names) < 3:
-            raise ConfigError("freeze_transferred needs at least three coarse layers")
-        for i, name in enumerate(names):
-            model.trainable[name] = i >= len(names) - 2
-        return model
-    raise ConfigError(f"unknown freeze policy {policy!r}")
+    frozen = set(names[:k]).difference(fresh)
+    model.trainable = {name: name not in frozen for name in names}
+    return model
 
 
 @dataclass
@@ -176,13 +151,13 @@ def reference_comparison(train_cfg: TrainConfig) -> str:
     make the gap explicit rather than to match.
     """
     base = ReceiverModel(train_cfg.model_spec(), seed=train_cfg.seed)
-    ft = count_params(set_trainable(base, "all"))
+    ft = count_params(set_trainable(base, FROZEN_PREFIX["fine_tuning"]))
 
     wide = ReceiverModel(train_cfg.model_spec(), seed=train_cfg.seed)
     add_resnet_block(wide)
     seven_total = count_params(wide).total
-    ftp = count_params(set_trainable(wide, "freeze_first_k", k=FINE_TUNING_PLUS_FROZEN))
-    fe = count_params(set_trainable(wide, "freeze_transferred"))
+    ftp = count_params(set_trainable(wide, FROZEN_PREFIX["fine_tuning_plus"]))
+    fe = count_params(set_trainable(wide, FROZEN_PREFIX["feature_extraction"]))
 
     ours = {
         "fine_tuning_trainable": ft.trainable_total,
@@ -244,16 +219,11 @@ def adapt(source, cfg: AdaptConfig) -> TrainResult:
     """
     loaded = _load_for_target(source, cfg.target)
     model = loaded.model
-    set_trainable(model, "all")
+    held = dict(model.primitive_layers())  # not the source tensors it lacks
+    fresh = {name.split(".")[0] for name, _ in loaded.reinitialized if name in held}
     if cfg.technique != "fine_tuning":
         add_resnet_block(model)
-        if cfg.technique == "fine_tuning_plus":
-            set_trainable(model, "freeze_first_k", k=FINE_TUNING_PLUS_FROZEN)
-        else:
-            set_trainable(model, "freeze_transferred")
-    if any(name.startswith("output_conv") for name, _ in loaded.reinitialized):
-        # A re-shaped head cannot reuse source weights, so it must train.
-        model.trainable["output_conv"] = True
+    set_trainable(model, FROZEN_PREFIX[cfg.technique], fresh)
     result = run_training(model, cfg.target, iterations=cfg.steps)
     fp = cfg.target.fingerprint()
     fp.update({"technique": cfg.technique, "alpha": repr(cfg.alpha)})

@@ -35,6 +35,7 @@ from simorx.phy.modulation import get_scheme
 from simorx.receiver import ModelSpec, ReceiverModel, bmd_loss
 from simorx.training import train_source
 from simorx.transfer import (
+    FROZEN_PREFIX,
     REFERENCE_PARAM_TOTALS,
     TECHNIQUES,
     AdaptConfig,
@@ -189,7 +190,7 @@ def test_criterion_04_parameter_accounting(capsys):
         cfg = make_train_config("full")
         spec = cfg.model_spec()
 
-        six = count_params(set_trainable(ReceiverModel(spec), "all"))
+        six = count_params(set_trainable(ReceiverModel(spec), FROZEN_PREFIX["fine_tuning"]))
         assert six.trainable_total + six.frozen_total == six.total
         assert six.frozen_total == 0  # fine tuning trains everything
 
@@ -198,12 +199,12 @@ def test_criterion_04_parameter_accounting(capsys):
         added = next(l.params for l in seven.layers if l.name == "block5")
         assert seven.total - six.total == added
 
-        ftp = count_params(set_trainable(wide, "freeze_first_k", k=2))
+        ftp = count_params(set_trainable(wide, FROZEN_PREFIX["fine_tuning_plus"]))
         by_name = {l.name: l.params for l in ftp.layers}
         assert ftp.trainable_total + ftp.frozen_total == ftp.total
         assert ftp.frozen_total == by_name["input_conv"] + by_name["block1"]
 
-        fe = count_params(set_trainable(wide, "freeze_transferred"))
+        fe = count_params(set_trainable(wide, FROZEN_PREFIX["feature_extraction"]))
         assert fe.trainable_total + fe.frozen_total == fe.total
         assert fe.trainable_total == by_name["block5"] + by_name["output_conv"]
 

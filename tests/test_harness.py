@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from simorx.chain import code_for_grid, simulate_batch
+from simorx.checkpoint import save_checkpoint
 from simorx.channel.profiles import load_profile
 from simorx.config import (
     EBNO_GRID_DB,
@@ -40,7 +41,7 @@ from simorx.harness.results import (
 from simorx.harness.sweep import SweepConfig, sweep
 from simorx.phy.grid import GridConfig
 from simorx.phy.modulation import get_scheme
-from simorx.receiver import ReceiverModel
+from simorx.receiver import ModelSpec, ReceiverModel
 
 
 def qfunc(x: float) -> float:
@@ -130,9 +131,9 @@ def tiny_eval(grid, **kw):
 def test_eval_config_validation(tiny_grid):
     with pytest.raises(ConfigError):
         tiny_eval(tiny_grid, ebno_grid_db=())
-    for field in ("max_blocks", "max_block_errors", "batch", "decoder_iters"):
-        for bad in (0, 2.5, 4.0, True, "4", None):
-            with pytest.raises(ConfigError, match=field):
+    for field in ("n_rx", "max_blocks", "max_block_errors", "batch", "decoder_iters"):
+        for bad in (0, 1.5, 2.5, 4.0, True, "4", None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
                 tiny_eval(tiny_grid, **{field: bad})
         with pytest.raises(ConfigError, match=field):
             make_eval_config(**{field: 2.5})
@@ -595,6 +596,24 @@ def test_cli_reports_package_errors_as_exit_two(tmp_path, capsys):
     code = run_cli("eval", "--checkpoint", str(junk), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_malformed_checkpoint_field_as_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ReceiverModel(ModelSpec(2, 4, 6, 1, 2)), path)
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header, payload = blob[24 : 24 + header_len], blob[24 + header_len :]
+    for old, new, key in (
+        (b"layer.0.kernel=3x3\n", b"layer.0.kernel=3\n", "layer.0.kernel"),
+        (b"fingerprint.width_in=4\n", b"fingerprint.width_in=four\n", "fingerprint.width_in"),
+    ):
+        bad = header.replace(old, new)
+        path.write_bytes(blob[:8] + len(bad).to_bytes(8, "little") + blob[16:24] + bad + payload)
+        code = run_cli("eval", "--checkpoint", str(path), "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {key} must" in err
 
 
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Rules about the package source itself, checked on its syntax tree."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "simorx"
@@ -51,3 +53,21 @@ def test_the_package_reads_no_environment_variables():
         for line, text in environment_reads(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_every_benchmark_wrap_point_resolves(monkeypatch):
+    # The benchmark tracer replaces these functions and methods by name; a
+    # rename or removal in the package would break its traced runs.
+    path = PACKAGE_DIR.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    points = tracer._wrap_points()
+    assert points
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in points
+        if not callable((owner.__dict__ if isinstance(owner, type) else vars(owner)).get(attr))
+    ]
+    assert missing == []

@@ -120,13 +120,15 @@ def test_iterations_override_takes_precedence(tiny_grid):
 def test_config_validation(tiny_grid):
     with pytest.raises(ConfigError, match="ebno_hi_db"):
         tiny_cfg(tiny_grid, ebno_lo_db=4.0, ebno_hi_db=-4.0)
-    for bad in (0, 2.5, 4.0, True, "4", None):
-        with pytest.raises(ConfigError, match="batch"):
-            tiny_cfg(tiny_grid, batch=bad)
+    for field in ("n_rx", "width_in", "width_res", "num_blocks", "batch"):
+        for bad in (0, 1.5, 2.5, 4.0, True, "4", "8", None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+                tiny_cfg(tiny_grid, **{field: bad})
+        assert getattr(tiny_cfg(tiny_grid, **{field: np.int64(4)}), field) == 4
     for bad in (-1, 2.5, 4.0, False, "4", None):
         with pytest.raises(ConfigError, match="iterations"):
             tiny_cfg(tiny_grid, iterations=bad)
-    for field in ("batch", "iterations"):
+    for field in ("n_rx", "width_in", "width_res", "num_blocks", "batch", "iterations"):
         with pytest.raises(ConfigError, match=field):
             make_train_config("desk", **{field: 2.5})
     cfg = tiny_cfg(tiny_grid, batch=np.int64(4), iterations=np.int32(0))

@@ -1,9 +1,15 @@
-"""Checkpoint format, model surgery, freeze policies, and adaptation."""
+"""Checkpoint format, model surgery, the freeze rule, and adaptation."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simorx.channel.profiles import PACKAGED_PROFILES
 from simorx.checkpoint import (
+    MAGIC,
     Checkpoint,
     checkpoint_bytes,
     checkpoint_from_model,
@@ -12,10 +18,13 @@ from simorx.checkpoint import (
     save_checkpoint,
 )
 from simorx.errors import CheckpointError, ConfigError
+from simorx.phy.grid import SUPPORTED_SCS_KHZ, GridConfig
 from simorx.receiver import ModelSpec, ReceiverModel
 from simorx.training import TrainConfig, TrainResult, run_training
 from simorx.transfer import (
+    FROZEN_PREFIX,
     REFERENCE_PARAM_TOTALS,
+    TECHNIQUES,
     AdaptConfig,
     add_resnet_block,
     adapt,
@@ -152,6 +161,99 @@ def test_rejects_non_header_garbage(tmp_path):
         read_checkpoint(bad)
 
 
+def split_blob(blob):
+    header_len = int.from_bytes(blob[8:16], "little")
+    return blob[24 : 24 + header_len], blob[24 + header_len :]
+
+
+def frame(header, payload):
+    """A file with correct length fields around ``header`` and ``payload``."""
+    return MAGIC + len(header).to_bytes(8, "little") + len(payload).to_bytes(8, "little") + header + payload
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"layer.0.kernel=3x3\n", b"layer.0.kernel=3\n", "layer.0.kernel must read KHxKW"),
+        (b"layer.0.kernel=3x3\n", b"layer.0.kernel=3xc\n", "layer.0.kernel must be an integer >= 1"),
+        (b"layer.0.in=2\n", b"layer.0.in=two\n", "layer.0.in must be an integer >= 1"),
+        (b"layer.0.out=4\n", b"layer.0.out=-4\n", "layer.0.out must be an integer >= 1"),
+        (b"layer.1.channels=4\n", b"layer.1.channels=0\n", "layer.1.channels must be an integer >= 1"),
+        (b"fingerprint.width_in=4\n", b"fingerprint.width_in=four\n", "fingerprint.width_in must be"),
+        (b"fingerprint.num_blocks=2\n", b"", "fingerprint.num_blocks must be an integer >= 1, got None"),
+        (b"fingerprint.width_res=6\n", b"fingerprint.width_res=60000\n", "widths disagree with the conv"),
+    ],
+)
+def test_malformed_numbers_name_the_file_and_the_key(tmp_path, old, new, message):
+    _, blob = valid_blob(tmp_path)
+    header, payload = split_blob(blob)
+    assert header.count(old) == 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(frame(header.replace(old, new), payload))
+    with pytest.raises(CheckpointError, match=message) as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
+def test_malformed_seed_is_a_checkpoint_error():
+    model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
+    for seed in ("-1", "five", "2.5"):
+        with pytest.raises(CheckpointError, match="fingerprint.seed must be an integer >= 0"):
+            load_checkpoint(checkpoint_from_model(model, {"seed": seed}))
+
+
+def _fuzz_sources():
+    """Two valid checkpoint files of different architectures."""
+    a = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
+    b = ReceiverModel(ModelSpec(4, 6, 6, 1, 4), seed=7)
+    return [checkpoint_bytes(checkpoint_from_model(m, {"seed": m.seed})) for m in (a, b)]
+
+
+FUZZ_SOURCES = _fuzz_sources()
+
+
+@st.composite
+def fuzzed_checkpoints(draw):
+    """A valid checkpoint with one byte replaced, cut short, spliced with
+    another at a byte or line boundary, in the header, the payload or the
+    whole file; header and payload edits keep the length fields right."""
+    blob, other = draw(st.permutations(FUZZ_SOURCES))
+    part = draw(st.sampled_from(["header", "payload", "file"]))
+    edit = draw(st.sampled_from(["replace", "truncate", "splice", "swap lines"]))
+    (header, payload), (other_header, other_payload) = split_blob(blob), split_blob(other)
+    data, donor = {
+        "header": (header, other_header), "payload": (payload, other_payload), "file": (blob, other)
+    }[part]
+    i = draw(st.integers(0, len(data)))
+    if edit == "replace" and data:
+        i = min(i, len(data) - 1)
+        data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    elif edit == "truncate":
+        data = data[:i]
+    elif edit == "splice":
+        data = data[:i] + donor[draw(st.integers(0, len(donor))) :]
+    elif edit == "swap lines":
+        lines, donor_lines = data.split(b"\n"), donor.split(b"\n")
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(donor_lines))
+        data = b"\n".join(lines)
+    if part == "header":
+        return frame(data, payload)
+    if part == "payload":
+        return frame(header, data)
+    return data
+
+
+@settings(max_examples=300)
+@given(blob=fuzzed_checkpoints())
+def test_fuzzed_checkpoints_load_or_raise_checkpoint_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as err:
+        assert str(err).startswith(f"{path}: ")
+
+
 # ---------------------------------------------------------------------------
 # loading with and without a target spec
 
@@ -196,7 +298,7 @@ def test_spec_comes_from_fingerprint_when_no_target_given():
 
 
 # ---------------------------------------------------------------------------
-# surgery and freeze policies
+# surgery and the freeze rule
 
 
 def test_surgery_adds_one_block_to_a_four_block_model():
@@ -208,10 +310,6 @@ def test_surgery_adds_one_block_to_a_four_block_model():
     after = model_weights(model)
     for key in before:  # existing tensors untouched by surgery
         np.testing.assert_array_equal(before[key], after[key])
-    with pytest.raises(ConfigError, match="four-block receiver only"):
-        add_resnet_block(model)
-    with pytest.raises(ConfigError, match="four-block receiver only"):
-        add_resnet_block(ReceiverModel(ModelSpec(2, 4, 6, 2, 2)))
 
 
 def test_zeroed_new_block_is_a_pass_through(seeded):
@@ -228,20 +326,25 @@ def test_freeze_policies_set_exact_flags():
     model = add_resnet_block(ReceiverModel(ModelSpec(2, 4, 6, 4, 2), seed=1))
     names = [n for n, _ in model.coarse_layers()]
     assert names == ["input_conv", "block1", "block2", "block3", "block4", "block5", "output_conv"]
+    assert TECHNIQUES == tuple(FROZEN_PREFIX) == ("fine_tuning", "fine_tuning_plus", "feature_extraction")
 
-    set_trainable(model, "freeze_first_k", k=2)
-    assert [model.trainable[n] for n in names] == [False, False, True, True, True, True, True]
+    want = {
+        "fine_tuning": [True] * 7,
+        "fine_tuning_plus": [False, False, True, True, True, True, True],
+        "feature_extraction": [False] * 5 + [True, True],
+    }
+    for tech, k in FROZEN_PREFIX.items():
+        set_trainable(model, k)
+        assert [model.trainable[n] for n in names] == want[tech], tech
 
-    set_trainable(model, "freeze_transferred")
-    assert [model.trainable[n] for n in names] == [False] * 5 + [True, True]
+    # A layer holding a re-initialised tensor trains whatever k says.
+    set_trainable(model, FROZEN_PREFIX["feature_extraction"], {"input_conv", "output_conv"})
+    assert [model.trainable[n] for n in names] == [True] + [False] * 4 + [True, True]
 
-    set_trainable(model, "all")
-    assert all(model.trainable[n] for n in names)
-
-    with pytest.raises(ConfigError, match="freeze_first_k needs"):
-        set_trainable(model, "freeze_first_k", k=7)
-    with pytest.raises(ConfigError, match="unknown freeze policy"):
-        set_trainable(model, "thaw")
+    # The rule does not depend on the block count.
+    one = add_resnet_block(ReceiverModel(ModelSpec(2, 4, 6, 1, 2), seed=1))
+    set_trainable(one, FROZEN_PREFIX["feature_extraction"])
+    assert one.trainable == {"input_conv": False, "block1": False, "block2": True, "output_conv": True}
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +382,19 @@ def test_accounting_identities_across_techniques():
     seven = count_params(model)
     assert seven.total == six_total + block_params(6, 6)
 
-    ftp = count_params(set_trainable(model, "freeze_first_k", k=2))
+    ftp = count_params(set_trainable(model, FROZEN_PREFIX["fine_tuning_plus"]))
     assert ftp.trainable_total == seven.total - conv_params(2, 4) - block_params(4, 6)
     assert ftp.frozen_total == conv_params(2, 4) + block_params(4, 6)
 
-    fe = count_params(set_trainable(model, "freeze_transferred"))
+    fe = count_params(set_trainable(model, FROZEN_PREFIX["feature_extraction"]))
     assert fe.trainable_total == block_params(6, 6) + conv_params(6, 2)
 
-    ft = count_params(set_trainable(ReceiverModel(spec), "all"))
+    ft = count_params(set_trainable(ReceiverModel(spec), FROZEN_PREFIX["fine_tuning"]))
     assert ft.trainable_total == ft.total == six_total
 
 
 def test_report_format_lists_every_layer_and_the_totals():
-    model = set_trainable(add_resnet_block(ReceiverModel(ModelSpec(2, 4, 6, 4, 2))), "freeze_transferred")
+    model = set_trainable(add_resnet_block(ReceiverModel(ModelSpec(2, 4, 6, 4, 2))), FROZEN_PREFIX["feature_extraction"])
     text = count_params(model).format()
     for name in ("input_conv", "block5", "output_conv", "frozen", "trainable"):
         assert name in text
@@ -402,6 +505,72 @@ def test_modulation_change_reinitialises_the_head(tiny_source, tiny_grid):
     assert any("output_conv" in line for line in out.transplant_delta)
     assert out.model.spec.out_bits == 4
     assert out.model.trainable["output_conv"]
+
+
+def test_antenna_count_mismatch_trains_the_input_conv(tiny_grid):
+    # 2 -> 1 antennas: the input conv cannot be transplanted, so every
+    # technique must train it rather than freeze its random initialisation.
+    source_cfg = tiny_cfg(tiny_grid, n_rx=2)
+    src = checkpoint_from_model(
+        ReceiverModel(source_cfg.model_spec(), seed=source_cfg.seed), source_cfg.fingerprint()
+    )
+    target = tiny_cfg(tiny_grid, n_rx=1)
+    fresh = ReceiverModel(target.model_spec(), seed=target.seed)
+    for tech in TECHNIQUES:
+        out = adapt(src, AdaptConfig(tech, 0.25, target))
+        assert out.transplant_delta == ["reinitialized input_conv: shape mismatch"]
+        assert out.model.trainable["input_conv"], tech
+        assert not np.array_equal(out.model.input_conv.weights, fresh.input_conv.weights), tech
+
+
+TINY_GRID = GridConfig(num_symbols=14, num_subcarriers=12, guard_lo=1, guard_hi=1)
+TINY_SOURCE_CFG = tiny_cfg(TINY_GRID)
+TINY_SOURCE = checkpoint_from_model(
+    ReceiverModel(TINY_SOURCE_CFG.model_spec(), seed=TINY_SOURCE_CFG.seed), TINY_SOURCE_CFG.fingerprint()
+)
+
+# Every field of TrainConfig that can differ between source and target
+# domains, including the architecture and the grid.
+MISMATCH_AXES = {
+    "modulation": st.sampled_from(["qpsk", "16qam", "64qam"]),
+    "profile": st.sampled_from(PACKAGED_PROFILES + ("mixed_cdl",)),
+    "n_rx": st.integers(1, 3),
+    "width_in": st.sampled_from([4, 6]),
+    "width_res": st.sampled_from([6, 8]),
+    "num_blocks": st.integers(1, 5),
+    "num_symbols": st.integers(12, 15),
+    "num_subcarriers": st.integers(8, 14),
+    "guard_lo": st.integers(0, 2),
+    "guard_hi": st.integers(0, 2),
+    "scs_khz": st.sampled_from(SUPPORTED_SCS_KHZ),
+}
+GRID_AXES = {f.name for f in dataclasses.fields(GridConfig)}
+
+
+@settings(max_examples=60)
+@given(st.fixed_dictionaries({}, optional=MISMATCH_AXES))
+def test_freeze_rule_holds_on_every_mismatch_axis(changes):
+    grid = dataclasses.replace(TINY_GRID, **{k: v for k, v in changes.items() if k in GRID_AXES})
+    target = dataclasses.replace(
+        TINY_SOURCE_CFG, grid=grid, **{k: v for k, v in changes.items() if k not in GRID_AXES}
+    )
+    for tech, k in FROZEN_PREFIX.items():
+        out = adapt(TINY_SOURCE, AdaptConfig(tech, 0.05, target))
+        names = [n for n, _ in out.model.coarse_layers()]
+        # "reinitialized <tensor>: <why>"; a source tensor the target lacks
+        # belongs to no layer of the target.
+        fresh = {
+            line.split()[1].split(".")[0].rstrip(":")
+            for line in out.transplant_delta
+            if not line.endswith("absent from the target architecture")
+        }
+        frozen = {n for n in names if not out.model.trainable[n]}
+        assert frozen == set(names[:k]) - fresh, tech
+        for qual, layer in out.model.primitive_layers():
+            if qual.split(".")[0] in frozen:
+                rec = TINY_SOURCE.layer(qual)  # a frozen tensor came from the source
+                now = [layer.weights, layer.bias] if rec.kind == "conv2d" else [layer.gamma, layer.beta]
+                assert [a.tobytes() for a in now] == [a.tobytes() for a in rec.arrays], (tech, qual)
 
 
 def test_adapt_log_has_one_row_per_step(tiny_source, tmp_path):
