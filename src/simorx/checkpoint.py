@@ -88,13 +88,20 @@ class Checkpoint:
 
     def spec(self) -> ModelSpec:
         """The architecture the fingerprint names; its widths must match the
-        conv records, so it cannot build a model larger than the file."""
+        conv records and its block count the ``blockN`` records, so it
+        cannot build a model larger than the file."""
         fp = self.fingerprint
         spec = ModelSpec(**{k: _int_field(self.source, f"fingerprint.{k}", fp.get(k)) for k in SPEC_KEYS})
         ends = [spec.in_channels, spec.width_in, spec.width_res, spec.out_bits]
         meta = {rec.name: rec.shape_meta for rec in self.layers}
         if [meta.get(n, {}).get(k) for n in ("input_conv", "output_conv") for k in ("in", "out")] != ends:
             raise CheckpointError(f"{self.source}: fingerprint widths disagree with the conv records")
+        blocks = {name.split(".")[0] for name in meta if name.startswith("block")}
+        if len(blocks) != spec.num_blocks:
+            raise CheckpointError(
+                f"{self.source}: fingerprint.num_blocks={spec.num_blocks} disagrees with "
+                f"the {len(blocks)} block records"
+            )
         return spec
 
 
@@ -181,8 +188,11 @@ def _parse_header(text: str, path) -> dict:
 
 def read_checkpoint(path) -> Checkpoint:
     """Parse and fully validate a checkpoint file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if len(blob) < 24 or blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     header_len = int.from_bytes(blob[8:16], "little")

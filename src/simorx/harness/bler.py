@@ -76,9 +76,6 @@ class BlerCurve:
     def blers(self) -> np.ndarray:
         return np.array([p.bler for p in self.points])
 
-    def ebnos(self) -> np.ndarray:
-        return np.array([p.ebno_db for p in self.points])
-
 
 class NeuralReceiver:
     """Evaluation adapter around a trained model."""
@@ -89,7 +86,7 @@ class NeuralReceiver:
         self.fingerprint_id = fingerprint_id
 
     def llrs(self, tb: TransmissionBatch) -> np.ndarray:
-        grid = self.model.forward(preprocess(tb.rx), train=False)
+        grid = self.model.forward(preprocess(tb.rx))
         return extract_llr_bits(grid, self.cfg).astype(np.float64)
 
     def describe(self) -> dict:

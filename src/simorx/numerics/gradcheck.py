@@ -4,13 +4,21 @@
 recomputes the objective, and compares the central difference against the
 analytic gradient produced by ``model.backward``.  The model must expose
 
-- ``forward(x, train=...)`` and ``backward(grad_out)``,
-- ``named_param_items()`` yielding ``(layer, kind, param, array, grad)``,
+- ``forward(x, tape=None)``, which records on ``tape`` what the backward
+  pass reads, and ``backward(grad_out, tape)``, which returns one gradient
+  per parameter,
+- ``named_param_items()`` yielding ``(layer, kind, param, array)`` in the
+  order of those gradients,
 - a ``dtype`` attribute; verification insists on float64.
 
-Every parameter is checked, so every layer must be trainable: a
-``ReceiverModel`` runs no backward through its frozen prefix, whose
-gradient slots then hold stale values.
+Every parameter is checked, so every layer must be trainable: a model whose
+backward returns fewer gradients than it has parameters (a
+``ReceiverModel`` with a frozen layer) is rejected.
+
+Central differences across a ReLU kink are meaningless, so an input whose
+nearest ReLU input lies within ``10 * step`` of zero is rejected.  Every
+ReLU here takes a LayerNorm output, so that distance is read from the
+LayerNorm entries of the tape.
 
 Relative errors use ``|a - f| / max(|a|, |f|, floor)``; the floor keeps
 finite-difference roundoff from dominating when a gradient is genuinely
@@ -24,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
+from .layers import LayerNorm
 
 
 class LinearProbeObjective:
@@ -108,6 +117,16 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+def relu_kink_distance(tape: dict) -> float:
+    """Smallest ``|xhat * gamma + beta|`` over the LayerNorm entries of a
+    tape: the distance of the nearest ReLU input to the kink."""
+    xhats = [(layer, entry[0]) for layer, entry in tape.items() if isinstance(layer, LayerNorm)]
+    return min(
+        (float(np.min(np.abs(xhat * ln.gamma + ln.beta))) for ln, xhat in xhats if xhat.size),
+        default=np.inf,
+    )
+
+
 def finite_diff_check(
     model,
     x: np.ndarray,
@@ -124,19 +143,21 @@ def finite_diff_check(
     if objective is None:
         objective = LinearProbeObjective()
 
-    out = model.forward(x, train=True)
-    margin = getattr(model, "relu_min_abs", None)
-    if margin is not None and margin < 10.0 * step:
+    tape = {}
+    out = model.forward(x, tape)
+    margin = relu_kink_distance(tape)
+    if margin < 10.0 * step:
         raise ConfigError(
             f"a pre-activation sits {margin:.2e} from the ReLU kink, too close for "
             f"step {step:.1e}; use a different input or seed"
         )
-    model.backward(objective.grad(out))
-
-    items = [
-        (layer, kind, param, array, grad.copy())
-        for layer, kind, param, array, grad in model.named_param_items()
-    ]
+    grads = model.backward(objective.grad(out), tape)
+    items = list(model.named_param_items())
+    if len(grads) != len(items):
+        raise ConfigError(
+            f"finite_diff_check needs every parameter trainable: backward returned "
+            f"{len(grads)} gradients for {len(items)} parameters"
+        )
 
     # Each perturbation only disturbs the network from its own layer on, so
     # when the model exposes its stage chain we cache the stage inputs and
@@ -168,7 +189,7 @@ def finite_diff_check(
             return 0
 
     report = GradCheckReport(tolerance=tolerance, step=step)
-    for layer, kind, param, array, grad in items:
+    for (layer, kind, param, array), grad in zip(items, grads):
         stage = stage_of(layer)
         flat = array.reshape(-1)
         gflat = grad.reshape(-1)

@@ -8,16 +8,20 @@ pass is a single matrix product with no repacking; the canonical
 ``[c_out, c_in, kh, kw]`` view used by checkpoints is exposed through the
 ``weights`` property.
 
-A train-mode forward caches what its backward pass reads:
+A layer holds its weights and nothing else.  What a backward pass reads
+goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
+each layer records one entry under itself as the key:
 
 - ``Conv2D``: its zero-padded input, not the im2col buffer built from it,
   which is ``kh * kw`` times larger.  The backward pass rebuilds im2col.
-- ``LayerNorm``: the normalised input and the per-position inverse
-  standard deviation.
+- ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
+  per-position inverse standard deviation.
 - ``ReLU``: the mask of positive inputs.
 
-An eval-mode forward caches nothing and drops whatever an earlier
-train-mode forward left behind; a backward pass drops the cache it used.
+A forward without a tape records nothing.  ``backward(grad_out, tape)``
+pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
+lists the parameter gradients in ``param_items`` order.  Since no call
+leaves state on a layer, two forwards on two tapes may share one model.
 
 Conv im2col buffers and padded scratch live in a workspace owned by the
 calling thread, not by a layer.  Each buffer grows to the largest request
@@ -26,10 +30,7 @@ allocates no im2col memory after its first iteration.  Nothing in the
 workspace outlives the call that filled it: every forward and backward
 returns a freshly allocated array, and threads never share a workspace.
 The package itself runs on one thread; the per-thread workspace is what
-lets a caller run one model's eval-mode forward from threads of its own.
-
-Backward passes overwrite ``grad_*`` slots; gradients are not accumulated
-across calls.
+lets a caller run one model's forward from threads of its own.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Conv2D:
     """2-D convolution with same-size zero padding.
 
     ``forward`` runs one GEMM on an im2col buffer built in the thread's
-    workspace.  With ``train=True`` the layer keeps its zero-padded input;
+    workspace.  With a tape the layer records its zero-padded input there;
     ``backward`` rebuilds the im2col buffer from it in the workspace for the
     weight gradient, then reuses the same buffer for the im2col of the
     padded output gradient, which gives the input gradient.  A 1x1 kernel
@@ -135,9 +136,6 @@ class Conv2D:
             w.transpose(2, 3, 1, 0).reshape(kh * kw * in_channels, out_channels), dtype=dtype
         )
         self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_wmat = np.zeros_like(self.wmat)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._padded_input = None
 
     @property
     def dtype(self):
@@ -162,26 +160,13 @@ class Conv2D:
             value.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels, self.out_channels),
             dtype=self.dtype,
         )
-        self.grad_wmat = np.zeros_like(self.wmat)
-
-    @property
-    def grad_weights(self) -> np.ndarray:
-        kh, kw = self.kernel
-        return np.ascontiguousarray(
-            self.grad_wmat.reshape(kh, kw, self.in_channels, self.out_channels).transpose(3, 2, 0, 1)
-        )
 
     def param_items(self):
-        return [
-            ("weights", self.wmat, self.grad_wmat),
-            ("bias", self.bias, self.grad_bias),
-        ]
+        return [("weights", self.wmat), ("bias", self.bias)]
 
     def astype(self, dtype) -> "Conv2D":
         self.wmat = self.wmat.astype(dtype)
         self.bias = self.bias.astype(dtype)
-        self.grad_wmat = np.zeros_like(self.wmat)
-        self.grad_bias = np.zeros_like(self.bias)
         return self
 
     def _same_pads(self) -> tuple[int, int, int, int]:
@@ -201,33 +186,30 @@ class Conv2D:
         np.copyto(cols, taps)
         return cols.reshape(m * h * w, kh * kw * c)
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.ndim != 4 or x.shape[-1] != self.in_channels:
             raise ConfigError(
                 f"conv2d expects [batch, h, w, {self.in_channels}], got {x.shape}"
             )
         m, h, w, _ = x.shape
-        if train:
-            xp = self._padded_input = _padded(x, self._same_pads())
-        else:
-            self._padded_input = None
+        if tape is None:
             xp = _padded(x, self._same_pads(), "pad")
+        else:
+            xp = tape[self] = _padded(x, self._same_pads())
         out = self._im2col(xp, h, w) @ self.wmat
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._padded_input is None:
-            raise RuntimeError("backward called without a train-mode forward")
-        xp, self._padded_input = self._padded_input, None
+    def backward(self, grad_out: np.ndarray, tape: dict):
+        xp = tape.pop(self)
         kh, kw = self.kernel
         ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
         m = xp.shape[0]
         h = xp.shape[1] - ph_lo - ph_hi
         w = xp.shape[2] - pw_lo - pw_hi
         gm = grad_out.reshape(m * h * w, self.out_channels)
-        self.grad_bias = gm.sum(axis=0)
-        self.grad_wmat = self._im2col(xp, h, w).T @ gm
+        grad_bias = gm.sum(axis=0)
+        grad_wmat = self._im2col(xp, h, w).T @ gm
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
@@ -237,7 +219,8 @@ class Conv2D:
             .transpose(0, 1, 3, 2)
             .reshape(kh * kw * self.out_channels, self.in_channels)
         )
-        return (self._im2col(gp, h, w) @ wrot).reshape(m, h, w, self.in_channels)
+        grad_in = (self._im2col(gp, h, w) @ wrot).reshape(m, h, w, self.in_channels)
+        return grad_in, [grad_wmat, grad_bias]
 
 
 def _channel_mean_vector(num_channels: int, dtype) -> np.ndarray:
@@ -268,28 +251,20 @@ class LayerNorm:
         self.epsilon = float(epsilon)
         self.gamma = np.ones(num_channels, dtype=dtype)
         self.beta = np.zeros(num_channels, dtype=dtype)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
-        self._cache = None
 
     @property
     def dtype(self):
         return self.gamma.dtype
 
     def param_items(self):
-        return [
-            ("gamma", self.gamma, self.grad_gamma),
-            ("beta", self.beta, self.grad_beta),
-        ]
+        return [("gamma", self.gamma), ("beta", self.beta)]
 
     def astype(self, dtype) -> "LayerNorm":
         self.gamma = self.gamma.astype(dtype)
         self.beta = self.beta.astype(dtype)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
         return self
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.shape[-1] != self.num_channels:
             raise ConfigError(
                 f"layer_norm expects trailing axis {self.num_channels}, got {x.shape}"
@@ -305,18 +280,17 @@ class LayerNorm:
         xhat *= inv
         np.multiply(xhat, self.gamma, out=out)
         out += self.beta
-        self._cache = (xhat, inv) if train else None
+        if tape is not None:
+            tape[self] = (xhat, inv)
         return out.reshape(x.shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called without a train-mode forward")
-        (xhat, inv), self._cache = self._cache, None
+    def backward(self, grad_out: np.ndarray, tape: dict):
+        xhat, inv = tape.pop(self)
         g2 = grad_out.reshape(xhat.shape)
         mean = _channel_mean_vector(self.num_channels, xhat.dtype)
         scratch = g2 * xhat
-        self.grad_gamma = scratch.sum(axis=0)
-        self.grad_beta = g2.sum(axis=0)
+        grad_gamma = scratch.sum(axis=0)
+        grad_beta = g2.sum(axis=0)
         g = g2 * self.gamma
         np.multiply(g, xhat, out=scratch)
         proj = scratch @ mean
@@ -325,7 +299,7 @@ class LayerNorm:
         g -= gmean
         g -= scratch
         g *= inv
-        return g.reshape(grad_out.shape)
+        return g.reshape(grad_out.shape), [grad_gamma, grad_beta]
 
 
 class ReLU:
@@ -333,26 +307,10 @@ class ReLU:
 
     kind = "relu"
 
-    def __init__(self):
-        self._mask = None
-        self.last_min_abs = None
-
-    def param_items(self):
-        return []
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._mask = x > 0
-            # Distance of the nearest pre-activation to the kink; the
-            # gradient checker refuses inputs that sit on it.
-            self.last_min_abs = float(np.min(np.abs(x))) if x.size else np.inf
-        else:
-            self._mask = None
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        if tape is not None:
+            tape[self] = x > 0
         return np.maximum(x, 0)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a train-mode forward")
-        out = grad_out * self._mask
-        self._mask = None
-        return out
+    def backward(self, grad_out: np.ndarray, tape: dict):
+        return grad_out * tape.pop(self), []

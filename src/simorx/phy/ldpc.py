@@ -66,10 +66,7 @@ class LdpcCode:
         return self.k / self.n
 
     def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.m, self.n), dtype=np.uint8)
-        rows = np.repeat(np.arange(self.m), ROW_WEIGHT)
-        h[rows, self.row_vars.reshape(-1)] = 1
-        return h
+        return _matrix_from_rows(self.row_vars, self.n)
 
 
 def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):

@@ -83,29 +83,32 @@ class ResNetBlock:
             layer.astype(dtype)
         return self
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        h = self.norm1.forward(x, train)
-        h = self.relu1.forward(h, train)
-        h = self.conv1.forward(h, train)
-        h = self.norm2.forward(h, train)
-        h = self.relu2.forward(h, train)
-        h = self.conv2.forward(h, train)
-        h += x if self.proj is None else self.proj.forward(x, train)
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        h = self.norm1.forward(x, tape)
+        h = self.relu1.forward(h, tape)
+        h = self.conv1.forward(h, tape)
+        h = self.norm2.forward(h, tape)
+        h = self.relu2.forward(h, tape)
+        h = self.conv2.forward(h, tape)
+        h += x if self.proj is None else self.proj.forward(x, tape)
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.conv2.backward(grad_out)
-        g = self.relu2.backward(g)
-        g = self.norm2.backward(g)
-        g = self.conv1.backward(g)
-        g = self.relu1.backward(g)
-        g = self.norm1.backward(g)
-        g += grad_out if self.proj is None else self.proj.backward(grad_out)
-        return g
-
-    def relu_min_abs(self):
-        vals = [r.last_min_abs for r in (self.relu1, self.relu2) if r.last_min_abs is not None]
-        return min(vals) if vals else None
+    def backward(self, grad_out: np.ndarray, tape: dict):
+        """``(grad_in, grads)``, ``grads`` in ``primitive_items`` order."""
+        g, g_conv2 = self.conv2.backward(grad_out, tape)
+        g, _ = self.relu2.backward(g, tape)
+        g, g_norm2 = self.norm2.backward(g, tape)
+        g, g_conv1 = self.conv1.backward(g, tape)
+        g, _ = self.relu1.backward(g, tape)
+        g, g_norm1 = self.norm1.backward(g, tape)
+        grads = g_norm1 + g_conv1 + g_norm2 + g_conv2
+        if self.proj is None:
+            g += grad_out
+        else:
+            g_skip, g_proj = self.proj.backward(grad_out, tape)
+            g += g_skip
+            grads += g_proj
+        return g, grads
 
 
 class ReceiverModel:
@@ -149,33 +152,30 @@ class ReceiverModel:
 
     def named_param_items(self):
         for qual, layer in self.primitive_layers():
-            for pname, arr, grad in layer.param_items():
-                yield qual, layer.kind, pname, arr, grad
+            for pname, arr in layer.param_items():
+                yield qual, layer.kind, pname, arr
 
-    def trainable_param_items(self):
-        """Parameters of trainable coarse layers only, in a stable order."""
-        out = []
-        for name, layer in self.coarse_layers():
-            if not self.trainable[name]:
-                continue
-            prims = layer.primitive_items() if isinstance(layer, ResNetBlock) else [("", layer)]
-            for _, prim in prims:
-                for pname, arr, grad in prim.param_items():
-                    out.append((arr, grad))
-        return out
+    def trainable_params(self) -> list:
+        """Parameters of trainable coarse layers only, in forward order:
+        the order of the gradients ``backward`` returns."""
+        return [
+            arr
+            for qual, layer in self.primitive_layers()
+            if self.trainable[qual.split(".")[0]]
+            for _, arr in layer.param_items()
+        ]
 
     def astype(self, dtype) -> "ReceiverModel":
         for _, layer in self.primitive_layers():
             layer.astype(dtype)
         return self
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         """Real planes ``[batch, C, F, S]`` to the LLR grid ``[batch, F, S, K]``.
 
-        With ``train=True`` only the layers from the first trainable coarse
-        layer on run in train mode and cache activations for ``backward``;
-        the frozen prefix before it runs in eval mode.  Both modes compute
-        the same values bit for bit.
+        With a ``tape`` only the layers from the first trainable coarse layer
+        on record what ``backward`` reads; the frozen prefix before it runs
+        without one.  The output is the same bit for bit either way.
         """
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
             raise ConfigError(
@@ -183,9 +183,9 @@ class ReceiverModel:
             )
         y = np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)), dtype=self.dtype)
         layers = self.coarse_layers()
-        first = self._first_trainable() if train else len(layers)
+        first = len(layers) if tape is None else self._first_trainable()
         for i, (_, layer) in enumerate(layers):
-            y = layer.forward(y, i >= first)
+            y = layer.forward(y, tape if i >= first else None)
         return y
 
     def _first_trainable(self) -> int:
@@ -193,24 +193,27 @@ class ReceiverModel:
         flags = [self.trainable[name] for name, _ in self.coarse_layers()]
         return flags.index(True) if True in flags else len(flags)
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Fill the ``grad_*`` slots of every trainable coarse layer.
+    def backward(self, grad_out: np.ndarray, tape: dict) -> list:
+        """The gradients of ``trainable_params()``, in that order.
 
-        The pass runs from the output back to the first trainable coarse
-        layer and stops there.  The frozen prefix before it ran its
-        train-mode forward in eval mode, so it caches nothing and runs no
-        backward; its ``grad_*`` slots keep whatever they held.  Frozen
-        layers after a trainable one still pass the gradient on.  Nothing
-        reads the gradient with respect to the model's input, so none is
+        The pass consumes the entries ``forward`` put on ``tape``.  It runs
+        from the output back to the first trainable coarse layer and stops
+        there: the frozen prefix before it recorded nothing and runs no
+        backward.  Frozen layers after a trainable one still pass the
+        gradient on, and their own gradients are dropped.  Nothing reads
+        the gradient with respect to the model's input, so none is
         returned.
         """
         g = np.asarray(grad_out, dtype=self.dtype)
-        layers = self.coarse_layers()
-        for _, layer in reversed(layers[self._first_trainable() :]):
-            g = layer.backward(g)
+        grads = []
+        for name, layer in reversed(self.coarse_layers()[self._first_trainable() :]):
+            g, layer_grads = layer.backward(g, tape)
+            if self.trainable[name]:
+                grads[:0] = layer_grads
+        return grads
 
     def stage_forward_plan(self, x: np.ndarray):
-        """Split the eval-mode forward into its coarse-layer chain.
+        """Split the tape-free forward into its coarse-layer chain.
 
         Returns ``(first_input, [(name, fn), ...])`` where folding the
         functions over the input reproduces ``forward(x)`` exactly.  The
@@ -219,11 +222,6 @@ class ReceiverModel:
         """
         y0 = np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)), dtype=self.dtype)
         return y0, [(name, layer.forward) for name, layer in self.coarse_layers()]
-
-    @property
-    def relu_min_abs(self):
-        vals = [m for m in (b.relu_min_abs() for b in self.blocks) if m is not None]
-        return min(vals) if vals else None
 
 
 def preprocess(rx: np.ndarray) -> np.ndarray:

@@ -142,8 +142,10 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None = None) -> TrainResult:
     """Run the BMD training loop on an existing model (shared by source
-    training and adaptation).  Only trainable coarse layers receive
-    updates; frozen tensors keep their exact bit patterns.
+    training and adaptation).  Each iteration's forward records on a fresh
+    tape, which its backward consumes; the backward returns the gradients
+    of ``model.trainable_params()``, and only those parameters receive
+    updates, so frozen tensors keep their exact bit patterns.
     """
     scheme = cfg.scheme()
     if model.spec.out_bits != scheme.bits_per_symbol:
@@ -157,7 +159,8 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
     steps = cfg.iterations if iterations is None else iterations
 
-    opt = Adam([arr for arr, _ in model.trainable_param_items()], lr=cfg.lr)
+    params = model.trainable_params()
+    opt = Adam(params, lr=cfg.lr)
     log_lines = [RUN_LOG_HEADER]
     losses = np.empty(steps)
     for it in range(steps):
@@ -165,7 +168,8 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
         ebno = rng.uniform(cfg.ebno_lo_db, cfg.ebno_hi_db, size=cfg.batch)
         n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, CODE_RATE)
         tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-        llr_grid = model.forward(preprocess(tb.rx), train=True)
+        tape = {}
+        llr_grid = model.forward(preprocess(tb.rx), tape)
         flat = extract_llr_bits(llr_grid, cfg.grid)
         if not np.isfinite(flat).all():
             last = losses[it - 1] if it else float("nan")
@@ -177,11 +181,8 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
             )
         metric, bce = bmd_loss(flat, tb.coded_bits)
         grad = scatter_llr_bit_grad(bmd_loss_grad(flat, tb.coded_bits), cfg.grid, scheme.bits_per_symbol)
-        model.backward(grad)
-        # Backward replaces the grad arrays, so gather fresh references.
-        items = model.trainable_param_items()
         try:
-            opt.step([a for a, _ in items], [g for _, g in items])
+            opt.step(params, model.backward(grad, tape))
         except FloatingPointError as exc:
             # Adam checks every gradient before it updates any parameter.
             raise TrainingDiverged(

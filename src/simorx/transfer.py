@@ -21,7 +21,7 @@ keep a random layer random, and refusing the adaptation would leave
 those mismatch axes without transfer.
 
 Frozen coarse layers in front of the first trainable one run their
-forward in eval mode and no backward at all (see
+forward without a tape and no backward at all (see
 ``ReceiverModel.backward``), so partial fine-tuning costs less per step
 than ``fine_tuning``.
 
@@ -135,9 +135,9 @@ def count_params(model: ReceiverModel) -> ParamReport:
     layers = []
     for name, layer in model.coarse_layers():
         if isinstance(layer, ResNetBlock):
-            n = sum(arr.size for _, prim in layer.primitive_items() for _, arr, _ in prim.param_items())
+            n = sum(arr.size for _, prim in layer.primitive_items() for _, arr in prim.param_items())
         else:
-            n = sum(arr.size for _, arr, _ in layer.param_items())
+            n = sum(arr.size for _, arr in layer.param_items())
         layers.append(LayerCount(name, int(n), model.trainable[name]))
     return ParamReport(layers)
 

@@ -244,7 +244,7 @@ def test_curve_csv_round_trip_is_exact(tmp_path):
     assert back.metadata["technique"] == "fine_tuning"
     assert float(back.metadata["alpha"]) == 0.35
     np.testing.assert_array_equal(back.blers(), demo_curve().blers())
-    np.testing.assert_array_equal(back.ebnos(), [-4.0, 8.0])
+    assert [p.ebno_db for p in back.points] == [-4.0, 8.0]
 
 
 def test_csv_reader_rejects_malformed_files(tmp_path):
@@ -614,6 +614,14 @@ def test_cli_reports_a_malformed_checkpoint_field_as_exit_two(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {path}: {key} must" in err
+
+
+def test_cli_reports_a_missing_checkpoint_as_exit_two(tmp_path, capsys):
+    path = tmp_path / "absent.ckpt"
+    code = run_cli("eval", "--checkpoint", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {path}: cannot read: No such file or directory"]
 
 
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):

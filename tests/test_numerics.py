@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simorx.errors import ConfigError
 from simorx.numerics.adam import Adam
-from simorx.numerics.gradcheck import LinearProbeObjective, finite_diff_check
+from simorx.numerics.gradcheck import LinearProbeObjective, finite_diff_check, relu_kink_distance
 from simorx.numerics.layers import Conv2D, LayerNorm, ReLU, _pad_amounts
 from simorx.receiver import ModelSpec, ReceiverModel
 
@@ -54,15 +54,15 @@ class SingleConv:
     def dtype(self):
         return self.conv.dtype
 
-    def forward(self, x, train=False):
-        return self.conv.forward(x, train)
+    def forward(self, x, tape=None):
+        return self.conv.forward(x, tape)
 
-    def backward(self, grad_out):
-        return self.conv.backward(grad_out)
+    def backward(self, grad_out, tape):
+        return self.conv.backward(grad_out, tape)[1]
 
     def named_param_items(self):
-        for pname, arr, grad in self.conv.param_items():
-            yield "conv", self.conv.kind, pname, arr, grad
+        for pname, arr in self.conv.param_items():
+            yield "conv", self.conv.kind, pname, arr
 
 
 # ---------------------------------------------------------------- convolution
@@ -120,7 +120,8 @@ def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, 
     conv = Conv2D(cin, cout, kernel=kernel, rng=rng, dtype=np.float64)
     conv.bias = rng.standard_normal(cout)
     x = rng.standard_normal((batch, h, w, cin))
-    y = conv.forward(x, train=True)
+    tape = {}
+    y = conv.forward(x, tape)
     for i in range(batch):
         want = conv2d_direct(x[i].transpose(2, 0, 1), conv.weights, conv.bias)
         np.testing.assert_allclose(y[i], want.transpose(1, 2, 0), rtol=0, atol=1e-12)
@@ -128,7 +129,7 @@ def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, 
     # The conv is affine in its input and its parameters, so central
     # differences are exact up to roundoff.
     c = rng.standard_normal(y.shape)
-    gx = conv.backward(c)
+    gx, _ = conv.backward(c, tape)
     fd = np.empty_like(x)
     for idx in np.ndindex(x.shape):
         xp, xm = x.copy(), x.copy()
@@ -149,11 +150,11 @@ def test_consecutive_forward_calls_return_unaliased_arrays():
         ReLU(),
     ]
     for layer in layers:
-        for train in (False, True):
+        for tape in (None, {}):
             x1, x2 = rng.standard_normal((2, 2, 5, 6, 3))
-            y1 = layer.forward(x1, train)
+            y1 = layer.forward(x1, tape)
             kept = y1.copy()
-            y2 = layer.forward(x2, train)
+            y2 = layer.forward(x2, tape)
             assert not np.shares_memory(y1, y2)
             assert not np.shares_memory(y1, x1) and not np.shares_memory(y2, x2)
             np.testing.assert_array_equal(y1, kept)
@@ -190,10 +191,11 @@ def test_conv_rejects_wrong_channel_count():
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     rng = np.random.default_rng(4)
     conv = Conv2D(2, 3, rng=rng, dtype=np.float64)
-    y = conv.forward(rng.standard_normal((2, 4, 4, 2)), train=True)
-    gx = conv.backward(np.zeros_like(y))
-    assert not conv.grad_weights.any()
-    assert not conv.grad_bias.any()
+    tape = {}
+    y = conv.forward(rng.standard_normal((2, 4, 4, 2)), tape)
+    gx, (grad_wmat, grad_bias) = conv.backward(np.zeros_like(y), tape)
+    assert not grad_wmat.any()
+    assert not grad_bias.any()
     assert not gx.any()
 
 
@@ -201,17 +203,20 @@ def test_scalar_conv_weight_gradient_is_the_input():
     conv = Conv2D(1, 1, kernel=(1, 1), dtype=np.float64)
     conv.weights = np.full((1, 1, 1, 1), 0.7)
     x = np.full((1, 1, 1, 1), 3.25)
-    conv.forward(x, train=True)
-    conv.backward(np.ones((1, 1, 1, 1)))
-    assert conv.grad_weights[0, 0, 0, 0] == 3.25
-    assert conv.grad_bias[0] == 1.0
+    tape = {}
+    conv.forward(x, tape)
+    _, (grad_wmat, grad_bias) = conv.backward(np.ones((1, 1, 1, 1)), tape)
+    assert grad_wmat.shape == conv.wmat.shape
+    assert grad_wmat[0, 0] == 3.25
+    assert grad_bias[0] == 1.0
 
 
 def test_backward_requires_train_mode_forward():
+    # A forward without a tape records nothing for a backward to pop.
     conv = Conv2D(1, 1)
     conv.forward(np.zeros((1, 2, 2, 1), dtype=np.float32))
-    with pytest.raises(RuntimeError):
-        conv.backward(np.zeros((1, 2, 2, 1), dtype=np.float32))
+    with pytest.raises(KeyError):
+        conv.backward(np.zeros((1, 2, 2, 1), dtype=np.float32), {})
 
 
 # ----------------------------------------------------------------- layer norm
@@ -245,8 +250,9 @@ def test_layer_norm_backward_matches_finite_differences():
     x = rng.standard_normal((2, 3, 2, 5))
     c = rng.standard_normal(x.shape)
 
-    out = ln.forward(x, train=True)
-    gx = ln.backward(c)
+    tape = {}
+    out = ln.forward(x, tape)
+    gx, (_, grad_beta) = ln.backward(c, tape)
     eps = 1e-6
     for idx in [(0, 0, 0, 0), (1, 2, 1, 3), (0, 1, 1, 4)]:
         xp = x.copy()
@@ -256,7 +262,7 @@ def test_layer_norm_backward_matches_finite_differences():
         fd = (np.sum(c * ln.forward(xp)) - np.sum(c * ln.forward(xm))) / (2 * eps)
         assert abs(gx[idx] - fd) < 1e-7
     # parameter gradients reduce over all leading axes
-    np.testing.assert_allclose(ln.grad_beta, c.sum(axis=(0, 1, 2)), atol=1e-12)
+    np.testing.assert_allclose(grad_beta, c.sum(axis=(0, 1, 2)), atol=1e-12)
     del out
 
 
@@ -266,17 +272,41 @@ def test_layer_norm_backward_matches_finite_differences():
 def test_relu_subgradient_at_zero_is_zero():
     r = ReLU()
     x = np.array([[-1.0, 0.0, 2.0]])
-    out = r.forward(x, train=True)
+    tape = {}
+    out = r.forward(x, tape)
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
-    g = r.backward(np.ones_like(x))
+    g, grads = r.backward(np.ones_like(x), tape)
     np.testing.assert_array_equal(g, [[0.0, 0.0, 1.0]])
+    assert grads == [] and tape == {}
     assert ReLU().forward(np.array([-3.0])) == 0.0
 
 
-def test_relu_tracks_distance_to_kink_in_train_mode():
-    r = ReLU()
-    r.forward(np.array([0.5, -0.03, 4.0]), train=True)
-    assert r.last_min_abs == pytest.approx(0.03)
+def test_check_reads_the_relu_kink_distance_from_the_tape(monkeypatch):
+    # A LayerNorm whose affine is all beta emits beta exactly.
+    ln = LayerNorm(3, dtype=np.float64)
+    ln.gamma = np.zeros(3)
+    ln.beta = np.array([0.5, -0.03, 4.0])
+    tape = {}
+    ln.forward(np.random.default_rng(14).standard_normal((1, 2, 2, 3)), tape)
+    assert relu_kink_distance(tape) == 0.03
+    assert relu_kink_distance({}) == np.inf
+
+    # On a receiver, the distance rebuilt from the LayerNorm entries is the
+    # smallest |input| any ReLU saw, bit for bit.
+    spec = ModelSpec(in_channels=2, width_in=4, width_res=6, num_blocks=2, out_bits=2)
+    model = ReceiverModel(spec, seed=0).astype(np.float64)
+    seen = []
+    orig = ReLU.forward
+
+    def spy(self, x, tape=None):
+        seen.append(float(np.min(np.abs(x))))
+        return orig(self, x, tape)
+
+    monkeypatch.setattr(ReLU, "forward", spy)
+    tape = {}
+    model.forward(np.random.default_rng(9).standard_normal((1, 2, 6, 8)), tape)
+    assert len(seen) == 4
+    assert relu_kink_distance(tape) == min(seen)
 
 
 # ----------------------------------------------------------------------- adam
@@ -358,11 +388,11 @@ def test_check_flags_a_sign_flipped_backward(monkeypatch):
     bad = model.blocks[1].conv1
     orig = Conv2D.backward
 
-    def flipped(self, grad_out):
-        out = orig(self, grad_out)
+    def flipped(self, grad_out, tape):
+        grad_in, (grad_wmat, grad_bias) = orig(self, grad_out, tape)
         if self is bad:
-            self.grad_wmat = -self.grad_wmat
-        return out
+            grad_wmat = -grad_wmat
+        return grad_in, [grad_wmat, grad_bias]
 
     monkeypatch.setattr(Conv2D, "backward", flipped)
     x = np.random.default_rng(9).standard_normal((1, 2, 6, 8))
@@ -378,6 +408,15 @@ def test_check_insists_on_float64():
     model = SingleConv(Conv2D(1, 1))
     with pytest.raises(ConfigError):
         finite_diff_check(model, np.zeros((1, 2, 2, 1)))
+
+
+def test_check_rejects_a_model_with_a_frozen_layer():
+    spec = ModelSpec(in_channels=2, width_in=4, width_res=6, num_blocks=1, out_bits=2)
+    model = ReceiverModel(spec, seed=0).astype(np.float64)
+    model.trainable["block1"] = False
+    x = np.random.default_rng(9).standard_normal((1, 2, 6, 8))
+    with pytest.raises(ConfigError, match="every parameter trainable"):
+        finite_diff_check(model, x)
 
 
 def test_check_rejects_inputs_near_a_relu_kink():

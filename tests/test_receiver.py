@@ -299,26 +299,22 @@ def _frozen_prefix_case(seeded, trainable_from):
     return full, truncated, x, g
 
 
-def _cached(layer) -> bool:
-    return any(getattr(layer, a, None) is not None for a in ("_padded_input", "_cache", "_mask"))
-
-
 @pytest.mark.parametrize("trainable_from", [0, 1, 2, 4])
 def test_truncated_backward_gives_the_full_backwards_gradients(seeded, trainable_from):
     full, truncated, x, g = _frozen_prefix_case(seeded, trainable_from)
-    np.testing.assert_array_equal(truncated.forward(x, train=True), full.forward(x, train=True))
-    assert truncated.backward(g) is None
-    full.backward(g)
+    tape_t, tape_f = {}, {}
+    np.testing.assert_array_equal(truncated.forward(x, tape_t), full.forward(x, tape_f))
+    grads_t = iter(truncated.backward(g, tape_t))
+    grads_f = full.backward(g, tape_f)
+    assert len(grads_f) == len(list(full.named_param_items()))
     trained = [name for name, _ in truncated.coarse_layers() if truncated.trainable[name]]
     assert trained
     compared = 0
-    for (name, a), (_, b) in zip(truncated.primitive_layers(), full.primitive_layers()):
-        if name.split(".")[0] not in trained:
-            continue
-        for (_, _, ga), (_, _, gb) in zip(a.param_items(), b.param_items()):
-            assert ga.tobytes() == gb.tobytes(), name
+    for (qual, *_), gf in zip(full.named_param_items(), grads_f):
+        if qual.split(".")[0] in trained:
+            assert next(grads_t).tobytes() == gf.tobytes(), qual
             compared += 1
-    assert compared
+    assert compared and next(grads_t, None) is None
 
 
 @pytest.mark.parametrize("trainable_from", [1, 2, 4])
@@ -326,15 +322,42 @@ def test_frozen_prefix_layers_hold_no_cache(seeded, trainable_from):
     _, model, x, g = _frozen_prefix_case(seeded, trainable_from)
     names = [name for name, _ in model.coarse_layers()]
     prefix = names[: [model.trainable[n] for n in names].index(True)]
-    model.forward(x, train=True)
+    tape = {}
+    model.forward(x, tape)
     layers = model.primitive_layers()
     for name, block in model.coarse_layers()[1:-1]:
         layers += [(f"{name}.relu1", block.relu1), (f"{name}.relu2", block.relu2)]
     for name, layer in layers:
         if name.split(".")[0] in prefix:
-            assert not _cached(layer), f"{name} cached activations while frozen"
+            assert layer not in tape, f"{name} recorded activations while frozen"
         else:
-            assert _cached(layer), f"{name} cached nothing for its backward"
-    model.backward(g)
-    for name, layer in layers:
-        assert not _cached(layer), f"{name} still holds a cache after the step"
+            assert layer in tape, f"{name} recorded nothing for its backward"
+    assert len(tape) == sum(name.split(".")[0] not in prefix for name, _ in layers)
+    model.backward(g, tape)
+    assert tape == {}, "backward left entries on the tape"
+
+
+@pytest.mark.parametrize("trainable_from", [0, 2])
+def test_two_tapes_backward_in_reverse_order_match_sequential_steps(seeded, trainable_from):
+    # No call leaves state on the model, so two forwards may be in flight
+    # at once and their backwards may run in either order.
+    _, model, x1, g1 = _frozen_prefix_case(seeded, trainable_from)
+    rng = seeded(100 + trainable_from)
+    x2 = rng.standard_normal(x1.shape).astype(np.float32)
+    g2 = rng.standard_normal(g1.shape).astype(np.float32)
+    sequential = []
+    for x, g in ((x1, g1), (x2, g2)):
+        tape = {}
+        y = model.forward(x, tape)
+        sequential.append((y, model.backward(g, tape)))
+    tape1, tape2 = {}, {}
+    y1 = model.forward(x1, tape1)
+    y2 = model.forward(x2, tape2)
+    grads2 = model.backward(g2, tape2)
+    grads1 = model.backward(g1, tape1)
+    assert tape1 == {} and tape2 == {}
+    for (y_seq, grads_seq), y, grads in zip(sequential, (y1, y2), (grads1, grads2)):
+        assert y.tobytes() == y_seq.tobytes()
+        assert len(grads) == len(grads_seq) == len(model.trainable_params())
+        for a, b in zip(grads, grads_seq):
+            assert a.tobytes() == b.tobytes()

@@ -57,7 +57,7 @@ def tiny_cfg(grid, **kw):
 def model_weights(model):
     return {
         f"{qual}.{pname}": arr.copy()
-        for qual, _, pname, arr, _ in model.named_param_items()
+        for qual, _, pname, arr in model.named_param_items()
     }
 
 
@@ -276,17 +276,32 @@ def test_permissive_load_transplants_what_fits():
 
 
 def test_strict_load_refuses_partial_application():
-    # A fingerprint that names three blocks over the layer records of two:
+    # A checkpoint that lacks one tensor of the architecture it names:
     # without a target, every tensor of the rebuilt model must apply.
     model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
-    src = checkpoint_from_model(model, {"num_blocks": 3})
-    block3 = {f"block3.{sub}" for sub in ("norm1", "conv1", "norm2", "conv2")}
+    src = checkpoint_from_model(model)
+    src.layers = [rec for rec in src.layers if rec.name != "block2.conv2"]
     with pytest.raises(CheckpointError, match="could not apply every tensor") as err:
         load_checkpoint(src)
-    assert all(name in str(err.value) for name in block3)
-    # With a target, what fits is transplanted and the rest reported.
+    assert "block2.conv2 (not present in the checkpoint)" in str(err.value)
+    # A fingerprint that names three blocks over the layer records of two:
+    # with a target, what fits is transplanted and the rest reported.
+    src = checkpoint_from_model(model, {"num_blocks": 3})
+    block3 = {f"block3.{sub}" for sub in ("norm1", "conv1", "norm2", "conv2")}
     out = load_checkpoint(src, target_spec=ModelSpec(2, 4, 6, 3, 2))
     assert {n for n, _ in out.reinitialized} == block3
+
+
+@pytest.mark.parametrize("num_blocks", [1, 3, 300])
+def test_fingerprint_block_count_must_match_the_block_records(num_blocks):
+    # Checked before any model is built: a bad count costs no allocation
+    # and gives one short message.
+    src = checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 2, 2)), {"num_blocks": num_blocks})
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(src)
+    assert str(err.value) == (
+        f"checkpoint: fingerprint.num_blocks={num_blocks} disagrees with the 2 block records"
+    )
 
 
 def test_spec_comes_from_fingerprint_when_no_target_given():
