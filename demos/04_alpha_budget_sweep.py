@@ -3,9 +3,12 @@
 alpha is the fraction of the source sample budget the target domain gets.
 A sweep at several alphas answers "how little can we get away with": each
 adaptation runs round(alpha x iterations) steps, and every variant is
-evaluated to its own BLER curve.  The sweep directory is self-describing —
-run logs prove the spent budget, the manifest echoes the full config, and
-rerunning the same config reproduces every file byte for byte.
+evaluated to its own BLER curve.  This demo sweeps one technique; list
+more in ``techniques`` and keep the benchmarks to get the paper's whole
+techniques x alpha grid in one directory.  The sweep directory is
+self-describing — run logs prove the spent budget, the manifest echoes
+the full config and names every file, and rerunning the same config
+reproduces every file byte for byte.
 
 Run:  python3 demos/04_alpha_budget_sweep.py [--out runs/demo_alpha]
 """
@@ -28,13 +31,13 @@ def main() -> None:
 
     alphas = tuple(float(a) for a in args.alphas.split(","))
     cfg = SweepConfig(
-        mode="alpha",
         scale="desk",
         source_profile=args.profile,
         target_modulation="16qam",
         target_profile=args.profile,
+        techniques=("fine_tuning",),   # one technique across the alphas,
+        benchmarks=(),                 # without the bracketing benchmarks
         alphas=alphas,
-        alpha_technique="fine_tuning",
         iterations=args.iterations,
         ebno_grid_db=(4.0, 6.0, 8.0),
         eval_max_blocks=64,

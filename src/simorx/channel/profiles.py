@@ -174,6 +174,8 @@ def profile_data_path(name: str):
 
 def load_profile(name_or_path: str):
     """Load a packaged profile by name, or any profile file by path."""
+    if not isinstance(name_or_path, str):
+        raise ConfigError(f"profile must be a name or a path, got {name_or_path!r}")
     if name_or_path == "mixed_cdl":
         return MixedProfile("mixed_cdl", tuple(load_profile(m) for m in MIXED_MEMBERS))
     if os.sep in name_or_path or name_or_path.endswith(".txt"):

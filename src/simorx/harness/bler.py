@@ -48,6 +48,10 @@ class EvalConfig:
             value = getattr(self, name)
             if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("seed", "ldpc_seed"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 0):
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if not self.ebno_grid_db:
             raise ConfigError("ebno_grid_db cannot be empty")
         # Checked, not converted: the values are echoed into manifests as given.

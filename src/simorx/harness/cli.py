@@ -148,20 +148,22 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    loaded = load_checkpoint(args.checkpoint)
+    """``eval`` scores a checkpoint's receiver, ``baseline`` the genie."""
     eval_cfg = _eval_cfg(args)
-    receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
+    config = {"verb": args.verb, "scale": args.scale, "modulation": args.modulation,
+              "profile": args.profile, "seed": args.seed,
+              "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks}
+    if args.verb == "eval":
+        loaded = load_checkpoint(args.checkpoint)
+        receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
+        config["checkpoint"] = args.checkpoint
+        name, technique = args.name, "eval"
+    else:
+        receiver = GenieReceiver(get_scheme(args.modulation), eval_cfg.grid)
+        name = technique = "genie"
     curve = run_bler(eval_cfg, receiver)
-    curve.metadata.update(seed=args.seed, technique="eval")
-    paths = emit_results(
-        {args.name: curve},
-        args.out,
-        {"verb": "eval", "checkpoint": args.checkpoint, "scale": args.scale,
-         "modulation": args.modulation, "profile": args.profile, "seed": args.seed,
-         "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks},
-        profiles={args.profile},
-    )
-    for p in paths:
+    curve.metadata["technique"] = technique
+    for p in emit_results({name: curve}, args.out, config, profiles={args.profile}):
         print(p)
     return 0
 
@@ -172,23 +174,6 @@ def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_dict(load_yaml(args.config))
     result = sweep(cfg, args.out)
     for p in result.curve_paths + [result.manifest_path]:
-        print(p)
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    eval_cfg = _eval_cfg(args)
-    curve = run_bler(eval_cfg, GenieReceiver(get_scheme(args.modulation), eval_cfg.grid))
-    curve.metadata.update(seed=args.seed, technique="genie")
-    paths = emit_results(
-        {"genie": curve},
-        args.out,
-        {"verb": "baseline", "scale": args.scale, "modulation": args.modulation,
-         "profile": args.profile, "seed": args.seed,
-         "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks},
-        profiles={args.profile},
-    )
-    for p in paths:
         print(p)
     return 0
 
@@ -210,7 +195,7 @@ _COMMANDS = {
     "adapt": _cmd_adapt,
     "eval": _cmd_eval,
     "sweep": _cmd_sweep,
-    "baseline": _cmd_baseline,
+    "baseline": _cmd_eval,
     "params": _cmd_params,
 }
 

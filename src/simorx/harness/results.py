@@ -107,13 +107,14 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def emit_results(curves: dict, out_dir, config: dict, profiles=()) -> list:
-    """Write one CSV per named curve plus the manifest; returns all paths."""
+def emit_results(curves: dict, out_dir, config: dict, profiles=(), files=()) -> list:
+    """Write one CSV per named curve plus the manifest, which also names the
+    run's other ``files``; returns the CSV paths, then the manifest's."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, curve in curves.items():
         path = os.path.join(out_dir, f"{name}.csv")
         write_curve_csv(curve, path)
         paths.append(path)
-    paths.append(write_manifest(config, out_dir, files=paths, profiles=profiles))
+    paths.append(write_manifest(config, out_dir, files=[*files, *paths], profiles=profiles))
     return paths

@@ -2,15 +2,16 @@
 
 One sweep = one source training (or a pre-trained checkpoint), a set of
 adaptations on the target domain, and a BLER evaluation of every variant.
-Two modes:
-
-- ``techniques``: every technique at one α, per seed, bracketed by the
-  ``model_transfer`` and ``without_tl`` benchmarks.
-- ``alpha``: one technique across a grid of α budgets.
+For each seed it runs every technique at every α in ``alphas``, plus the
+``without_tl`` benchmark at every α and the ``model_transfer`` benchmark
+once, each if it is in ``benchmarks``.  One technique across α budgets is
+``techniques=(t,), benchmarks=()``; the paper's grid of techniques × α
+budgets is one sweep directory.
 
 Everything the sweep produced (checkpoints, run logs, CSV curves, the
-manifest echoing the resolved config) lands in one output directory;
-rerunning a sweep from its manifest reproduces the files byte for byte.
+manifest echoing the resolved config and naming every file) lands in one
+output directory; rerunning a sweep from its manifest reproduces the files
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,17 +20,20 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from ..checkpoint import Checkpoint, read_checkpoint, save_checkpoint
-from ..errors import ConfigError
+from ..channel.profiles import load_profile
+from ..checkpoint import read_checkpoint, save_checkpoint
+from ..errors import ConfigError, is_integer
+from ..phy.modulation import get_scheme
 from ..training import TrainResult, train_source
 from ..transfer import BENCHMARKS, TECHNIQUES, AdaptConfig, adapt, alpha_steps, run_benchmark
 from .bler import BlerCurve, GenieReceiver, NeuralReceiver, run_bler
 from .results import emit_results
 
+LIST_FIELDS = ("techniques", "benchmarks", "alphas", "seeds", "ebno_grid_db")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    mode: str = "techniques"
     scale: str = "desk"
     source_modulation: str = "qpsk"
     source_profile: str = "cdl_c_like"
@@ -38,9 +42,7 @@ class SweepConfig:
     target_profile: str = "cdl_c_like"
     techniques: tuple = TECHNIQUES
     benchmarks: tuple = BENCHMARKS
-    alpha: float = 0.1
-    alphas: tuple = (0.05, 0.35, 1.0)
-    alpha_technique: str = "fine_tuning"
+    alphas: tuple = (0.1,)
     seeds: tuple = (0,)
     ebno_grid_db: tuple = tuple(range(-4, 9))
     iterations: int | None = None        # source-budget override
@@ -52,20 +54,33 @@ class SweepConfig:
     source_checkpoint: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("techniques", "alpha"):
-            raise ConfigError(f"unknown sweep mode {self.mode!r}")
+        """Reject every bad value before any training starts."""
+        for name in LIST_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for t in self.techniques:
             if t not in TECHNIQUES:
                 raise ConfigError(f"unknown technique {t!r}")
         for b in self.benchmarks:
             if b not in BENCHMARKS:
                 raise ConfigError(f"unknown benchmark {b!r}")
-        if self.alpha_technique not in TECHNIQUES:
-            raise ConfigError(f"unknown alpha_technique {self.alpha_technique!r}")
-        for a in (self.alpha, *self.alphas):
-            alpha_steps(a, 0)  # rejects a bad alpha before any training
+        for a in self.alphas:
+            alpha_steps(a, 0)
         if not self.seeds:
             raise ConfigError("seeds cannot be empty")
+        bad = [s for s in (self.source_seed, *self.seeds) if not (is_integer(s) and s >= 0)]
+        if bad:
+            raise ConfigError(f"source_seed and seeds must be integers >= 0, got {bad!r}")
+        for name in ("techniques", "benchmarks", "alphas", "seeds"):  # each names output files
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats an entry: {list(values)!r}")
+        for modulation in (self.source_modulation, self.target_modulation):
+            get_scheme(modulation)
+        for profile in (self.source_profile, self.target_profile):
+            load_profile(profile)
 
     def to_dict(self) -> dict:
         raw = dataclasses.asdict(self)
@@ -73,14 +88,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(fields)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown sweep config keys {sorted(unknown)}")
-        coerced = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
-        }
-        return cls(**coerced)
+        return cls(**data)
 
 
 @dataclass
@@ -133,18 +144,10 @@ def sweep(cfg, out_dir) -> SweepResult:
         log_paths.append(log)
         ckpt_paths.append(source_path)
 
-    def evaluate(model, seed: int, technique: str, alpha, target_fp: str) -> BlerCurve:
-        eval_cfg = dataclasses.replace(base_eval, seed=seed)
-        curve = run_bler(eval_cfg, NeuralReceiver(model, eval_cfg.grid, target_fp))
-        curve.metadata.update(
-            technique=technique,
-            alpha="" if alpha is None else alpha,
-            seed=seed,
-            source_fp=source.fingerprint_id if isinstance(source, Checkpoint) else "",
-        )
-        return curve
+    curves: dict[str, BlerCurve] = {}
 
-    def store(name: str, res: TrainResult) -> None:
+    def record(name: str, res: TrainResult, seed: int, technique: str, alpha) -> None:
+        """Store one variant's checkpoint and run log, and evaluate it."""
         path = os.path.join(out_dir, f"{name}.ckpt")
         save_checkpoint(res.checkpoint, path)
         ckpt_paths.append(path)
@@ -152,44 +155,36 @@ def sweep(cfg, out_dir) -> SweepResult:
             log = os.path.join(out_dir, f"{name}_log.csv")
             res.write_log(log)
             log_paths.append(log)
+        eval_cfg = dataclasses.replace(base_eval, seed=seed)
+        curve = run_bler(eval_cfg, NeuralReceiver(res.model, eval_cfg.grid, res.checkpoint.fingerprint_id))
+        curve.metadata.update(
+            technique=technique, alpha="" if alpha is None else alpha, source_fp=source.fingerprint_id
+        )
+        curves[name] = curve
 
-    curves: dict[str, BlerCurve] = {}
-    if cfg.mode == "techniques":
-        for seed in cfg.seeds:
-            tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
-            for tech in cfg.techniques:
-                res = adapt(source, AdaptConfig(tech, cfg.alpha, tgt))
-                name = f"{tech}_a{cfg.alpha}_s{seed}"
-                store(name, res)
-                curves[name] = evaluate(res.model, seed, tech, cfg.alpha, res.checkpoint.fingerprint_id)
-            for bench in cfg.benchmarks:
-                res = run_benchmark(bench, source, tgt, alpha=cfg.alpha)
-                name = f"{bench}_s{seed}" if bench == "model_transfer" else f"{bench}_a{cfg.alpha}_s{seed}"
-                store(name, res)
-                alpha = None if bench == "model_transfer" else cfg.alpha
-                curves[name] = evaluate(res.model, seed, bench, alpha, res.checkpoint.fingerprint_id)
-    else:
-        seed = cfg.seeds[0]
+    for seed in cfg.seeds:
         tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
         for a in cfg.alphas:
-            res = adapt(source, AdaptConfig(cfg.alpha_technique, float(a), tgt))
-            name = f"{cfg.alpha_technique}_a{a}_s{seed}"
-            store(name, res)
-            curves[name] = evaluate(res.model, seed, cfg.alpha_technique, float(a), res.checkpoint.fingerprint_id)
+            for tech in cfg.techniques:
+                res = adapt(source, AdaptConfig(tech, float(a), tgt))
+                record(f"{tech}_a{a}_s{seed}", res, seed, tech, float(a))
+            if "without_tl" in cfg.benchmarks:
+                res = run_benchmark("without_tl", source, tgt, alpha=float(a))
+                record(f"without_tl_a{a}_s{seed}", res, seed, "without_tl", float(a))
+        if "model_transfer" in cfg.benchmarks:
+            res = run_benchmark("model_transfer", source, tgt)
+            record(f"model_transfer_s{seed}", res, seed, "model_transfer", None)
 
     if cfg.include_genie:
-        from ..phy.modulation import get_scheme
-
         curve = run_bler(base_eval, GenieReceiver(get_scheme(cfg.target_modulation), base_eval.grid))
-        curve.metadata.update(technique="genie", alpha="", seed=cfg.seeds[0], source_fp="")
+        curve.metadata.update(technique="genie", alpha="", source_fp="")
         curves["genie"] = curve
 
-    paths = emit_results(
+    *curve_paths, manifest = emit_results(
         curves,
         out_dir,
         cfg.to_dict(),
         profiles={cfg.source_profile, cfg.target_profile},
+        files=ckpt_paths + log_paths,
     )
-    curve_files = [p for p in paths if p.endswith(".csv")]
-    manifest = [p for p in paths if p.endswith("manifest.yaml")][0]
-    return SweepResult(out_dir, curve_files, manifest, source_path, ckpt_paths, log_paths)
+    return SweepResult(out_dir, curve_paths, manifest, source_path, ckpt_paths, log_paths)

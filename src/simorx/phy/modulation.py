@@ -69,7 +69,7 @@ _SCHEMES = {
 def get_scheme(name: str) -> ModulationScheme:
     try:
         return _SCHEMES[name.lower()]
-    except KeyError:
+    except (KeyError, AttributeError):  # AttributeError: not a string
         raise ConfigError(f"unknown modulation {name!r}; choose from {sorted(_SCHEMES)}") from None
 
 

@@ -66,8 +66,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (is_integer(self.iterations) and self.iterations >= 0):
-            raise ConfigError(f"iterations must be an integer >= 0, got {self.iterations!r}")
+        for name in ("iterations", "seed", "ldpc_seed"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 0):
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if not (is_finite_real(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
         for name in ("ebno_lo_db", "ebno_hi_db"):
@@ -140,12 +142,17 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration,)))
 
 
-def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None = None) -> TrainResult:
+def run_training(
+    model: ReceiverModel, cfg: TrainConfig, iterations: int | None = None, fingerprint: dict | None = None
+) -> TrainResult:
     """Run the BMD training loop on an existing model (shared by source
     training and adaptation).  Each iteration's forward records on a fresh
     tape, which its backward consumes; the backward returns the gradients
     of ``model.trainable_params()``, and only those parameters receive
     updates, so frozen tensors keep their exact bit patterns.
+
+    Every checkpoint it builds, the result's and a ``TrainingDiverged``
+    snapshot alike, carries ``fingerprint`` (default ``cfg.fingerprint()``).
     """
     scheme = cfg.scheme()
     if model.spec.out_bits != scheme.bits_per_symbol:
@@ -158,6 +165,7 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
     steps = cfg.iterations if iterations is None else iterations
+    fp = cfg.fingerprint() if fingerprint is None else fingerprint
 
     params = model.trainable_params()
     opt = Adam(params, lr=cfg.lr)
@@ -177,7 +185,7 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
                 f"non-finite logits at iteration {it} (last finite L={last!r}); "
                 f"parameters kept at their pre-update values",
                 iteration=it,
-                checkpoint=checkpoint_from_model(model, cfg.fingerprint()),
+                checkpoint=checkpoint_from_model(model, fp),
             )
         metric, bce = bmd_loss(flat, tb.coded_bits)
         grad = scatter_llr_bit_grad(bmd_loss_grad(flat, tb.coded_bits), cfg.grid, scheme.bits_per_symbol)
@@ -189,14 +197,14 @@ def run_training(model: ReceiverModel, cfg: TrainConfig, iterations: int | None 
                 f"non-finite gradient at iteration {it} ({exc}); "
                 f"parameters kept at their pre-update values",
                 iteration=it,
-                checkpoint=checkpoint_from_model(model, cfg.fingerprint()),
+                checkpoint=checkpoint_from_model(model, fp),
             ) from exc
         losses[it] = metric
         log_lines.append(
             f"{it},{metric!r},{bce!r},{cfg.ebno_lo_db!r},{cfg.ebno_hi_db!r},{cfg.seed}"
         )
     return TrainResult(
-        checkpoint=checkpoint_from_model(model, cfg.fingerprint()),
+        checkpoint=checkpoint_from_model(model, fp),
         model=model,
         log_lines=log_lines,
         losses=losses,

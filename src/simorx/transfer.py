@@ -33,7 +33,6 @@ the target domain with zero updates.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +44,7 @@ from .checkpoint import (
     load_checkpoint,
     read_checkpoint,
 )
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_real
 from .receiver import ReceiverModel, ResNetBlock
 from .training import TrainConfig, TrainResult, run_training
 
@@ -181,8 +180,8 @@ def reference_comparison(train_cfg: TrainConfig) -> str:
 
 def alpha_steps(alpha: float, iterations: int) -> int:
     """Iterations of an α-budgeted run: ``round(alpha * iterations)``, at
-    least one.  Rejects α outside (0, 1], NaN and non-numbers included."""
-    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 1.0:
+    least one.  Rejects α outside (0, 1], NaN, bools and non-numbers included."""
+    if not (is_finite_real(alpha) and 0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must be a number in (0, 1], got {alpha!r}")
     return max(1, round(alpha * iterations))
 
@@ -224,10 +223,10 @@ def adapt(source, cfg: AdaptConfig) -> TrainResult:
     if cfg.technique != "fine_tuning":
         add_resnet_block(model)
     set_trainable(model, FROZEN_PREFIX[cfg.technique], fresh)
-    result = run_training(model, cfg.target, iterations=cfg.steps)
     fp = cfg.target.fingerprint()
     fp.update({"technique": cfg.technique, "alpha": repr(cfg.alpha)})
-    return replace(result, checkpoint=checkpoint_from_model(model, fp), transplant_delta=loaded.delta)
+    result = run_training(model, cfg.target, iterations=cfg.steps, fingerprint=fp)
+    return replace(result, transplant_delta=loaded.delta)
 
 
 def run_benchmark(kind: str, source, target: TrainConfig, alpha: float | None = None) -> TrainResult:

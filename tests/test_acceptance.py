@@ -300,14 +300,14 @@ def test_criterion_08_training_makes_progress(capsys):
 def test_criterion_09_bit_identical_reruns(capsys, tmp_path):
     with criterion(capsys, 9, "identical configs reproduce every output byte") as detail:
         cfg = SweepConfig(
-            mode="alpha",
             scale="desk",
             source_modulation="qpsk",
             source_profile=PROFILE,
             target_modulation="16qam",
             target_profile=PROFILE,
+            techniques=("fine_tuning_plus",),
+            benchmarks=(),
             alphas=(0.5,),
-            alpha_technique="fine_tuning_plus",
             seeds=(0,),
             ebno_grid_db=(0.0, 8.0),
             iterations=30,
@@ -369,14 +369,14 @@ def test_criterion_11_alpha_budget_sweep(capsys, tmp_path, source_run):
         base_iterations = 300
         alphas = (0.05, 0.35, 1.0)
         cfg = SweepConfig(
-            mode="alpha",
             scale="desk",
             source_modulation="qpsk",
             source_profile=PROFILE,
             target_modulation="16qam",
             target_profile=PROFILE,
+            techniques=("fine_tuning",),
+            benchmarks=(),
             alphas=alphas,
-            alpha_technique="fine_tuning",
             seeds=(0,),
             ebno_grid_db=TOP_TWO_DB,
             iterations=base_iterations,

@@ -138,6 +138,11 @@ def test_eval_config_validation(tiny_grid):
         with pytest.raises(ConfigError, match=field):
             make_eval_config(**{field: 2.5})
         assert getattr(tiny_eval(tiny_grid, **{field: np.int64(4)}), field) == 4
+    for field in ("seed", "ldpc_seed"):
+        for bad in (-1, 2.5, 4.0, True, "4", None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer >= 0"):
+                tiny_eval(tiny_grid, **{field: bad})
+        assert getattr(tiny_eval(tiny_grid, **{field: np.int64(0)}), field) == 0
     for grid in ((float("nan"), "x"), (4.0, float("inf")), ("4",), (True,), (None,)):
         with pytest.raises(ConfigError, match="ebno_grid_db"):
             tiny_eval(tiny_grid, ebno_grid_db=grid)
@@ -344,13 +349,12 @@ def test_ebno_grid_spans_minus_four_to_eight():
 
 def tiny_sweep_config(**kw):
     base = dict(
-        mode="techniques",
         scale="desk",
         source_modulation="qpsk",
         source_profile="flat",
         target_modulation="16qam",
         target_profile="flat",
-        alpha=0.5,
+        alphas=(0.5,),
         seeds=(0,),
         ebno_grid_db=(8.0,),
         iterations=2,
@@ -368,8 +372,9 @@ def test_sweep_config_round_trips_through_dict_form():
     assert SweepConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError, match="unknown sweep config keys"):
         SweepConfig.from_dict({"modee": "techniques"})
-    with pytest.raises(ConfigError, match="unknown sweep mode"):
-        tiny_sweep_config(mode="grid")
+    # The two sweep modes are one loop now; an old config naming one fails.
+    with pytest.raises(ConfigError, match="unknown sweep config keys"):
+        SweepConfig.from_dict({**cfg.to_dict(), "mode": "alpha"})
     with pytest.raises(ConfigError, match="unknown technique"):
         tiny_sweep_config(techniques=("fine_tuning", "prompting"))
 
@@ -377,13 +382,32 @@ def test_sweep_config_round_trips_through_dict_form():
 @pytest.mark.parametrize(
     "bad, match",
     [
-        ({"alpha_technique": "distillation"}, "alpha_technique"),
-        ({"alpha": 0.0}, "alpha"),
-        ({"alpha": float("nan")}, "alpha"),
-        ({"alpha": "0.1"}, "alpha"),
+        ({"benchmarks": ("model_transfer", "oracle")}, "benchmark"),
+        ({"alphas": (0.0,)}, "alpha"),
+        ({"alphas": (float("nan"),)}, "alpha"),
+        ({"alphas": ("0.1",)}, "alpha"),
         ({"alphas": (0.0, 2.0)}, "alpha"),
         ({"alphas": (0.5, 2.0)}, "alpha"),
         ({"seeds": ()}, "seeds"),
+        # a scalar where a list belongs
+        ({"seeds": 3}, "seeds must be a list"),
+        ({"alphas": 0.5}, "alphas must be a list"),
+        ({"techniques": "fine_tuning"}, "techniques must be a list"),
+        ({"ebno_grid_db": 8.0}, "ebno_grid_db must be a list"),
+        # modulations and profiles, checked before the source trains
+        ({"target_modulation": "8psk"}, "unknown modulation"),
+        ({"source_modulation": 8}, "unknown modulation"),
+        ({"target_profile": "cdl_z"}, "unknown profile"),
+        ({"source_profile": 5}, "profile must be"),
+        # seeds reach SeedSequence, which takes no negative entropy
+        ({"source_seed": -1}, "integers >= 0"),
+        ({"seeds": (0, -1)}, "integers >= 0"),
+        ({"seeds": (0.5,)}, "integers >= 0"),
+        # a repeated entry would run one variant twice under one file name
+        ({"alphas": (0.5, 1.0, 0.5)}, "alphas repeats"),
+        ({"alphas": (1, 1.0)}, "alphas repeats"),
+        ({"seeds": (0, 0)}, "seeds repeats"),
+        ({"techniques": ("fine_tuning", "fine_tuning")}, "techniques repeats"),
     ],
 )
 def test_sweep_config_rejects_bad_values_before_any_training(tmp_path, monkeypatch, bad, match):
@@ -403,7 +427,7 @@ def test_sweep_config_rejects_bad_values_before_any_training(tmp_path, monkeypat
 
 def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
     out = tmp_path / "sweep"
-    result = sweep(tiny_sweep_config(), out)
+    result = sweep(tiny_sweep_config(include_genie=True), out)
     produced = {os.path.basename(p) for p in result.curve_paths}
     assert produced == {
         "fine_tuning_a0.5_s0.csv",
@@ -411,7 +435,9 @@ def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
         "feature_extraction_a0.5_s0.csv",
         "without_tl_a0.5_s0.csv",
         "model_transfer_s0.csv",
+        "genie.csv",
     }
+    assert read_curve_csv(out / "genie.csv").metadata["technique"] == "genie"
     assert os.path.basename(result.source_checkpoint_path) == "source.ckpt"
     assert all(os.path.exists(p) for p in result.checkpoint_paths)
     # model_transfer trains nothing, so it leaves no run log
@@ -419,32 +445,66 @@ def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
     assert "model_transfer_log.csv" not in logged
     assert "source_log.csv" in logged
     manifest = read_manifest(result.manifest_path)
-    assert manifest["config"]["alpha"] == 0.5
+    assert manifest["config"]["alphas"] == [0.5]
+    assert manifest["config"]["include_genie"] is True
+    # the manifest names every file the sweep wrote, and nothing else
+    assert manifest["files"] == sorted(set(os.listdir(out)) - {"manifest.yaml"})
+    written = result.curve_paths + result.checkpoint_paths + result.log_paths
+    assert manifest["files"] == sorted(os.path.basename(p) for p in written)
+
+
+def test_sweep_runs_every_technique_at_every_alpha(tmp_path):
+    iterations = 4
+    cfg = tiny_sweep_config(
+        techniques=("fine_tuning", "feature_extraction"), alphas=(0.25, 1.0), iterations=iterations
+    )
+    result = sweep(cfg, tmp_path / "grid")
+    assert sorted(os.path.basename(p) for p in result.curve_paths) == sorted([
+        "fine_tuning_a0.25_s0.csv", "fine_tuning_a1.0_s0.csv",
+        "feature_extraction_a0.25_s0.csv", "feature_extraction_a1.0_s0.csv",
+        "without_tl_a0.25_s0.csv", "without_tl_a1.0_s0.csv",
+        "model_transfer_s0.csv",
+    ])
+    steps = {}
+    for path in result.log_paths:
+        name = os.path.basename(path)
+        if name != "source_log.csv":
+            steps[name] = len(open(path).read().splitlines()) - 1  # minus the header
+    assert steps == {
+        f"{variant}_a{a}_s0_log.csv": round(a * iterations)
+        for variant in ("fine_tuning", "feature_extraction", "without_tl")
+        for a in (0.25, 1.0)
+    }
 
 
 def test_alpha_sweep_budgets_scale_with_alpha(tmp_path):
     cfg = tiny_sweep_config(
-        mode="alpha",
+        techniques=("fine_tuning",),
+        benchmarks=(),
         alphas=(0.25, 0.5, 1.0),
-        alpha_technique="fine_tuning",
+        seeds=(0, 3),
         iterations=8,
     )
     result = sweep(cfg, tmp_path / "alpha")
-    assert len(result.curve_paths) == 3
+    assert len(result.curve_paths) == 6  # every alpha for every seed
     steps = {}
     for path in result.log_paths:
         name = os.path.basename(path)
         if name == "source_log.csv":
             continue
         rows = open(path).read().splitlines()
-        alpha = float(name.split("_a")[1].split("_s")[0])
-        steps[alpha] = len(rows) - 1  # minus the header
-    assert steps == {0.25: 2, 0.5: 4, 1.0: 8}
+        alpha, seed = name[len("fine_tuning_a"):-len("_log.csv")].split("_s")
+        steps[float(alpha), int(seed)] = len(rows) - 1  # minus the header
+        assert rows[-1].endswith(f",{seed}")  # the run log's seed column
+    assert steps == {(a, seed): round(a * 8) for a in (0.25, 0.5, 1.0) for seed in (0, 3)}
+    for path in result.curve_paths:
+        seed = os.path.basename(path)[: -len(".csv")].split("_s")[-1]
+        assert read_curve_csv(path).metadata["seed"] == seed
 
 
 def test_sweep_reruns_from_its_manifest_byte_for_byte(tmp_path):
     cfg = tiny_sweep_config(
-        mode="alpha", alphas=(0.5,), alpha_technique="feature_extraction", iterations=2
+        techniques=("feature_extraction",), benchmarks=(), alphas=(0.5,), iterations=2
     )
     first = sweep(cfg, tmp_path / "one")
     replay_cfg = read_manifest(first.manifest_path)["config"]
@@ -459,14 +519,33 @@ def test_sweep_reruns_from_its_manifest_byte_for_byte(tmp_path):
 
 def test_sweep_can_start_from_an_existing_checkpoint(tmp_path):
     first = sweep(
-        tiny_sweep_config(mode="alpha", alphas=(0.5,)), tmp_path / "one"
+        tiny_sweep_config(techniques=("fine_tuning",), benchmarks=()), tmp_path / "one"
     )
     cfg = tiny_sweep_config(
-        mode="alpha", alphas=(0.5,), source_checkpoint=first.source_checkpoint_path
+        techniques=("fine_tuning",), benchmarks=(), source_checkpoint=first.source_checkpoint_path
     )
     second = sweep(cfg, tmp_path / "two")
     assert second.source_checkpoint_path == first.source_checkpoint_path
     assert not os.path.exists(tmp_path / "two" / "source.ckpt")
+    assert "source.ckpt" not in read_manifest(second.manifest_path)["files"]
+
+
+def test_demo_04_sweeps_alpha_end_to_end(tmp_path, monkeypatch, capsys):
+    import runpy
+
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "04_alpha_budget_sweep.py")
+    out = tmp_path / "demo"
+    argv = [demo, "--iterations", "4", "--alphas", "0.5", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(demo, run_name="__main__")
+    printed = capsys.readouterr().out
+    assert "fine_tuning_a0.5_s0_log.csv" in printed
+    assert "alpha   0.5:" in printed
+    assert "5 files" in printed  # source checkpoint and log, adapted ones, one CSV
+    assert sorted(os.listdir(out)) == [
+        "fine_tuning_a0.5_s0.ckpt", "fine_tuning_a0.5_s0.csv", "fine_tuning_a0.5_s0_log.csv",
+        "manifest.yaml", "source.ckpt", "source_log.csv",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +616,7 @@ def test_cli_baseline_writes_a_genie_curve(tmp_path):
 
 def test_cli_sweep_runs_a_yaml_config(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.yaml"
-    cfg_path.write_text(yaml.safe_dump(tiny_sweep_config(mode="alpha", alphas=(0.5,)).to_dict()))
+    cfg_path.write_text(yaml.safe_dump(tiny_sweep_config(techniques=("fine_tuning",), benchmarks=()).to_dict()))
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
     printed = capsys.readouterr().out
@@ -622,6 +701,16 @@ def test_cli_reports_a_missing_checkpoint_as_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {path}: cannot read: No such file or directory"]
+
+
+def test_cli_rejects_a_negative_seed_with_exit_two(tmp_path, capsys):
+    for verb in ("train-source", "baseline"):
+        out = tmp_path / verb
+        code = run_cli(verb, "--scale", "desk", "--profile", "flat", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: seed must be an integer >= 0, got -1"]
+        assert not out.exists()
 
 
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):

@@ -125,9 +125,11 @@ def test_config_validation(tiny_grid):
             with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
                 tiny_cfg(tiny_grid, **{field: bad})
         assert getattr(tiny_cfg(tiny_grid, **{field: np.int64(4)}), field) == 4
-    for bad in (-1, 2.5, 4.0, False, "4", None):
-        with pytest.raises(ConfigError, match="iterations"):
-            tiny_cfg(tiny_grid, iterations=bad)
+    for field in ("iterations", "seed", "ldpc_seed"):
+        for bad in (-1, 2.5, 4.0, False, "4", None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer >= 0"):
+                tiny_cfg(tiny_grid, **{field: bad})
+        assert getattr(tiny_cfg(tiny_grid, **{field: np.int64(0)}), field) == 0
     for field in ("n_rx", "width_in", "width_res", "num_blocks", "batch", "iterations"):
         with pytest.raises(ConfigError, match=field):
             make_train_config("desk", **{field: 2.5})

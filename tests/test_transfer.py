@@ -17,7 +17,7 @@ from simorx.checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
-from simorx.errors import CheckpointError, ConfigError
+from simorx.errors import CheckpointError, ConfigError, TrainingDiverged
 from simorx.phy.grid import SUPPORTED_SCS_KHZ, GridConfig
 from simorx.receiver import ModelSpec, ReceiverModel
 from simorx.training import TrainConfig, TrainResult, run_training
@@ -448,7 +448,7 @@ def test_adapt_config_budget_rounding(tiny_grid):
     with pytest.raises(ConfigError, match="unknown technique"):
         AdaptConfig("distillation", 0.1, target)
     # Adaptation and the without_tl benchmark share one alpha rule.
-    for bad_alpha in (0.0, -0.1, 1.5, 3.0, float("nan")):
+    for bad_alpha in (0.0, -0.1, 1.5, 3.0, float("nan"), True):
         with pytest.raises(ConfigError, match="alpha"):
             AdaptConfig("fine_tuning", bad_alpha, target)
         with pytest.raises(ConfigError, match="alpha"):
@@ -484,6 +484,19 @@ def test_fine_tuning_updates_every_layer(tiny_source):
         assert changed(src, out.model, name), f"{name} never moved"
     assert out.checkpoint.fingerprint["technique"] == "fine_tuning"
     assert out.checkpoint.fingerprint["alpha"] == repr(0.25)
+
+
+def test_a_diverged_adaptation_snapshots_the_adapted_fingerprint(tiny_source, monkeypatch):
+    import simorx.training
+
+    src, cfg = tiny_source
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    for tech in TECHNIQUES:
+        with pytest.raises(TrainingDiverged) as err:
+            adapt(src, AdaptConfig(tech, 0.25, cfg))
+        fp = err.value.checkpoint.fingerprint
+        assert (fp["technique"], fp["alpha"]) == (tech, repr(0.25))
+        assert fp["modulation"] == cfg.modulation
 
 
 def new_block_trained(model):
