@@ -29,8 +29,9 @@ and is reused by every later conv call on that thread, so a training step
 allocates no im2col memory after its first iteration.  Nothing in the
 workspace outlives the call that filled it: every forward and backward
 returns a freshly allocated array, and threads never share a workspace.
-The package itself runs on one thread; the per-thread workspace is what
-lets a caller run one model's forward from threads of its own.
+Training runs the shards of a batch on two threads (``simorx.training``),
+one model on two tapes at once; the tape and the per-thread workspace are
+what make that safe.
 """
 
 from __future__ import annotations

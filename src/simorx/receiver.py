@@ -273,9 +273,11 @@ def bmd_loss(llrs: np.ndarray, bits: np.ndarray) -> tuple[float, float]:
     return 1.0 - mean_bce_bits, mean_bce_bits
 
 
-def bmd_loss_grad(llrs: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Gradient of ``mean_bce_bits`` with respect to the logits."""
-    return (expit(llrs) - bits) / (LN2 * llrs.size)
+def bmd_loss_grad(llrs: np.ndarray, bits: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Gradient of ``mean_bce_bits`` with respect to the logits, for a mean
+    over ``count`` bits (default ``llrs.size``); a shard of a batch passes
+    the batch's bit count."""
+    return (expit(llrs) - bits) / (LN2 * (llrs.size if count is None else count))
 
 
 def extract_llr_bits(llr_grid: np.ndarray, cfg: GridConfig) -> np.ndarray:

@@ -10,6 +10,19 @@ Every iteration appends one CSV row to the run log::
 
     iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed
 
+Each batch is cut into shards of ``SHARD`` blocks (the last may be
+shorter).  A shard runs its forward and backward on a tape of its own,
+with the loss gradient of every element normalised by the full batch's
+bit count; the shard gradients are then summed in shard order, and one
+Adam step follows, so the update is the full batch's gradient (Goyal et
+al., arXiv:1706.02677).  L is taken over the whole batch.  When a batch
+has more than one shard and the machine more than one usable CPU, the
+shards run on two threads and OpenBLAS, which numpy bundles, is pinned to
+one thread for the whole run: the two threads then fill both cores, where
+a BLAS left at two threads would spin on the core a shard needs.  Without
+that OpenBLAS, the shards run one after another with BLAS as it was.  The
+output bits depend on ``SHARD`` alone, never on the thread count.
+
 Randomness is derived per iteration from ``SeedSequence(seed,
 spawn_key=(iteration,))``, so runs are reproducible.  They are not
 resumable: Adam's moments are not saved and the run log is written only
@@ -18,7 +31,11 @@ when the run ends, so an interrupted run starts over (ROADMAP open item 4).
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +59,7 @@ from .receiver import (
 
 RUN_LOG_HEADER = "iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed"
 CODE_RATE = 0.5
+SHARD = 8  # blocks per shard; the output bits depend on it
 
 
 @dataclass(frozen=True)
@@ -142,11 +160,73 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration,)))
 
 
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of the OpenBLAS that numpy
+    bundles, or None when that library or its setter is not found."""
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _shard_pool(stack: contextlib.ExitStack):
+    """A pool of two threads, with BLAS pinned to one thread until ``stack``
+    closes; None when the shards must run inline with BLAS left as it was."""
+    blas = _openblas()
+    if blas is None or len(os.sched_getaffinity(0)) < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    get, set_ = blas
+    stack.callback(set_, get())
+    set_(1)
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="simorx-shard")
+    stack.callback(pool.shutdown, cancel_futures=True)
+    return pool
+
+
+def _shard_gradients(model: ReceiverModel, x, bits, grid: GridConfig, n_bits: int):
+    """One shard's flat logits and the gradients of its part of the batch
+    loss, whose bit count is ``n_bits``, on a tape of its own."""
+    tape = {}
+    flat = extract_llr_bits(model.forward(x, tape), grid)
+    grad = scatter_llr_bit_grad(bmd_loss_grad(flat, bits, n_bits), grid, model.spec.out_bits)
+    return flat, model.backward(grad, tape)
+
+
+def _batch_gradients(model: ReceiverModel, x, bits, grid: GridConfig, pool=None):
+    """The batch's flat logits and loss gradients, from shards of ``SHARD``
+    blocks run on ``pool`` (inline without one) and summed in shard order."""
+    starts = range(0, x.shape[0], SHARD)
+    task = functools.partial(_shard_gradients, model, grid=grid, n_bits=bits.size)
+    shards = (pool.map if pool else map)(
+        task, [x[i : i + SHARD] for i in starts], [bits[i : i + SHARD] for i in starts]
+    )
+    flats, total = [], None
+    for flat, grads in shards:
+        flats.append(flat)
+        if total is None:
+            total = grads
+        else:
+            for acc, g in zip(total, grads):
+                acc += g
+    return np.concatenate(flats), total
+
+
 def run_training(
     model: ReceiverModel, cfg: TrainConfig, iterations: int | None = None, fingerprint: dict | None = None
 ) -> TrainResult:
     """Run the BMD training loop on an existing model (shared by source
-    training and adaptation).  Each iteration's forward records on a fresh
+    training and adaptation).  Each shard's forward records on a fresh
     tape, which its backward consumes; the backward returns the gradients
     of ``model.trainable_params()``, and only those parameters receive
     updates, so frozen tensors keep their exact bit patterns.
@@ -171,38 +251,39 @@ def run_training(
     opt = Adam(params, lr=cfg.lr)
     log_lines = [RUN_LOG_HEADER]
     losses = np.empty(steps)
-    for it in range(steps):
-        rng = _iteration_rng(cfg.seed, it)
-        ebno = rng.uniform(cfg.ebno_lo_db, cfg.ebno_hi_db, size=cfg.batch)
-        n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, CODE_RATE)
-        tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-        tape = {}
-        llr_grid = model.forward(preprocess(tb.rx), tape)
-        flat = extract_llr_bits(llr_grid, cfg.grid)
-        if not np.isfinite(flat).all():
-            last = losses[it - 1] if it else float("nan")
-            raise TrainingDiverged(
-                f"non-finite logits at iteration {it} (last finite L={last!r}); "
-                f"parameters kept at their pre-update values",
-                iteration=it,
-                checkpoint=checkpoint_from_model(model, fp),
+    with contextlib.ExitStack() as stack:
+        pool = _shard_pool(stack) if cfg.batch > SHARD else None
+        for it in range(steps):
+            rng = _iteration_rng(cfg.seed, it)
+            ebno = rng.uniform(cfg.ebno_lo_db, cfg.ebno_hi_db, size=cfg.batch)
+            n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, CODE_RATE)
+            tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
+            flat, grads = _batch_gradients(model, preprocess(tb.rx), tb.coded_bits, cfg.grid, pool)
+            if not np.isfinite(flat).all():
+                last = losses[it - 1] if it else float("nan")
+                raise TrainingDiverged(
+                    f"non-finite logits at iteration {it} (last finite L={last!r}); "
+                    f"parameters kept at their pre-update values",
+                    iteration=it,
+                    checkpoint=checkpoint_from_model(model, fp),
+                )
+            metric, bce = bmd_loss(flat, tb.coded_bits)
+            try:
+                opt.step(params, grads)
+            except FloatingPointError as exc:
+                # Adam checks every gradient before it updates any parameter.
+                raise TrainingDiverged(
+                    f"non-finite gradient at iteration {it} ({exc}); "
+                    f"parameters kept at their pre-update values",
+                    iteration=it,
+                    checkpoint=checkpoint_from_model(model, fp),
+                ) from exc
+            # Not held while the next step computes its own.
+            del grads
+            losses[it] = metric
+            log_lines.append(
+                f"{it},{metric!r},{bce!r},{cfg.ebno_lo_db!r},{cfg.ebno_hi_db!r},{cfg.seed}"
             )
-        metric, bce = bmd_loss(flat, tb.coded_bits)
-        grad = scatter_llr_bit_grad(bmd_loss_grad(flat, tb.coded_bits), cfg.grid, scheme.bits_per_symbol)
-        try:
-            opt.step(params, model.backward(grad, tape))
-        except FloatingPointError as exc:
-            # Adam checks every gradient before it updates any parameter.
-            raise TrainingDiverged(
-                f"non-finite gradient at iteration {it} ({exc}); "
-                f"parameters kept at their pre-update values",
-                iteration=it,
-                checkpoint=checkpoint_from_model(model, fp),
-            ) from exc
-        losses[it] = metric
-        log_lines.append(
-            f"{it},{metric!r},{bce!r},{cfg.ebno_lo_db!r},{cfg.ebno_hi_db!r},{cfg.seed}"
-        )
     return TrainResult(
         checkpoint=checkpoint_from_model(model, fp),
         model=model,

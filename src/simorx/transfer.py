@@ -236,7 +236,9 @@ def run_benchmark(kind: str, source, target: TrainConfig, alpha: float | None = 
             raise ConfigError("without_tl needs the alpha budget")
         steps = alpha_steps(alpha, target.iterations)
         model = ReceiverModel(target.model_spec(), seed=target.seed)
-        return run_training(model, target, iterations=steps)
+        fp = target.fingerprint()
+        fp.update({"technique": "without_tl", "alpha": repr(alpha)})
+        return run_training(model, target, iterations=steps, fingerprint=fp)
     if kind == "model_transfer":
         loaded = _load_for_target(source, target)
         fp = target.fingerprint()

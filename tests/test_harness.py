@@ -716,7 +716,7 @@ def test_cli_rejects_a_negative_seed_with_exit_two(tmp_path, capsys):
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):
     import simorx.training
 
-    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits, count: np.full_like(llrs, np.nan))
     code = run_cli(
         "train-source", "--scale", "desk", "--profile", "flat",
         "--iterations", "2", "--batch", "2", "--out", str(tmp_path / "src"),

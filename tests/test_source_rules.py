@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -129,6 +131,21 @@ def test_layers_keep_no_per_call_state():
         for line, method in self_writes_in_passes((PACKAGE_DIR / name).read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
+    # Training loads both only when a run shards its batches over threads,
+    # so that importing the package stays as cheap as it was.
+    code = (
+        "import sys, simorx.training, simorx.transfer, simorx.harness.cli\n"
+        "print('concurrent.futures' in sys.modules, simorx.training._openblas.cache_info().currsize)"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.split() == ["False", "0"]
 
 
 def test_every_benchmark_wrap_point_resolves(monkeypatch):

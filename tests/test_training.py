@@ -1,15 +1,23 @@
 """Training loop: determinism, logging, divergence handling, edge budgets."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import simorx.training
 from simorx.checkpoint import checkpoint_bytes, checkpoint_from_model
 from simorx.config import make_train_config
 from simorx.errors import ConfigError, TrainingDiverged
-from simorx.receiver import ReceiverModel
-from simorx.training import RUN_LOG_HEADER, TrainConfig, run_training, train_source
+from simorx.receiver import ReceiverModel, bmd_loss_grad, extract_llr_bits, scatter_llr_bit_grad
+from simorx.training import RUN_LOG_HEADER, SHARD, TrainConfig, run_training, train_source
+from simorx.transfer import AdaptConfig, adapt
+
+# More than one shard per batch, the last one short.
+SHARDED_BATCH = SHARD + 2
 
 
 def tiny_cfg(grid, **kw):
@@ -86,13 +94,11 @@ def test_divergence_raises_and_preserves_the_last_good_state(tiny_grid):
 
 
 def test_non_finite_gradient_raises_with_the_pre_update_state(tiny_grid, monkeypatch):
-    import simorx.training
-
     cfg = tiny_cfg(tiny_grid)
     model = ReceiverModel(cfg.model_spec(), seed=cfg.seed)
     run_training(model, cfg, iterations=2)
     before = checkpoint_bytes(checkpoint_from_model(model, cfg.fingerprint()))
-    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits, count: np.full_like(llrs, np.nan))
     with pytest.raises(TrainingDiverged, match="non-finite gradient at iteration 0") as err:
         run_training(model, cfg)
     assert err.value.iteration == 0
@@ -179,3 +185,108 @@ def test_frozen_layers_keep_their_bits_through_training(tiny_grid):
     run_training(model, cfg, iterations=4)
     np.testing.assert_array_equal(model.input_conv.wmat, frozen_w)
     np.testing.assert_array_equal(model.input_conv.bias, frozen_b)
+
+
+def _spy_on_pools(monkeypatch) -> list:
+    """Record whether each ``run_training`` ran its shards on a pool."""
+    used = []
+    make = simorx.training._shard_pool
+
+    def spy(stack):
+        pool = make(stack)
+        used.append(pool is not None)
+        return pool
+
+    monkeypatch.setattr(simorx.training, "_shard_pool", spy)
+    return used
+
+
+def test_thread_count_does_not_change_the_bytes(tiny_grid, monkeypatch):
+    cfg = tiny_cfg(tiny_grid, batch=SHARDED_BATCH, iterations=3)
+
+    def runs():
+        source = train_source(cfg)
+        adapted = adapt(source.checkpoint, AdaptConfig("fine_tuning_plus", 1.0, replace(cfg, seed=12)))
+        return [(checkpoint_bytes(r.checkpoint), r.log_lines) for r in (source, adapted)]
+
+    used = _spy_on_pools(monkeypatch)
+    threaded = runs()
+    if simorx.training._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+        assert used == [True, True]
+    monkeypatch.setattr(simorx.training, "_openblas", lambda: None)
+    inline = runs()
+    assert used[2:] == [False, False]
+    assert threaded == inline
+
+
+def test_shard_gradients_sum_to_the_full_batch_gradient(tiny_grid, seeded):
+    cfg = tiny_cfg(tiny_grid, batch=4 * SHARD + 2)
+    model = ReceiverModel(cfg.model_spec(), seed=cfg.seed)
+    rng = seeded(5)
+    x = rng.standard_normal((cfg.batch, 2 * cfg.n_rx, tiny_grid.num_symbols, tiny_grid.num_subcarriers))
+    bits = rng.integers(0, 2, size=(cfg.batch, tiny_grid.num_data_res * 2), dtype=np.uint8)
+
+    flat, grads = simorx.training._batch_gradients(model, x, bits, tiny_grid)
+    # More threads than cores, switching often: a layer that kept per-call
+    # state would mix the shards up.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            flat_pool, grads_pool = simorx.training._batch_gradients(model, x, bits, tiny_grid, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert flat.tobytes() == flat_pool.tobytes()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_pool]
+
+    tape = {}
+    flat_full = extract_llr_bits(model.forward(x, tape), tiny_grid)
+    want = model.backward(scatter_llr_bit_grad(bmd_loss_grad(flat_full, bits), tiny_grid, 2), tape)
+    np.testing.assert_allclose(flat, flat_full, rtol=1e-6, atol=1e-6)
+    assert len(grads) == len(want) == len(model.trainable_params())
+    for got, ref in zip(grads, want):
+        assert np.linalg.norm(got - ref) <= 1e-5 * np.linalg.norm(ref)
+
+
+def test_blas_thread_count_is_restored_when_the_run_returns_or_raises(tiny_grid, monkeypatch):
+    blas = simorx.training._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread setter is not available")
+    get, _ = blas
+    before = get()
+    cfg = tiny_cfg(tiny_grid, batch=SHARDED_BATCH, iterations=2)
+    during = []
+    shard = simorx.training._shard_gradients
+
+    def counting(*args, **kwargs):
+        during.append(get())
+        return shard(*args, **kwargs)
+
+    monkeypatch.setattr(simorx.training, "_shard_gradients", counting)
+    used = _spy_on_pools(monkeypatch)
+    train_source(cfg)
+    assert get() == before
+    if used[0]:
+        assert set(during) == {1}
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits, count: np.full_like(llrs, np.nan))
+    with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+        train_source(cfg)
+    assert get() == before
+
+
+def test_non_finite_logits_in_one_shard_keep_the_pre_update_state(tiny_grid, monkeypatch):
+    cfg = tiny_cfg(tiny_grid, batch=SHARDED_BATCH)
+    model = ReceiverModel(cfg.model_spec(), seed=cfg.seed)
+    before = checkpoint_bytes(checkpoint_from_model(model, cfg.fingerprint()))
+    simulate = simorx.training.simulate_batch
+
+    def poisoned(*args):
+        tb = simulate(*args)
+        tb.rx[-1] = np.nan  # the last block only: the last shard
+        return tb
+
+    monkeypatch.setattr(simorx.training, "simulate_batch", poisoned)
+    with pytest.raises(TrainingDiverged, match="non-finite logits at iteration 0") as err:
+        run_training(model, cfg)
+    assert checkpoint_bytes(err.value.checkpoint) == before
+    assert checkpoint_bytes(checkpoint_from_model(model, cfg.fingerprint())) == before

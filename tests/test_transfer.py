@@ -490,7 +490,7 @@ def test_a_diverged_adaptation_snapshots_the_adapted_fingerprint(tiny_source, mo
     import simorx.training
 
     src, cfg = tiny_source
-    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits: np.full_like(llrs, np.nan))
+    monkeypatch.setattr(simorx.training, "bmd_loss_grad", lambda llrs, bits, count: np.full_like(llrs, np.nan))
     for tech in TECHNIQUES:
         with pytest.raises(TrainingDiverged) as err:
             adapt(src, AdaptConfig(tech, 0.25, cfg))
@@ -616,6 +616,14 @@ def test_without_tl_benchmark_spends_the_alpha_budget(tiny_grid):
     assert isinstance(out, TrainResult)
     assert out.steps == 5
     assert len(out.log_lines) == 6
+    # Two budgets train two models, so their checkpoints must not share a
+    # fingerprint id (nor their BLER curves a target_fp).
+    other = run_benchmark("without_tl", None, cfg, alpha=0.5)
+    assert {k: out.checkpoint.fingerprint[k] for k in ("technique", "alpha")} == {
+        "technique": "without_tl", "alpha": "0.25",
+    }
+    assert other.checkpoint.fingerprint["alpha"] == "0.5"
+    assert out.checkpoint.fingerprint_id != other.checkpoint.fingerprint_id
     with pytest.raises(ConfigError, match="alpha budget"):
         run_benchmark("without_tl", None, cfg)
 
