@@ -7,7 +7,7 @@ independent block-fading realization, and hit with AWGN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,10 @@ class TransmissionBatch:
     @property
     def batch(self) -> int:
         return self.info_bits.shape[0]
+
+    def blocks(self, start: int, stop: int) -> TransmissionBatch:
+        """Blocks ``start:stop`` of this batch, as views of its arrays."""
+        return TransmissionBatch(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
 def code_for_grid(cfg: GridConfig, scheme: ModulationScheme, ldpc_seed: int = 1) -> LdpcCode:

@@ -9,10 +9,23 @@ spawn_key=(point_index, batch_index))``, so the stream of any batch is
 independent of how many batches ran before it.  Batches run one after
 another and are folded with integer counters; the counts depend on the
 config alone.
+
+Each batch is simulated whole, then cut into shards of
+``training.SHARD`` blocks; the receiver's ``llrs`` runs once per shard,
+on training's two-thread pool (with BLAS pinned to one thread for the
+whole call) when the batch has more than one shard, and the shard LLRs
+are joined in shard order and decoded as one batch on the calling
+thread.  A receiver's ``llrs`` must therefore give each block's LLRs
+from that block alone, and must be safe to call from two threads at
+once.  The last batch of a point runs only the shards that hold the
+blocks the point still counts.  The counts never depend on the thread
+count; LLR float bits may depend on the shard boundaries, which depend
+on ``batch`` alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +38,7 @@ from ..phy.grid import GridConfig
 from ..phy.ldpc import decode
 from ..phy.modulation import get_scheme
 from ..receiver import ReceiverModel, extract_llr_bits, preprocess
-from ..training import CODE_RATE
+from ..training import CODE_RATE, SHARD, _shard_pool
 from .genie import genie_lmmse_baseline
 
 
@@ -112,28 +125,37 @@ class GenieReceiver:
 
 
 def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
-    """Evaluate one receiver over the Eb/No grid."""
+    """Evaluate one receiver over the Eb/No grid.
+
+    ``receiver.llrs`` is called on shards of ``SHARD`` blocks, two at a
+    time when ``cfg.batch > SHARD``: it must be per-block and thread-safe.
+    """
     scheme = get_scheme(cfg.modulation)
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
 
     points = []
-    for point_idx, ebno in enumerate(cfg.ebno_grid_db):
-        n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
-        blocks = block_errors = bit_errors = 0
-        batch_idx = 0
-        while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx))
-            )
-            tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-            info, _ = decode(receiver.llrs(tb), code, max_iters=cfg.decoder_iters)
-            wrong_bits = (info != tb.info_bits).sum(axis=1)[: cfg.max_blocks - blocks]
-            blocks += wrong_bits.size
-            block_errors += int((wrong_bits > 0).sum())
-            bit_errors += int(wrong_bits.sum())
-            batch_idx += 1
-        points.append(BlerPoint(float(ebno), blocks, block_errors, bit_errors))
+    with contextlib.ExitStack() as stack:
+        pool = _shard_pool(stack) if cfg.batch > SHARD else None
+        for point_idx, ebno in enumerate(cfg.ebno_grid_db):
+            n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
+            blocks = block_errors = bit_errors = 0
+            batch_idx = 0
+            while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx))
+                )
+                tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
+                need = min(tb.batch, cfg.max_blocks - blocks)
+                shards = [tb.blocks(i, i + SHARD) for i in range(0, need, SHARD)]
+                llrs = np.concatenate(list((pool.map if pool else map)(receiver.llrs, shards)))
+                info, _ = decode(llrs[:need], code, max_iters=cfg.decoder_iters)
+                wrong_bits = (info != tb.info_bits[:need]).sum(axis=1)
+                blocks += need
+                block_errors += int((wrong_bits > 0).sum())
+                bit_errors += int(wrong_bits.sum())
+                batch_idx += 1
+            points.append(BlerPoint(float(ebno), blocks, block_errors, bit_errors))
     meta = {"modulation": cfg.modulation, "profile": cfg.profile, "seed": cfg.seed}
     meta.update(receiver.describe())
     return BlerCurve(points, meta)

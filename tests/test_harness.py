@@ -1,5 +1,6 @@
 """Evaluation harness: genie baseline, BLER loop, result files, sweeps, CLI."""
 
+import itertools
 import math
 import os
 import sys
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
+import simorx.harness.bler
+import simorx.training
 from simorx.chain import code_for_grid, simulate_batch
 from simorx.checkpoint import save_checkpoint
+from simorx.channel.fading import ebno_to_n0
 from simorx.channel.profiles import load_profile
 from simorx.config import (
     EBNO_GRID_DB,
@@ -40,8 +44,10 @@ from simorx.harness.results import (
 )
 from simorx.harness.sweep import SweepConfig, sweep
 from simorx.phy.grid import GridConfig
+from simorx.phy.ldpc import decode
 from simorx.phy.modulation import get_scheme
 from simorx.receiver import ModelSpec, ReceiverModel
+from simorx.training import CODE_RATE
 
 
 def qfunc(x: float) -> float:
@@ -219,6 +225,138 @@ def test_neural_receiver_adapter_runs_end_to_end(tiny_grid):
     assert curve.points[0].blocks == 4
     assert curve.metadata["receiver"] == "neural"
     assert curve.metadata["target_fp"] == "cafe01234567"
+
+
+class RecordingReceiver:
+    """Passes ``llrs`` on to ``receiver`` and records each call's block count."""
+
+    def __init__(self, receiver):
+        self.receiver = receiver
+        self.sizes = []
+
+    def llrs(self, tb):
+        self.sizes.append(tb.batch)
+        return self.receiver.llrs(tb)
+
+    def describe(self):
+        return self.receiver.describe()
+
+
+def whole_batch_points(cfg: EvalConfig, receiver) -> list:
+    """The BLER points of a loop that evaluates and decodes every batch whole
+    and counts the first blocks each point still needs."""
+    scheme = get_scheme(cfg.modulation)
+    code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
+    profile = load_profile(cfg.profile)
+    points = []
+    for point_idx, ebno in enumerate(cfg.ebno_grid_db):
+        n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
+        blocks = block_errors = bit_errors = batch_idx = 0
+        while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx)))
+            tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
+            info, _ = decode(receiver.llrs(tb), code, max_iters=cfg.decoder_iters)
+            wrong_bits = (info != tb.info_bits).sum(axis=1)[: cfg.max_blocks - blocks]
+            blocks += wrong_bits.size
+            block_errors += int((wrong_bits > 0).sum())
+            bit_errors += int(wrong_bits.sum())
+            batch_idx += 1
+        points.append(BlerPoint(float(ebno), blocks, block_errors, bit_errors))
+    return points
+
+
+def test_the_last_batch_of_a_point_evaluates_only_the_shards_it_counts(tiny_grid):
+    # 20 blocks at batch 16: the second batch is simulated whole (the draws
+    # do not change) but only its first shard of 8 goes through the receiver.
+    assert simorx.training.SHARD == 8
+    cfg = tiny_eval(tiny_grid, batch=16, max_blocks=20, max_block_errors=100)
+    genie = GenieReceiver(get_scheme("qpsk"), tiny_grid)
+    rx = RecordingReceiver(genie)
+    points = run_bler(cfg, rx).points
+    assert [p.blocks for p in points] == [20, 20]
+    assert rx.sizes == [8] * 6
+    assert points == whole_batch_points(cfg, genie)
+
+
+@pytest.mark.parametrize("batch", [20, 33])
+def test_thread_count_never_changes_a_bler_count(tiny_grid, monkeypatch, batch):
+    # 40 blocks per point: at batch 20 every batch ends in a shard of 4, at
+    # batch 33 the first ends in a shard of 1 and the second needs 7 blocks.
+    cfg = tiny_eval(tiny_grid, batch=batch, max_blocks=40, max_block_errors=40)
+    spec = make_train_config("desk", grid=tiny_grid, n_rx=1, width_in=4, width_res=6).model_spec()
+    receivers = (
+        NeuralReceiver(ReceiverModel(spec, seed=3), tiny_grid),
+        GenieReceiver(get_scheme("qpsk"), tiny_grid),
+    )
+    used = []
+    make = simorx.harness.bler._shard_pool
+
+    def spy(stack):
+        pool = make(stack)
+        used.append(pool is not None)
+        return pool
+
+    monkeypatch.setattr(simorx.harness.bler, "_shard_pool", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two shard threads as often as possible
+    try:
+        threaded = [run_bler(cfg, rx).points for rx in receivers]
+    finally:
+        sys.setswitchinterval(interval)
+    if simorx.training._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+        assert used == [True, True]
+    monkeypatch.setattr(simorx.training, "_openblas", lambda: None)
+    inline = [run_bler(cfg, rx).points for rx in receivers]
+    assert used[2:] == [False, False]
+    assert threaded == inline
+    assert all(p.blocks == 40 for points in inline for p in points)
+
+
+@pytest.fixture
+def blas_get():
+    """The getter of OpenBLAS's thread count, with the count set to 2 (not 1,
+    whatever an earlier run left behind) and put back afterwards."""
+    blas = simorx.training._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread setter is not available")
+    get, set_ = blas
+    outside = get()
+    set_(2)
+    yield get
+    set_(outside)
+
+
+def test_bler_restores_the_blas_thread_count_when_it_returns_or_raises(tiny_grid, blas_get):
+    get = blas_get
+    before = get()
+    cfg = tiny_eval(tiny_grid, batch=20)
+    genie = GenieReceiver(get_scheme("qpsk"), tiny_grid)
+    during = []
+
+    class Counting(RecordingReceiver):
+        def llrs(self, tb):
+            during.append(get())
+            return super().llrs(tb)
+
+    run_bler(cfg, Counting(genie))
+    assert get() == before
+    if len(os.sched_getaffinity(0)) > 1:
+        assert set(during) == {1}
+
+    boom = RuntimeError("receiver failed on its second shard")
+
+    class FailingOnSecondShard(RecordingReceiver):
+        calls = itertools.count()  # next() is atomic: one call alone draws 1
+
+        def llrs(self, tb):
+            if next(self.calls) == 1:
+                raise boom
+            return super().llrs(tb)
+
+    with pytest.raises(RuntimeError) as err:
+        run_bler(cfg, FailingOnSecondShard(genie))
+    assert err.value is boom
+    assert get() == before
 
 
 # ---------------------------------------------------------------------------

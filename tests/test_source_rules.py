@@ -134,10 +134,10 @@ def test_layers_keep_no_per_call_state():
 
 
 def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
-    # Training loads both only when a run shards its batches over threads,
-    # so that importing the package stays as cheap as it was.
+    # Training and evaluation load both only when a run shards its batches
+    # over threads, so that importing the package stays as cheap as it was.
     code = (
-        "import sys, simorx.training, simorx.transfer, simorx.harness.cli\n"
+        "import sys, simorx.training, simorx.transfer, simorx.harness.bler, simorx.harness.sweep, simorx.harness.cli\n"
         "print('concurrent.futures' in sys.modules, simorx.training._openblas.cache_info().currsize)"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
