@@ -20,7 +20,6 @@ from simorx.harness.genie import genie_lmmse_baseline
 from simorx.phy.grid import pilot_values
 from simorx.phy.ldpc import decode, syndrome
 from simorx.phy.modulation import get_scheme
-from simorx.training import CODE_RATE
 
 
 def main() -> None:
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"rate-1/2 LDPC: n={code.n} coded bits <- k={code.k} information bits")
     print(f"  exactly fills the grid: {grid.num_data_res} REs x {scheme.bits_per_symbol} bits")
 
-    n0 = ebno_to_n0(args.ebno_db, scheme.bits_per_symbol, CODE_RATE)
+    n0 = ebno_to_n0(args.ebno_db, scheme.bits_per_symbol, code.rate)
     print(f"\n=== one block at Eb/N0 = {args.ebno_db:g} dB (n0 = {n0:.4f}) ===")
     profile = load_profile(args.profile)
     tb = simulate_batch(grid, scheme, code, profile, n0, batch=1, n_rx=2, rng=rng)

@@ -104,8 +104,13 @@ def make_eval_config(scale: str = "desk", **overrides) -> EvalConfig:
 
 
 def load_yaml(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    """The top-level mapping of the YAML file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        # One line: the YAML parser's message spans several.
+        raise ConfigError(f"{path}: cannot read YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return data

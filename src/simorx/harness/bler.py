@@ -10,27 +10,25 @@ independent of how many batches ran before it.  Batches run one after
 another and are folded with integer counters; the counts depend on the
 config alone.
 
-Each batch is simulated whole, then cut into shards of
-``training.SHARD`` blocks; the receiver's ``llrs`` runs once per shard,
-on training's two-thread pool (with BLAS pinned to one thread for the
-whole call) when the batch has more than one shard, and the shard LLRs
-are joined in shard order and decoded as one batch on the calling
-thread.  A receiver's ``llrs`` must therefore give each block's LLRs
-from that block alone, and must be safe to call from two threads at
-once.  The last batch of a point runs only the shards that hold the
-blocks the point still counts.  The counts never depend on the thread
-count; LLR float bits may depend on the shard boundaries, which depend
-on ``batch`` alone.
+Each batch is simulated whole, then cut into the shards of
+``chain.shard_slices``; the receiver's ``llrs`` runs once per shard,
+through ``chain.shard_map`` held open for the whole call (the ``chain``
+docstring says when that uses threads), and the shard LLRs are joined in
+shard order and decoded as one batch on the calling thread.  A
+receiver's ``llrs`` must therefore give each block's LLRs from that block
+alone, and must be safe to call from two threads at once.  The last
+batch of a point runs only the shards that hold the blocks the point
+still counts.  The counts never depend on the thread count; LLR float
+bits may depend on the shard boundaries, which depend on ``batch`` alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..chain import TransmissionBatch, code_for_grid, simulate_batch
+from ..chain import TransmissionBatch, code_for_grid, shard_map, shard_slices, simulate_batch
 from ..channel.fading import ebno_to_n0
 from ..channel.profiles import load_profile
 from ..errors import ConfigError, is_finite_real, is_integer
@@ -38,7 +36,6 @@ from ..phy.grid import GridConfig
 from ..phy.ldpc import decode
 from ..phy.modulation import get_scheme
 from ..receiver import ReceiverModel, extract_llr_bits, preprocess
-from ..training import CODE_RATE, SHARD, _shard_pool
 from .genie import genie_lmmse_baseline
 
 
@@ -127,18 +124,17 @@ class GenieReceiver:
 def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
     """Evaluate one receiver over the Eb/No grid.
 
-    ``receiver.llrs`` is called on shards of ``SHARD`` blocks, two at a
-    time when ``cfg.batch > SHARD``: it must be per-block and thread-safe.
+    ``receiver.llrs`` is called once per shard, two shards at a time when
+    ``chain.shard_map`` uses threads: it must be per-block and thread-safe.
     """
     scheme = get_scheme(cfg.modulation)
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
 
     points = []
-    with contextlib.ExitStack() as stack:
-        pool = _shard_pool(stack) if cfg.batch > SHARD else None
+    with shard_map(cfg.batch) as smap:
         for point_idx, ebno in enumerate(cfg.ebno_grid_db):
-            n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
+            n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, code.rate)
             blocks = block_errors = bit_errors = 0
             batch_idx = 0
             while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
@@ -147,8 +143,8 @@ def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
                 )
                 tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
                 need = min(tb.batch, cfg.max_blocks - blocks)
-                shards = [tb.blocks(i, i + SHARD) for i in range(0, need, SHARD)]
-                llrs = np.concatenate(list((pool.map if pool else map)(receiver.llrs, shards)))
+                shards = [tb.blocks(s) for s in shard_slices(need)]
+                llrs = np.concatenate(list(smap(receiver.llrs, shards)))
                 info, _ = decode(llrs[:need], code, max_iters=cfg.decoder_iters)
                 wrong_bits = (info != tb.info_bits[:need]).sum(axis=1)
                 blocks += need

@@ -100,9 +100,10 @@ def write_manifest(config: dict, out_dir, *, files=(), profiles=()) -> str:
 
 
 def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = yaml.safe_load(fh)
-    if not isinstance(manifest, dict) or "config" not in manifest:
+    from ..config import load_yaml  # config imports this package
+
+    manifest = load_yaml(path)
+    if "config" not in manifest:
         raise ConfigError(f"{path}: not a run manifest")
     return manifest
 

@@ -1,6 +1,6 @@
 from .grid import GridConfig, build_grid, extract_data_res, pilot_values
-from .ldpc import LdpcCode, build_code, decode, encode, export_parity_check, syndrome
-from .modulation import ModulationScheme, export_constellation, get_scheme, qam_map
+from .ldpc import LdpcCode, build_code, decode, encode, syndrome
+from .modulation import ModulationScheme, get_scheme, qam_map
 
 __all__ = [
     "GridConfig",
@@ -11,10 +11,8 @@ __all__ = [
     "build_code",
     "decode",
     "encode",
-    "export_parity_check",
     "syndrome",
     "ModulationScheme",
-    "export_constellation",
     "get_scheme",
     "qam_map",
 ]

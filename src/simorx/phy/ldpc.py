@@ -308,14 +308,3 @@ def _check_update(q: np.ndarray, norm: np.float32) -> np.ndarray:
     bits = r.view(np.uint32)
     bits |= sign
     return r.reshape(-1, q.shape[-1])
-
-
-def export_parity_check(code: LdpcCode) -> str:
-    """Text form of the parity-check matrix: one line of variable indices per check."""
-    lines = [
-        f"# ldpc n={code.n} k={code.k} row_weight={ROW_WEIGHT} "
-        f"col_weight={COL_WEIGHT} construction_seed={code.construction_seed}"
-    ]
-    for row in code.row_vars:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -83,12 +83,3 @@ def qam_map(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     weights = 1 << np.arange(k - 1, -1, -1)
     labels = grouped @ weights
     return scheme.points[labels]
-
-
-def export_constellation(scheme: ModulationScheme) -> str:
-    """Labelled points as text: one ``bits re im`` line per label."""
-    k = scheme.bits_per_symbol
-    lines = [f"# {scheme.name} bits_per_symbol={k}"]
-    for label, p in enumerate(scheme.points):
-        lines.append(f"{label:0{k}b} {float(p.real)!r} {float(p.imag)!r}")
-    return "\n".join(lines) + "\n"

@@ -78,11 +78,6 @@ class ResNetBlock:
             items.append(("proj", self.proj))
         return items
 
-    def astype(self, dtype) -> "ResNetBlock":
-        for _, layer in self.primitive_items():
-            layer.astype(dtype)
-        return self
-
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         h = self.norm1.forward(x, tape)
         h = self.relu1.forward(h, tape)

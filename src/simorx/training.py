@@ -10,18 +10,15 @@ Every iteration appends one CSV row to the run log::
 
     iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed
 
-Each batch is cut into shards of ``SHARD`` blocks (the last may be
-shorter).  A shard runs its forward and backward on a tape of its own,
+Each batch is cut into the shards of ``chain.shard_slices`` (the last may
+be shorter).  A shard runs its forward and backward on a tape of its own,
 with the loss gradient of every element normalised by the full batch's
 bit count; the shard gradients are then summed in shard order, and one
 Adam step follows, so the update is the full batch's gradient (Goyal et
-al., arXiv:1706.02677).  L is taken over the whole batch.  When a batch
-has more than one shard and the machine more than one usable CPU, the
-shards run on two threads and OpenBLAS, which numpy bundles, is pinned to
-one thread for the whole run: the two threads then fill both cores, where
-a BLAS left at two threads would spin on the core a shard needs.  Without
-that OpenBLAS, the shards run one after another with BLAS as it was.  The
-output bits depend on ``SHARD`` alone, never on the thread count.
+al., arXiv:1706.02677).  L is taken over the whole batch.  The shards run
+through ``chain.shard_map``, held open for the whole run; the ``chain``
+docstring says when they run on threads.  The output bits depend on the
+shard size alone, never on the thread count.
 
 Randomness is derived per iteration from ``SeedSequence(seed,
 spawn_key=(iteration,))``, so runs are reproducible.  They are not
@@ -31,15 +28,12 @@ when the run ends, so an interrupted run starts over (ROADMAP open item 4).
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .chain import code_for_grid, simulate_batch
+from .chain import code_for_grid, shard_map, shard_slices, simulate_batch
 from .channel.fading import ebno_to_n0
 from .channel.profiles import load_profile
 from .checkpoint import Checkpoint, checkpoint_from_model
@@ -58,8 +52,6 @@ from .receiver import (
 )
 
 RUN_LOG_HEADER = "iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed"
-CODE_RATE = 0.5
-SHARD = 8  # blocks per shard; the output bits depend on it
 
 
 @dataclass(frozen=True)
@@ -160,40 +152,6 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration,)))
 
 
-@functools.cache
-def _openblas():
-    """``(get, set)`` for the thread count of the OpenBLAS that numpy
-    bundles, or None when that library or its setter is not found."""
-    import ctypes
-
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-def _shard_pool(stack: contextlib.ExitStack):
-    """A pool of two threads, with BLAS pinned to one thread until ``stack``
-    closes; None when the shards must run inline with BLAS left as it was."""
-    blas = _openblas()
-    if blas is None or len(os.sched_getaffinity(0)) < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    get, set_ = blas
-    stack.callback(set_, get())
-    set_(1)
-    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="simorx-shard")
-    stack.callback(pool.shutdown, cancel_futures=True)
-    return pool
-
-
 def _shard_gradients(model: ReceiverModel, x, bits, grid: GridConfig, n_bits: int):
     """One shard's flat logits and the gradients of its part of the batch
     loss, whose bit count is ``n_bits``, on a tape of its own."""
@@ -203,16 +161,13 @@ def _shard_gradients(model: ReceiverModel, x, bits, grid: GridConfig, n_bits: in
     return flat, model.backward(grad, tape)
 
 
-def _batch_gradients(model: ReceiverModel, x, bits, grid: GridConfig, pool=None):
-    """The batch's flat logits and loss gradients, from shards of ``SHARD``
-    blocks run on ``pool`` (inline without one) and summed in shard order."""
-    starts = range(0, x.shape[0], SHARD)
+def _batch_gradients(model: ReceiverModel, x, bits, grid: GridConfig, smap=map):
+    """The batch's flat logits and loss gradients, from its shards run
+    through ``smap`` and summed in shard order."""
+    shards = shard_slices(x.shape[0])
     task = functools.partial(_shard_gradients, model, grid=grid, n_bits=bits.size)
-    shards = (pool.map if pool else map)(
-        task, [x[i : i + SHARD] for i in starts], [bits[i : i + SHARD] for i in starts]
-    )
     flats, total = [], None
-    for flat, grads in shards:
+    for flat, grads in smap(task, [x[s] for s in shards], [bits[s] for s in shards]):
         flats.append(flat)
         if total is None:
             total = grads
@@ -251,14 +206,13 @@ def run_training(
     opt = Adam(params, lr=cfg.lr)
     log_lines = [RUN_LOG_HEADER]
     losses = np.empty(steps)
-    with contextlib.ExitStack() as stack:
-        pool = _shard_pool(stack) if cfg.batch > SHARD else None
+    with shard_map(cfg.batch) as smap:
         for it in range(steps):
             rng = _iteration_rng(cfg.seed, it)
             ebno = rng.uniform(cfg.ebno_lo_db, cfg.ebno_hi_db, size=cfg.batch)
-            n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, CODE_RATE)
+            n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, code.rate)
             tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-            flat, grads = _batch_gradients(model, preprocess(tb.rx), tb.coded_bits, cfg.grid, pool)
+            flat, grads = _batch_gradients(model, preprocess(tb.rx), tb.coded_bits, cfg.grid, smap)
             if not np.isfinite(flat).all():
                 last = losses[it - 1] if it else float("nan")
                 raise TrainingDiverged(

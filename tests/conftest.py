@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import simorx.chain
 from simorx.phy.grid import GridConfig
 
 # Property tests draw the same examples on every run, so there is no
@@ -26,3 +27,17 @@ def tiny_grid():
 def seeded():
     """Factory for independent seeded generators: ``seeded(3)``."""
     return np.random.default_rng
+
+
+@pytest.fixture
+def blas_get():
+    """The getter of OpenBLAS's thread count, with the count set to 2 (not 1,
+    whatever an earlier run left behind) and put back afterwards."""
+    blas = simorx.chain._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread setter is not available")
+    get, set_ = blas
+    outside = get()
+    set_(2)
+    yield get
+    set_(outside)

@@ -1,5 +1,6 @@
 """Evaluation harness: genie baseline, BLER loop, result files, sweeps, CLI."""
 
+import contextlib
 import itertools
 import math
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
+import simorx.chain
 import simorx.harness.bler
-import simorx.training
 from simorx.chain import code_for_grid, simulate_batch
 from simorx.checkpoint import save_checkpoint
 from simorx.channel.fading import ebno_to_n0
@@ -47,7 +48,6 @@ from simorx.phy.grid import GridConfig
 from simorx.phy.ldpc import decode
 from simorx.phy.modulation import get_scheme
 from simorx.receiver import ModelSpec, ReceiverModel
-from simorx.training import CODE_RATE
 
 
 def qfunc(x: float) -> float:
@@ -250,7 +250,7 @@ def whole_batch_points(cfg: EvalConfig, receiver) -> list:
     profile = load_profile(cfg.profile)
     points = []
     for point_idx, ebno in enumerate(cfg.ebno_grid_db):
-        n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, CODE_RATE)
+        n0 = ebno_to_n0(float(ebno), scheme.bits_per_symbol, code.rate)
         blocks = block_errors = bit_errors = batch_idx = 0
         while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx)))
@@ -268,7 +268,7 @@ def whole_batch_points(cfg: EvalConfig, receiver) -> list:
 def test_the_last_batch_of_a_point_evaluates_only_the_shards_it_counts(tiny_grid):
     # 20 blocks at batch 16: the second batch is simulated whole (the draws
     # do not change) but only its first shard of 8 goes through the receiver.
-    assert simorx.training.SHARD == 8
+    assert simorx.chain.SHARD == 8
     cfg = tiny_eval(tiny_grid, batch=16, max_blocks=20, max_block_errors=100)
     genie = GenieReceiver(get_scheme("qpsk"), tiny_grid)
     rx = RecordingReceiver(genie)
@@ -289,41 +289,28 @@ def test_thread_count_never_changes_a_bler_count(tiny_grid, monkeypatch, batch):
         GenieReceiver(get_scheme("qpsk"), tiny_grid),
     )
     used = []
-    make = simorx.harness.bler._shard_pool
+    make = simorx.harness.bler.shard_map
 
-    def spy(stack):
-        pool = make(stack)
-        used.append(pool is not None)
-        return pool
+    @contextlib.contextmanager
+    def spy(batch):
+        with make(batch) as smap:
+            used.append(smap is not map)
+            yield smap
 
-    monkeypatch.setattr(simorx.harness.bler, "_shard_pool", spy)
+    monkeypatch.setattr(simorx.harness.bler, "shard_map", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two shard threads as often as possible
     try:
         threaded = [run_bler(cfg, rx).points for rx in receivers]
     finally:
         sys.setswitchinterval(interval)
-    if simorx.training._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+    if simorx.chain._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
         assert used == [True, True]
-    monkeypatch.setattr(simorx.training, "_openblas", lambda: None)
+    monkeypatch.setattr(simorx.chain, "_openblas", lambda: None)
     inline = [run_bler(cfg, rx).points for rx in receivers]
     assert used[2:] == [False, False]
     assert threaded == inline
     assert all(p.blocks == 40 for points in inline for p in points)
-
-
-@pytest.fixture
-def blas_get():
-    """The getter of OpenBLAS's thread count, with the count set to 2 (not 1,
-    whatever an earlier run left behind) and put back afterwards."""
-    blas = simorx.training._openblas()
-    if blas is None:
-        pytest.skip("numpy's bundled OpenBLAS thread setter is not available")
-    get, set_ = blas
-    outside = get()
-    set_(2)
-    yield get
-    set_(outside)
 
 
 def test_bler_restores_the_blas_thread_count_when_it_returns_or_raises(tiny_grid, blas_get):
@@ -769,6 +756,23 @@ def test_cli_sweep_rejects_a_bad_config_with_exit_two(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
     assert "seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content", [b"techniques: [a\n", b"techniques: [\xff]\n", None], ids=["unclosed", "not-utf8", "missing"]
+)
+def test_cli_sweep_rejects_an_unreadable_config_file_with_one_error_line(tmp_path, capsys, content):
+    cfg_path = tmp_path / "sweep.yaml"
+    if content is not None:
+        cfg_path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: cannot read YAML: ")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="cannot read YAML") as exc:
+        read_manifest(cfg_path)
+    assert str(cfg_path) in str(exc.value)
 
 
 def cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, bad: dict, match: str):

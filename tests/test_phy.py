@@ -13,10 +13,9 @@ from simorx.phy.ldpc import (
     build_code,
     decode,
     encode,
-    export_parity_check,
     syndrome,
 )
-from simorx.phy.modulation import export_constellation, get_scheme, qam_map
+from simorx.phy.modulation import get_scheme, qam_map
 
 # -------------------------------------------------------------- constellation
 
@@ -99,17 +98,6 @@ def test_qam_map_rejects_ragged_bit_count():
         qam_map(np.zeros(5, dtype=int), get_scheme("16qam"))
     with pytest.raises(ConfigError):
         get_scheme("8psk")
-
-
-def test_constellation_export_parses_back():
-    s = get_scheme("16qam")
-    text = export_constellation(s)
-    lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
-    assert len(lines) == s.num_points
-    for ln in lines:
-        label, re, im = ln.split()
-        p = s.points[int(label, 2)]
-        assert float(re) == p.real and float(im) == p.imag
 
 
 # ----------------------------------------------------------------------- grid
@@ -444,13 +432,3 @@ def test_decode_input_validation():
             decode(llrs, code, normalization=normalization)
     info, _ = decode(llrs, code, max_iters=np.int64(1), normalization=1)
     np.testing.assert_array_equal(info, np.ones((2, code.k), dtype=np.uint8))
-
-
-def test_parity_check_export_lists_every_check():
-    code = build_code(48)
-    text = export_parity_check(code)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# ldpc n=48 k=24")
-    rows = [np.array(ln.split(), dtype=int) for ln in lines[1:]]
-    assert len(rows) == code.m
-    np.testing.assert_array_equal(np.array(rows), code.row_vars)

@@ -133,12 +133,112 @@ def test_layers_keep_no_per_call_state():
     assert offenders == []
 
 
+def package_imports(source: str, module: str) -> list:
+    """``(line, target, name)`` for every import of a ``simorx`` module in
+    ``source``, the text of module ``module`` (dotted, ``__init__`` for a
+    package's own file): ``from target import name``, with relative targets
+    resolved, and ``import target`` with ``name`` None."""
+    package = module.split(".")[:-1]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name, None) for a in node.names if a.name.split(".")[0] == "simorx"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                target = ".".join(base + ([node.module] if node.module else []))
+            else:
+                target = node.module
+            if target.split(".")[0] == "simorx":
+                found += [(node.lineno, target, a.name) for a in node.names]
+    return sorted(found, key=lambda f: f[0])
+
+
+def private_imports(source: str, module: str) -> list:
+    """``(line, "target.name")`` for every ``_``-prefixed name that
+    ``source`` imports from another ``simorx`` module; dunders such as
+    ``__version__`` are public."""
+    return [
+        (line, f"{target}.{name}")
+        for line, target, name in package_imports(source, module)
+        if name and name.startswith("_") and not name.endswith("__") and target != module
+    ]
+
+
+def imports_of(source: str, module: str, wanted: str) -> list:
+    """The lines on which ``source`` imports ``wanted`` or a name from it."""
+    return [
+        line
+        for line, target, name in package_imports(source, module)
+        if wanted in (target, f"{target}.{name}")
+    ]
+
+
+def test_the_rules_see_every_form_of_package_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from ..training import CODE_RATE, _shard_pool\n"
+        "from .. import training, __version__\n"
+        "from . import _private\n"
+        "from simorx.chain import _openblas\n"
+        "import simorx.training as t\n"
+        "from numpy import _core\n"
+        "from .bler import _own_helper\n"
+    )
+    module = "simorx.harness.bler"
+    assert package_imports(source, module) == [
+        (2, "simorx.training", "CODE_RATE"), (2, "simorx.training", "_shard_pool"),
+        (3, "simorx", "training"), (3, "simorx", "__version__"),
+        (4, "simorx.harness", "_private"),
+        (5, "simorx.chain", "_openblas"),
+        (6, "simorx.training", None),
+        (8, "simorx.harness.bler", "_own_helper"),
+    ]
+    assert private_imports(source, module) == [
+        (2, "simorx.training._shard_pool"), (4, "simorx.harness._private"), (5, "simorx.chain._openblas"),
+    ]
+    assert imports_of(source, module, "simorx.training") == [2, 2, 3, 6]
+    init = "from .bler import _helper\nfrom . import _x\n"
+    assert private_imports(init, "simorx.harness.__init__") == [
+        (1, "simorx.harness.bler._helper"), (2, "simorx.harness._x"),
+    ]
+
+
+def module_name(path: Path) -> str:
+    return ".".join(("simorx",) + path.relative_to(PACKAGE_DIR).with_suffix("").parts)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A private name is one module's business; a name that two modules
+    # share belongs, public, in the module that owns it.
+    files = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert files
+    offenders = [
+        f"{path.relative_to(PACKAGE_DIR)}:{line}: {name}"
+        for path in files
+        for line, name in private_imports(path.read_text(encoding="utf-8"), module_name(path))
+    ]
+    assert offenders == []
+
+
+def test_evaluation_imports_nothing_from_training():
+    # Evaluation shares the shard code with training through chain.py.
+    offenders = [
+        f"{name}:{line}"
+        for name in ("harness/bler.py", "harness/genie.py")
+        for line in imports_of(
+            (PACKAGE_DIR / name).read_text(encoding="utf-8"), module_name(PACKAGE_DIR / name), "simorx.training"
+        )
+    ]
+    assert offenders == []
+
+
 def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
     # Training and evaluation load both only when a run shards its batches
     # over threads, so that importing the package stays as cheap as it was.
     code = (
         "import sys, simorx.training, simorx.transfer, simorx.harness.bler, simorx.harness.sweep, simorx.harness.cli\n"
-        "print('concurrent.futures' in sys.modules, simorx.training._openblas.cache_info().currsize)"
+        "print('concurrent.futures' in sys.modules, simorx.chain._openblas.cache_info().currsize)"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

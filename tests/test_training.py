@@ -1,5 +1,6 @@
 """Training loop: determinism, logging, divergence handling, edge budgets."""
 
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,12 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import simorx.chain
 import simorx.training
+from simorx.chain import SHARD, shard_map
 from simorx.checkpoint import checkpoint_bytes, checkpoint_from_model
 from simorx.config import make_train_config
 from simorx.errors import ConfigError, TrainingDiverged
 from simorx.receiver import ReceiverModel, bmd_loss_grad, extract_llr_bits, scatter_llr_bit_grad
-from simorx.training import RUN_LOG_HEADER, SHARD, TrainConfig, run_training, train_source
+from simorx.training import RUN_LOG_HEADER, TrainConfig, run_training, train_source
 from simorx.transfer import AdaptConfig, adapt
 
 # More than one shard per batch, the last one short.
@@ -190,15 +193,49 @@ def test_frozen_layers_keep_their_bits_through_training(tiny_grid):
 def _spy_on_pools(monkeypatch) -> list:
     """Record whether each ``run_training`` ran its shards on a pool."""
     used = []
-    make = simorx.training._shard_pool
+    make = simorx.training.shard_map
 
-    def spy(stack):
-        pool = make(stack)
-        used.append(pool is not None)
-        return pool
+    @contextlib.contextmanager
+    def spy(batch):
+        with make(batch) as smap:
+            used.append(smap is not map)
+            yield smap
 
-    monkeypatch.setattr(simorx.training, "_shard_pool", spy)
+    monkeypatch.setattr(simorx.training, "shard_map", spy)
     return used
+
+
+def test_shard_map_is_the_builtin_map_without_a_second_shard_blas_setter_or_cpu(monkeypatch):
+    for batch in (1, SHARD):
+        with shard_map(batch) as smap:
+            assert smap is map
+    with monkeypatch.context() as m:
+        m.setattr(simorx.chain, "_openblas", lambda: None)
+        with shard_map(SHARD + 1) as smap:
+            assert smap is map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with shard_map(SHARD + 1) as smap:
+        assert smap is map
+
+
+def test_shard_map_pins_blas_to_one_thread_until_it_closes(blas_get):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: shard_map never starts threads")
+    get = blas_get
+    before = get()
+    with shard_map(SHARD + 1) as smap:
+        assert smap is not map
+        assert get() == 1
+        assert list(smap(abs, [-1, -2, -3])) == [1, 2, 3]
+    assert get() == before
+
+    boom = RuntimeError("the body failed")
+    with pytest.raises(RuntimeError) as err:
+        with shard_map(SHARD + 1):
+            assert get() == 1
+            raise boom
+    assert err.value is boom
+    assert get() == before
 
 
 def test_thread_count_does_not_change_the_bytes(tiny_grid, monkeypatch):
@@ -211,9 +248,9 @@ def test_thread_count_does_not_change_the_bytes(tiny_grid, monkeypatch):
 
     used = _spy_on_pools(monkeypatch)
     threaded = runs()
-    if simorx.training._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+    if simorx.chain._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
         assert used == [True, True]
-    monkeypatch.setattr(simorx.training, "_openblas", lambda: None)
+    monkeypatch.setattr(simorx.chain, "_openblas", lambda: None)
     inline = runs()
     assert used[2:] == [False, False]
     assert threaded == inline
@@ -233,7 +270,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(tiny_grid, seeded):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            flat_pool, grads_pool = simorx.training._batch_gradients(model, x, bits, tiny_grid, pool)
+            flat_pool, grads_pool = simorx.training._batch_gradients(model, x, bits, tiny_grid, pool.map)
     finally:
         sys.setswitchinterval(interval)
     assert flat.tobytes() == flat_pool.tobytes()
@@ -249,7 +286,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(tiny_grid, seeded):
 
 
 def test_blas_thread_count_is_restored_when_the_run_returns_or_raises(tiny_grid, monkeypatch):
-    blas = simorx.training._openblas()
+    blas = simorx.chain._openblas()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS thread setter is not available")
     get, _ = blas
