@@ -177,7 +177,7 @@ def imports_of(source: str, module: str, wanted: str) -> list:
 def test_the_rules_see_every_form_of_package_import():
     source = (
         "from __future__ import annotations\n"
-        "from ..training import CODE_RATE, _shard_pool\n"
+        "from ..training import TrainConfig, _pool\n"
         "from .. import training, __version__\n"
         "from . import _private\n"
         "from simorx.chain import _openblas\n"
@@ -187,7 +187,7 @@ def test_the_rules_see_every_form_of_package_import():
     )
     module = "simorx.harness.bler"
     assert package_imports(source, module) == [
-        (2, "simorx.training", "CODE_RATE"), (2, "simorx.training", "_shard_pool"),
+        (2, "simorx.training", "TrainConfig"), (2, "simorx.training", "_pool"),
         (3, "simorx", "training"), (3, "simorx", "__version__"),
         (4, "simorx.harness", "_private"),
         (5, "simorx.chain", "_openblas"),
@@ -195,7 +195,7 @@ def test_the_rules_see_every_form_of_package_import():
         (8, "simorx.harness.bler", "_own_helper"),
     ]
     assert private_imports(source, module) == [
-        (2, "simorx.training._shard_pool"), (4, "simorx.harness._private"), (5, "simorx.chain._openblas"),
+        (2, "simorx.training._pool"), (4, "simorx.harness._private"), (5, "simorx.chain._openblas"),
     ]
     assert imports_of(source, module, "simorx.training") == [2, 2, 3, 6]
     init = "from .bler import _helper\nfrom . import _x\n"
