@@ -200,8 +200,24 @@ _COMMANDS = {
 }
 
 
+def _glue_ebno(argv: list) -> list:
+    """``--ebno -2,2,6`` as ``--ebno=-2,2,6``.
+
+    argparse takes a token that starts with ``-`` and is not a plain
+    number for an option, so a grid that starts below zero would
+    otherwise need the ``=`` form.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--ebno":
+            out[-1] = f"--ebno={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_ebno(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.verb](args)
     except SimorxError as exc:

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,7 +595,7 @@ def test_sweep_runs_every_technique_at_every_alpha(tmp_path):
     for path in result.log_paths:
         name = os.path.basename(path)
         if name != "source_log.csv":
-            steps[name] = len(open(path).read().splitlines()) - 1  # minus the header
+            steps[name] = len(Path(path).read_text().splitlines()) - 1  # minus the header
     assert steps == {
         f"{variant}_a{a}_s0_log.csv": round(a * iterations)
         for variant in ("fine_tuning", "feature_extraction", "without_tl")
@@ -617,7 +618,7 @@ def test_alpha_sweep_budgets_scale_with_alpha(tmp_path):
         name = os.path.basename(path)
         if name == "source_log.csv":
             continue
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         alpha, seed = name[len("fine_tuning_a"):-len("_log.csv")].split("_s")
         steps[float(alpha), int(seed)] = len(rows) - 1  # minus the header
         assert rows[-1].endswith(f",{seed}")  # the run log's seed column
@@ -636,9 +637,9 @@ def test_sweep_reruns_from_its_manifest_byte_for_byte(tmp_path):
     second = sweep(replay_cfg, tmp_path / "two")
     for a, b in zip(sorted(first.curve_paths), sorted(second.curve_paths)):
         assert os.path.basename(a) == os.path.basename(b)
-        assert open(a, "rb").read() == open(b, "rb").read()
-    a_src = open(first.source_checkpoint_path, "rb").read()
-    b_src = open(second.source_checkpoint_path, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+    a_src = Path(first.source_checkpoint_path).read_bytes()
+    b_src = Path(second.source_checkpoint_path).read_bytes()
     assert a_src == b_src
 
 
@@ -798,6 +799,18 @@ def test_cli_sweep_rejects_a_string_ebno_before_any_training(tmp_path, capsys, m
 
 def test_cli_sweep_rejects_a_fractional_eval_batch_before_any_training(tmp_path, capsys, monkeypatch):
     cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, {"eval_batch": 2.5}, "batch")
+
+
+@pytest.mark.parametrize("verb", ["eval", "baseline"])
+@pytest.mark.parametrize("form", [["--ebno", "-2,2,6"], ["--ebno=-2,2,6"]], ids=["space", "equals"])
+def test_cli_parses_an_ebno_grid_that_starts_below_zero(monkeypatch, verb, form):
+    from simorx.harness import cli
+
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, verb, lambda args: seen.append(args.ebno) or 0)
+    checkpoint = ["--checkpoint", "c"] if verb == "eval" else []
+    assert main([verb, *checkpoint, *form, "--max-blocks", "1"]) == 0
+    assert seen == [(-2.0, 2.0, 6.0)]
 
 
 def test_cli_baseline_rejects_zero_max_blocks_with_exit_two(tmp_path, capsys):

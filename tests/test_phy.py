@@ -1,5 +1,7 @@
 """Constellations, the resource grid, and the LDPC code."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from simorx.phy.grid import GridConfig, build_grid, extract_data_res, pilot_valu
 from simorx.phy.ldpc import (
     COL_WEIGHT,
     ROW_WEIGHT,
+    _rref_gf2,
     build_code,
     decode,
     encode,
@@ -179,24 +182,80 @@ def test_subcarrier_spacing():
 # ----------------------------------------------------------------------- ldpc
 
 
-def _gf2_rank(h: np.ndarray) -> int:
-    # independent elimination, deliberately naive
-    h = h.copy() % 2
-    rank = 0
-    cols = h.shape[1]
-    for c in range(cols):
-        rows = np.nonzero(h[rank:, c])[0]
-        if rows.size == 0:
-            continue
-        pivot = rank + rows[0]
-        h[[rank, pivot]] = h[[pivot, rank]]
-        for r in range(h.shape[0]):
-            if r != rank and h[r, c]:
-                h[r] ^= h[rank]
-        rank += 1
-        if rank == h.shape[0]:
+def bytewise_rref(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan on one byte per entry, one row operation per pivot: the oracle.
+
+    Kept as the package shipped it before the bit-packed elimination.
+    """
+    h = h.copy()
+    m, n = h.shape
+    r = 0
+    pivots: list[int] = []
+    for c in range(n):
+        if r == m:
             break
-    return rank
+        below = np.nonzero(h[r:, c])[0]
+        if below.size == 0:
+            continue
+        pr = r + below[0]
+        if pr != r:
+            h[[r, pr]] = h[[pr, r]]
+        mask = h[:, c].astype(bool)
+        mask[r] = False
+        h[mask] ^= h[r]
+        pivots.append(c)
+        r += 1
+    return h, pivots
+
+
+@settings(max_examples=80)
+@given(
+    m=st.integers(1, 150),
+    n=st.integers(1, 200),
+    rank=st.integers(0, 150),
+    zero_cols=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_elimination_matches_the_bytewise_oracle(m, n, rank, zero_cols, seed):
+    # Products of random factors cover full rank and every deficiency; the
+    # sizes cross the 8- and 64-column word edges and 64 rows.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    left = rng.integers(0, 2, size=(m, rank))
+    right = rng.integers(0, 2, size=(rank, n))
+    h = ((left @ right) % 2).astype(np.uint8)
+    h[:, rng.random(n) < zero_cols] = 0
+    got, pivots = _rref_gf2(h)
+    want, want_pivots = bytewise_rref(h)
+    assert got.dtype == np.uint8 and got.shape == h.shape
+    np.testing.assert_array_equal(got, want)
+    assert pivots == want_pivots
+
+
+# SHA-256 of row_vars (int32), encoder_matrix (uint8) and var_slot_edges
+# (int64) back to back, recorded from the byte-per-entry elimination.
+CODE_DIGESTS = {
+    (648, 1): "9dbfd6003596626d995dc2e95e26424b1cdc898c174742e8011f3c6717f35c5b",
+    (648, 2): "06581c98e1a45f080af43f7dda243195c33440153207e1d3b59e9bfa4bfc063b",
+    (1296, 1): "c5e4db3dc2fcb989a2a986fe628eb44dcbd06b62311ca3c5db063f428dbd5c9c",
+    (1296, 2): "69a9723ae4bcabccfb6596934c014dc49d7bc33b24f9c472f9c6740bc3c9f091",
+    (2808, 1): "a4485f7336105286dcee761d5fbce56ee18b4f7a6872bbf78cdf30764a56bfd5",
+    (2808, 2): "957ee22dbb937f104fbb45ac579d1d0ab45d13676ed987431fbe139fc4529cff",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(CODE_DIGESTS))
+def test_codes_keep_their_bytes(n, seed):
+    code = build_code(n, seed)
+    assert (code.n, code.k, code.construction_seed) == (n, n // 2, seed)
+    assert code.row_vars.dtype == np.int32 and code.encoder_matrix.dtype == np.uint8
+    assert code.var_slot_edges.dtype == np.intp
+    digest = hashlib.sha256(
+        code.row_vars.astype("<i4").tobytes()
+        + code.encoder_matrix.tobytes()
+        + code.var_slot_edges.astype("<i8").tobytes()
+    ).hexdigest()
+    assert digest == CODE_DIGESTS[n, seed]
 
 
 def test_parity_check_matrix_is_biregular_and_full_rank():
@@ -205,7 +264,7 @@ def test_parity_check_matrix_is_biregular_and_full_rank():
     assert h.shape == (24, 48)
     np.testing.assert_array_equal(h.sum(axis=1), np.full(24, ROW_WEIGHT))
     np.testing.assert_array_equal(h.sum(axis=0), np.full(48, COL_WEIGHT))
-    assert _gf2_rank(h) == 24
+    assert len(bytewise_rref(h)[1]) == 24
 
 
 def test_every_codeword_has_zero_syndrome():

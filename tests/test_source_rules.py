@@ -233,19 +233,35 @@ def test_evaluation_imports_nothing_from_training():
     assert offenders == []
 
 
-def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
-    # Training and evaluation load both only when a run shards its batches
-    # over threads, so that importing the package stays as cheap as it was.
-    code = (
-        "import sys, simorx.training, simorx.transfer, simorx.harness.bler, simorx.harness.sweep, simorx.harness.cli\n"
-        "print('concurrent.futures' in sys.modules, simorx.chain._openblas.cache_info().currsize)"
-    )
+def fresh_python(code: str) -> list:
+    """The words ``code`` prints, run in a new interpreter that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.split() == ["False", "0"]
+    return out.stdout.split()
+
+
+def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
+    # Training and evaluation load both only when a run shards its batches
+    # over threads, so that importing the package stays as cheap as it was.
+    assert fresh_python(
+        "import sys, simorx.training, simorx.transfer, simorx.harness.bler, simorx.harness.sweep, simorx.harness.cli\n"
+        "print('concurrent.futures' in sys.modules, simorx.chain._openblas.cache_info().currsize)"
+    ) == ["False", "0"]
+
+
+def test_set_up_loads_no_masked_arrays():
+    # numpy's set routines (np.unique, np.setdiff1d, ...) import numpy.ma,
+    # about 20 ms of every process's set-up that nothing in the package uses.
+    assert fresh_python(
+        "import sys, simorx.config, simorx.training, simorx.harness.bler\n"
+        "from simorx.chain import code_for_grid\n"
+        "cfg = simorx.config.make_train_config('desk', modulation='qpsk')\n"
+        "code_for_grid(cfg.grid, cfg.scheme(), cfg.ldpc_seed)\n"
+        "print('numpy.ma' in sys.modules)"
+    ) == ["False"]
 
 
 def test_every_benchmark_wrap_point_resolves(monkeypatch):
