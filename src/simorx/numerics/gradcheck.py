@@ -118,13 +118,10 @@ class GradCheckReport:
 
 
 def relu_kink_distance(tape: dict) -> float:
-    """Smallest ``|xhat * gamma + beta|`` over the LayerNorm entries of a
-    tape: the distance of the nearest ReLU input to the kink."""
-    xhats = [(layer, entry[0]) for layer, entry in tape.items() if isinstance(layer, LayerNorm)]
-    return min(
-        (float(np.min(np.abs(xhat * ln.gamma + ln.beta))) for ln, xhat in xhats if xhat.size),
-        default=np.inf,
-    )
+    """Smallest ``|output|`` over the LayerNorm entries of a tape: the
+    distance of the nearest ReLU input to the kink."""
+    outs = [layer.taped_output(tape) for layer in tape if isinstance(layer, LayerNorm)]
+    return min((float(np.min(np.abs(out))) for out in outs if out.size), default=np.inf)
 
 
 def finite_diff_check(

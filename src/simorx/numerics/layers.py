@@ -10,14 +10,21 @@ pass is a single matrix product with no repacking; the canonical
 
 A layer holds its weights and nothing else.  What a backward pass reads
 goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
-each layer records one entry under itself as the key:
+each layer records one entry under itself as the key, and keeps only what
+no other entry can reproduce:
 
-- ``Conv2D``: its zero-padded input, not the im2col buffer built from it,
-  which is ``kh * kw`` times larger.  The backward pass rebuilds im2col.
+- ``Conv2D``: its input, by reference.  Neither the padded copy nor the
+  im2col buffer (``kh * kw`` times larger) is kept; the backward pass pads
+  and rebuilds im2col in the workspace.
 - ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
-  per-position inverse standard deviation.
-- ``ReLU``: the mask of positive inputs.
+  per-position inverse standard deviation.  ``taped_output`` and
+  ``relu_output`` rebuild ``forward(x)`` and ``relu(forward(x))`` from
+  that entry, which is how a residual block gets back the input of the
+  conv behind a norm and a ReLU without either of them being taped.  No
+  other module reads the entry itself.
+- ``ReLU``: its output; the backward pass takes the mask as ``y > 0``.
 
+Since inputs are held by reference, no ``forward`` writes into its input.
 A forward without a tape records nothing.  ``backward(grad_out, tape)``
 pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
@@ -26,8 +33,8 @@ leaves state on a layer, two forwards on two tapes may share one model.
 Conv im2col buffers and padded scratch live in a workspace owned by the
 calling thread, not by a layer.  Each buffer grows to the largest request
 and is reused by every later conv call on that thread, so a training step
-allocates no im2col memory after its first iteration.  Nothing in the
-workspace outlives the call that filled it: every forward and backward
+allocates no im2col or padding memory after its first iteration.  Nothing
+in the workspace outlives the call that filled it: every forward and backward
 returns a freshly allocated array, and threads never share a workspace.
 Training runs the shards of a batch on two threads (``simorx.training``),
 one model on two tapes at once; the tape and the per-thread workspace are
@@ -74,26 +81,20 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return lo, kernel - 1 - lo
 
 
-def _padded(x: np.ndarray, pads: tuple[int, int, int, int], slot: str | None = None) -> np.ndarray:
-    """``x`` zero-padded by ``(top, bottom, left, right)`` on its spatial axes.
-
-    The result is a fresh array, or the workspace ``slot`` when one is
-    named; ``x`` itself when every pad is zero.
+def _padded(x: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    """``x`` zero-padded by ``(top, bottom, left, right)`` on its spatial axes,
+    in the workspace's ``"pad"`` slot; ``x`` itself when every pad is zero.
     """
     top, bottom, left, right = pads
     if not (top or bottom or left or right):
         return x
     m, h, w, c = x.shape
-    shape = (m, h + top + bottom, w + left + right, c)
-    if slot is None:
-        xp = np.zeros(shape, dtype=x.dtype)
-    else:
-        # A reused buffer holds stale values: zero the border only.
-        xp = _WORKSPACE.take(slot, shape, x.dtype)
-        xp[:, :top] = 0
-        xp[:, top + h :] = 0
-        xp[:, top : top + h, :left] = 0
-        xp[:, top : top + h, left + w :] = 0
+    xp = _WORKSPACE.take("pad", (m, h + top + bottom, w + left + right, c), x.dtype)
+    # A reused buffer holds stale values: zero the border only.
+    xp[:, :top] = 0
+    xp[:, top + h :] = 0
+    xp[:, top : top + h, :left] = 0
+    xp[:, top : top + h, left + w :] = 0
     xp[:, top : top + h, left : left + w] = x
     return xp
 
@@ -101,12 +102,13 @@ def _padded(x: np.ndarray, pads: tuple[int, int, int, int], slot: str | None = N
 class Conv2D:
     """2-D convolution with same-size zero padding.
 
-    ``forward`` runs one GEMM on an im2col buffer built in the thread's
-    workspace.  With a tape the layer records its zero-padded input there;
-    ``backward`` rebuilds the im2col buffer from it in the workspace for the
-    weight gradient, then reuses the same buffer for the im2col of the
-    padded output gradient, which gives the input gradient.  A 1x1 kernel
-    needs neither padding nor im2col and runs its GEMMs on the input as is.
+    ``forward`` pads its input and runs one GEMM on an im2col buffer, both
+    in the thread's workspace.  With a tape the layer records its input
+    there; ``backward`` pads it and rebuilds the im2col buffer from it in
+    the workspace for the weight gradient, then reuses the same buffers for
+    the im2col of the padded output gradient, which gives the input
+    gradient.  A 1x1 kernel needs neither padding nor im2col and runs its
+    GEMMs on the input as is.
     """
 
     kind = "conv2d"
@@ -193,28 +195,24 @@ class Conv2D:
                 f"conv2d expects [batch, h, w, {self.in_channels}], got {x.shape}"
             )
         m, h, w, _ = x.shape
-        if tape is None:
-            xp = _padded(x, self._same_pads(), "pad")
-        else:
-            xp = tape[self] = _padded(x, self._same_pads())
-        out = self._im2col(xp, h, w) @ self.wmat
+        if tape is not None:
+            tape[self] = x
+        out = self._im2col(_padded(x, self._same_pads()), h, w) @ self.wmat
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
     def backward(self, grad_out: np.ndarray, tape: dict):
-        xp = tape.pop(self)
+        x = tape.pop(self)
         kh, kw = self.kernel
         ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
-        m = xp.shape[0]
-        h = xp.shape[1] - ph_lo - ph_hi
-        w = xp.shape[2] - pw_lo - pw_hi
+        m, h, w, _ = x.shape
         gm = grad_out.reshape(m * h * w, self.out_channels)
         grad_bias = gm.sum(axis=0)
-        grad_wmat = self._im2col(xp, h, w).T @ gm
+        grad_wmat = self._im2col(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w).T @ gm
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
-        gp = _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo), "pad")
+        gp = _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo))
         wrot = np.ascontiguousarray(
             self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
             .transpose(0, 1, 3, 2)
@@ -285,6 +283,23 @@ class LayerNorm:
             tape[self] = (xhat, inv)
         return out.reshape(x.shape)
 
+    def taped_output(self, tape: dict) -> np.ndarray:
+        """The output of the forward that recorded this layer's entry on
+        ``tape``, as ``[positions, channels]``, rebuilt bit for bit from
+        that entry, which stays on the tape.  One fresh array: the same
+        float operations as ``forward``, in place after the first."""
+        xhat, _ = tape[self]
+        out = xhat * self.gamma
+        out += self.beta
+        return out
+
+    def relu_output(self, tape: dict, lead_shape: tuple) -> np.ndarray:
+        """``relu(forward(x))``, shaped ``(*lead_shape, channels)``: the
+        taped output with ``ReLU``'s operation applied in place."""
+        out = self.taped_output(tape)
+        np.maximum(out, 0, out=out)
+        return out.reshape(*lead_shape, self.num_channels)
+
     def backward(self, grad_out: np.ndarray, tape: dict):
         xhat, inv = tape.pop(self)
         g2 = grad_out.reshape(xhat.shape)
@@ -309,9 +324,10 @@ class ReLU:
     kind = "relu"
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        y = np.maximum(x, 0)
         if tape is not None:
-            tape[self] = x > 0
-        return np.maximum(x, 0)
+            tape[self] = y
+        return y
 
     def backward(self, grad_out: np.ndarray, tape: dict):
-        return grad_out * tape.pop(self), []
+        return grad_out * (tape.pop(self) > 0), []

@@ -10,9 +10,12 @@ codewords are ``[info | parity]``.  Constructions that end up
 rank-deficient are regenerated with the next seed (logged), so a given
 ``(n, seed)`` pair always yields the same code.
 
-The elimination works on rows packed 64 columns to a ``uint64`` word
-(``np.packbits`` with little bit order, so column ``c`` is bit ``c % 64``
-of word ``c // 64``) and unpacks once at the end.  It takes the columns
+The elimination works on rows packed 64 columns to a little-endian
+``uint64`` word (column ``c`` is bit ``c % 64`` of word ``c // 64``, and
+bit ``c % 8`` of byte ``c // 8`` of the row).  The check adjacency is
+packed straight into words and the encoder's free columns are read from
+the reduced words, so no dense matrix of ``n / 2`` by ``n`` bytes is ever
+formed: at n = 8,424 that is 35 MB a copy.  It takes the columns
 eight at a time, one byte of every row (the "method of the Four
 Russians", Albrecht, Bard & Hart, ACM TOMS 2010): it finds the pivots of
 those eight columns from the byte values below the current row, tabulates
@@ -81,7 +84,9 @@ class LdpcCode:
         return self.k / self.n
 
     def to_dense(self) -> np.ndarray:
-        return _matrix_from_rows(self.row_vars, self.n)
+        h = np.zeros((self.m, self.n), dtype=np.uint8)
+        h[np.repeat(np.arange(self.m), ROW_WEIGHT), self.row_vars.reshape(-1)] = 1
+        return h
 
 
 def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):
@@ -109,24 +114,30 @@ def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):
     return None
 
 
-def _matrix_from_rows(rows: np.ndarray, n: int) -> np.ndarray:
+def _packed_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The parity-check matrix of check adjacency ``rows``, packed to
+    ``[m, ceil(n / 64)]`` little-endian ``uint64`` words."""
     m = rows.shape[0]
-    h = np.zeros((m, n), dtype=np.uint8)
-    h[np.repeat(np.arange(m), ROW_WEIGHT), rows.reshape(-1)] = 1
-    return h
+    words = np.zeros((m, -(-n // 64)), dtype="<u8")
+    bits = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
+    np.bitwise_or.at(words, (np.arange(m)[:, None], rows // 64), bits)
+    return words
 
 
-def _rref_gf2(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a 0/1 matrix and its pivot columns."""
-    m, n = h.shape
-    n_bytes = -(-n // 8)
-    n_words = -(-n // 64)
-    packed = np.zeros((m, 8 * n_words), dtype=np.uint8)
-    packed[:, :n_bytes] = np.packbits(h, axis=1, bitorder="little")
-    rows = packed.view("<u8")
+def _rref_gf2(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a matrix packed to little-endian
+    ``uint64`` words (column ``c`` is bit ``c % 64`` of word ``c // 64``),
+    computed in place on ``rows``, and its pivot columns."""
+    m, n_words = rows.shape
+    packed = rows.view(np.uint8)
+    # The sum table and the sums a pass applies live in buffers taken once:
+    # temporaries of up to ``m * n_words`` words, one per pass, would each
+    # be a fresh mapping, faulted in page by page.
+    table = np.empty((256, n_words), dtype=rows.dtype)
+    scratch = np.empty(rows.size, dtype=rows.dtype)
     r = 0
     pivots: list[int] = []
-    for j in range(n_bytes):
+    for j in range(8 * n_words):
         if r == m:
             break
         w = j // 8
@@ -156,7 +167,8 @@ def _rref_gf2(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
         k = len(chosen)
         sel = (r + np.argmax(strip[:, None] == np.array(chosen, dtype=np.uint8), axis=0)).tolist()
         # sums[mask]: XOR of the chosen rows in ``mask``, from word w on
-        sums = np.zeros((1 << k, n_words - w), dtype=rows.dtype)
+        sums = table[: 1 << k, w:]
+        sums[0] = 0
         for i, s in enumerate(sel):
             np.bitwise_xor(sums[: 1 << i], rows[s, w:], out=sums[1 << i : 2 << i])
         # lut[byte]: the chosen rows whose sum matches ``byte`` on every pivot bit
@@ -170,10 +182,11 @@ def _rref_gf2(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
         add = lut[packed[:, j]]
         add[r : r + k] = 0
         hit = np.flatnonzero(add)
-        rows[hit, w:] ^= sums[add[hit]]
+        upd = scratch[: hit.size * (n_words - w)].reshape(hit.size, n_words - w)
+        rows[hit, w:] ^= np.take(sums, add[hit], axis=0, out=upd, mode="clip")
         pivots.extend(8 * j + low.bit_length() - 1 for low in lows)
         r += k
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little"), pivots
+    return rows, pivots
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,8 +201,7 @@ def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED, max_attempts: int 
         if rows is None:
             logger.info("ldpc n=%d seed %d: edge repair did not settle, retrying", n, seed + attempt)
             continue
-        h = _matrix_from_rows(rows, n)
-        rref, pivots = _rref_gf2(h)
+        rref, pivots = _rref_gf2(_packed_rows(rows, n))
         if len(pivots) == m:
             if attempt:
                 logger.info("ldpc n=%d: seed %d unusable, using seed %d", n, seed, seed + attempt)
@@ -204,7 +216,10 @@ def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED, max_attempts: int 
     free_cols = np.flatnonzero(is_free)
     # Systematic column order: information positions first, then parity.
     order = np.concatenate([free_cols, pivot_cols])
-    encoder = np.take(rref, free_cols, axis=1)
+    # The free columns of the reduced rows, one byte per bit.
+    encoder = np.take(rref.view(np.uint8), free_cols // 8, axis=1)
+    encoder >>= (free_cols % 8).astype(np.uint8)
+    encoder &= 1
 
     # Each check's variables at their systematic positions, ascending.
     position = np.empty(n, dtype=np.int32)

@@ -51,7 +51,14 @@ def _layer_rng(seed: int, slot: int) -> np.random.Generator:
 
 
 class ResNetBlock:
-    """norm -> ReLU -> conv, twice, plus an additive skip."""
+    """norm -> ReLU -> conv, twice, plus an additive skip.
+
+    With a tape the block records ``norm1``, ``norm2`` and ``proj`` and
+    nothing else.  Each conv's input is ``relu(norm(.))``, which backward
+    rebuilds from the norm's entry (``LayerNorm.relu_output``) just before
+    that conv's backward, so neither ReLU nor either 3x3 conv holds an
+    activation between the passes.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype=np.float32):
         self.in_channels = in_channels
@@ -80,21 +87,28 @@ class ResNetBlock:
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         h = self.norm1.forward(x, tape)
-        h = self.relu1.forward(h, tape)
-        h = self.conv1.forward(h, tape)
+        h = self.relu1.forward(h)
+        h = self.conv1.forward(h)
         h = self.norm2.forward(h, tape)
-        h = self.relu2.forward(h, tape)
-        h = self.conv2.forward(h, tape)
+        h = self.relu2.forward(h)
+        h = self.conv2.forward(h)
         h += x if self.proj is None else self.proj.forward(x, tape)
         return h
 
+    @staticmethod
+    def _relu_conv_backward(norm, relu, conv, grad_out, tape):
+        # The conv input, rebuilt from the norm's entry, is also the ReLU's
+        # output: tape it for both backwards, which pop it again.
+        tape[relu] = tape[conv] = norm.relu_output(tape, grad_out.shape[:-1])
+        g, grads = conv.backward(grad_out, tape)
+        g, _ = relu.backward(g, tape)
+        return g, grads
+
     def backward(self, grad_out: np.ndarray, tape: dict):
         """``(grad_in, grads)``, ``grads`` in ``primitive_items`` order."""
-        g, g_conv2 = self.conv2.backward(grad_out, tape)
-        g, _ = self.relu2.backward(g, tape)
+        g, g_conv2 = self._relu_conv_backward(self.norm2, self.relu2, self.conv2, grad_out, tape)
         g, g_norm2 = self.norm2.backward(g, tape)
-        g, g_conv1 = self.conv1.backward(g, tape)
-        g, _ = self.relu1.backward(g, tape)
+        g, g_conv1 = self._relu_conv_backward(self.norm1, self.relu1, self.conv1, g, tape)
         g, g_norm1 = self.norm1.backward(g, tape)
         grads = g_norm1 + g_conv1 + g_norm2 + g_conv2
         if self.proj is None:

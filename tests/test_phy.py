@@ -225,10 +225,12 @@ def test_packed_elimination_matches_the_bytewise_oracle(m, n, rank, zero_cols, s
     right = rng.integers(0, 2, size=(rank, n))
     h = ((left @ right) % 2).astype(np.uint8)
     h[:, rng.random(n) < zero_cols] = 0
-    got, pivots = _rref_gf2(h)
+    words = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    words[:, : -(-n // 8)] = np.packbits(h, axis=1, bitorder="little")
+    got, pivots = _rref_gf2(words.view("<u8"))
+    assert got.dtype == np.dtype("<u8") and got.shape == (m, -(-n // 64))
     want, want_pivots = bytewise_rref(h)
-    assert got.dtype == np.uint8 and got.shape == h.shape
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.unpackbits(got.view(np.uint8), axis=1, count=n, bitorder="little"), want)
     assert pivots == want_pivots
 
 

@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from simorx.config import make_train_config
 from simorx.errors import ConfigError
+from simorx.numerics.layers import LayerNorm
 from simorx.phy.grid import GridConfig, extract_data_res
 from simorx.receiver import (
     ModelSpec,
     ReceiverModel,
+    ResNetBlock,
     bmd_loss,
     bmd_loss_grad,
     expit,
@@ -317,6 +320,24 @@ def test_truncated_backward_gives_the_full_backwards_gradients(seeded, trainable
     assert compared and next(grads_t, None) is None
 
 
+def taped_layers(model, skip=()):
+    """``{layer: name}`` of what a forward with a tape must record: every
+    block's norms and projection and the model's two convs, for the coarse
+    layers not named in ``skip``.  Block ReLUs and 3x3 convs record nothing;
+    backward rebuilds their activation from the norm's entry."""
+    want = {}
+    for name, layer in model.coarse_layers():
+        if name in skip:
+            continue
+        if isinstance(layer, ResNetBlock):
+            for sub in ("norm1", "norm2", "proj"):
+                if getattr(layer, sub) is not None:
+                    want[getattr(layer, sub)] = f"{name}.{sub}"
+        else:
+            want[layer] = name
+    return want
+
+
 @pytest.mark.parametrize("trainable_from", [1, 2, 4])
 def test_frozen_prefix_layers_hold_no_cache(seeded, trainable_from):
     _, model, x, g = _frozen_prefix_case(seeded, trainable_from)
@@ -324,17 +345,99 @@ def test_frozen_prefix_layers_hold_no_cache(seeded, trainable_from):
     prefix = names[: [model.trainable[n] for n in names].index(True)]
     tape = {}
     model.forward(x, tape)
-    layers = model.primitive_layers()
-    for name, block in model.coarse_layers()[1:-1]:
-        layers += [(f"{name}.relu1", block.relu1), (f"{name}.relu2", block.relu2)]
-    for name, layer in layers:
-        if name.split(".")[0] in prefix:
-            assert layer not in tape, f"{name} recorded activations while frozen"
-        else:
-            assert layer in tape, f"{name} recorded nothing for its backward"
-    assert len(tape) == sum(name.split(".")[0] not in prefix for name, _ in layers)
+    # Any other layer on the tape shows up under its class name.
+    recorded = sorted(taped_layers(model).get(layer, type(layer).__name__) for layer in tape)
+    frozen = [name for name in recorded if name.split(".")[0] in prefix]
+    assert frozen == [], "frozen-prefix layers recorded activations"
+    assert recorded == sorted(taped_layers(model, skip=prefix).values())
     model.backward(g, tape)
     assert tape == {}, "backward left entries on the tape"
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_a_desk_tape_holds_only_normalised_inputs_and_conv_inputs(seeded):
+    # Each block keeps LayerNorm's (xhat, inv) twice and its projection's
+    # input; the model keeps the inputs of its two convs.  No ReLU mask and
+    # no padded copy: those cost more than the rest of the tape together.
+    cfg = make_train_config("desk")
+    spec, grid = cfg.model_spec(), cfg.grid
+    model = ReceiverModel(spec, seed=3)
+    m, f, s = 8, grid.num_symbols, grid.num_subcarriers
+    x = seeded(0).standard_normal((m, spec.in_channels, f, s)).astype(np.float32)
+    tape = {}
+    model.forward(x, tape)
+    held = {}
+    for entry in tape.values():
+        for arr in entry if isinstance(entry, tuple) else (entry,):
+            held[id(_root(arr))] = _root(arr).nbytes
+    norms = [entry for layer, entry in tape.items() if isinstance(layer, LayerNorm)]
+    assert len(norms) == 2 * spec.num_blocks
+    norm_bytes = sum(xhat.nbytes + inv.nbytes for xhat, inv in norms)
+    positions = m * f * s
+    # input_conv's input, block1's projection input (the width changes
+    # there only) and output_conv's input, four bytes per float32.
+    conv_bytes = 4 * positions * (spec.in_channels + spec.width_in + spec.width_res)
+    assert sum(held.values()) == norm_bytes + conv_bytes
+
+
+def store_everything(block, x, g):
+    """Forward of ``block`` with every primitive taped, then backward in
+    reverse: the order a block ran in before it rebuilt its conv inputs.
+    The oracle for ``ResNetBlock.backward``."""
+    tape = {}
+    h = block.norm1.forward(x, tape)
+    h = block.relu1.forward(h, tape)
+    h = block.conv1.forward(h, tape)
+    h = block.norm2.forward(h, tape)
+    h = block.relu2.forward(h, tape)
+    h = block.conv2.forward(h, tape)
+    h += x if block.proj is None else block.proj.forward(x, tape)
+    gi, g_conv2 = block.conv2.backward(g, tape)
+    gi, _ = block.relu2.backward(gi, tape)
+    gi, g_norm2 = block.norm2.backward(gi, tape)
+    gi, g_conv1 = block.conv1.backward(gi, tape)
+    gi, _ = block.relu1.backward(gi, tape)
+    gi, g_norm1 = block.norm1.backward(gi, tape)
+    grads = g_norm1 + g_conv1 + g_norm2 + g_conv2
+    if block.proj is None:
+        gi += g
+    else:
+        g_skip, g_proj = block.proj.backward(g, tape)
+        gi += g_skip
+        grads += g_proj
+    assert tape == {}
+    return h, gi, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_channels", [6, 8], ids=["proj", "no-proj"])
+def test_block_backward_matches_the_store_everything_oracle(seeded, dtype, in_channels):
+    rng = seeded(in_channels)
+    block = ResNetBlock(in_channels, 8, rng, dtype=dtype)
+    # Non-trivial norm parameters, so that the rebuild must apply both.
+    for norm in (block.norm1, block.norm2):
+        norm.gamma[:] = rng.uniform(0.5, 1.5, norm.num_channels)
+        norm.beta[:] = rng.uniform(-0.5, 0.5, norm.num_channels)
+    assert (block.proj is None) == (in_channels == 8)
+    x = rng.standard_normal((3, 7, 9, in_channels)).astype(dtype)
+    g = rng.standard_normal((3, 7, 9, 8)).astype(dtype)
+    want_y, want_gi, want_grads = store_everything(block, x, g)
+    tape = {}
+    y = block.forward(x, tape)
+    assert set(tape) == {block.norm1, block.norm2} | ({block.proj} - {None})
+    gi, grads = block.backward(g, tape)
+    assert tape == {}
+    assert y.dtype == gi.dtype == dtype
+    assert y.tobytes() == want_y.tobytes()
+    assert gi.tobytes() == want_gi.tobytes()
+    assert len(grads) == len(want_grads) == sum(len(p.param_items()) for _, p in block.primitive_items())
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("trainable_from", [0, 2])

@@ -133,6 +133,83 @@ def test_layers_keep_no_per_call_state():
     assert offenders == []
 
 
+def _root_name(node):
+    """The name an expression reads through attributes, subscripts and
+    method calls (``x``, ``x[0]``, ``x.reshape(-1)``, ``x.T[1:]``), or None."""
+    while True:
+        if isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            node = node.func.value
+        else:
+            return node.id if isinstance(node, ast.Name) else None
+
+
+def input_writes_in_forwards(source: str) -> list:
+    """``(line, name)`` of every write into a ``forward`` method's input in
+    ``source``: an augmented assignment to the input, a subscript assignment
+    into it, or ``out=`` naming it.  Names bound to a view of the input
+    (``x2 = x.reshape(...)``, ``v = x[1:]``) count as the input."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name != "forward" or len(func.args.args) < 2:
+            continue
+        aliases = {func.args.args[1].arg}
+        body = list(ast.walk(func))
+        for node in body:
+            if isinstance(node, ast.Assign) and _root_name(node.value) in aliases:
+                aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in body:
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(node, ast.Call):
+                targets = [k.value for k in node.keywords if k.arg == "out"]
+            else:
+                continue
+            found += [(node.lineno, _root_name(t)) for t in targets if _root_name(t) in aliases]
+    return sorted(found)
+
+
+def test_the_rule_sees_every_form_of_input_write():
+    source = (
+        "class A:\n"
+        "    def forward(self, x, tape=None):\n"
+        "        x += 1\n"
+        "        x[0] = 1\n"
+        "        np.maximum(x, 0, out=x)\n"
+        "        v = x.reshape(-1)\n"
+        "        v *= 2\n"
+        "        x.T[1:] = 0\n"
+        "        y = x * 2\n"
+        "        y += x\n"
+        "        y[0] = x[0]\n"
+        "        np.add(y, x, out=y)\n"
+        "        tape[self] = x\n"
+        "        return y\n"
+        "    def backward(self, grad_out, tape):\n"
+        "        grad_out *= 2\n"
+        "class B:\n"
+        "    def forward(self, inputs):\n"
+        "        np.multiply(inputs, 2, out=inputs[1:])\n"
+    )
+    assert input_writes_in_forwards(source) == [
+        (3, "x"), (4, "x"), (5, "x"), (7, "v"), (8, "x"), (19, "inputs"),
+    ]
+
+
+def test_no_forward_writes_into_its_input():
+    # A tape holds layer inputs by reference, not copies: a forward that
+    # wrote into its input would change what an earlier layer's backward reads.
+    offenders = [
+        f"{name}:{line}: {target}"
+        for name in ("numerics/layers.py", "receiver.py")
+        for line, target in input_writes_in_forwards((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def package_imports(source: str, module: str) -> list:
     """``(line, target, name)`` for every import of a ``simorx`` module in
     ``source``, the text of module ``module`` (dotted, ``__init__`` for a
