@@ -15,6 +15,9 @@ The package is organised as a plain numpy library:
 - ``simorx.harness``: BLER evaluation, a genie-aided baseline, result
   files, sweeps, and the command line.
 
+The subpackages re-export nothing: each name is imported from the module
+that defines it, so that a job imports only the code it runs.
+
 All randomness flows through explicit ``numpy.random.Generator`` objects
 seeded from ``SeedSequence``; nothing touches global RNG state.
 """

@@ -1,35 +1,5 @@
-from .fading import (
-    ChannelRealization,
-    apply_channel_awgn,
-    batch_frequency_response,
-    ebno_to_n0,
-    frequency_response,
-    realize_channel,
-)
-from .profiles import (
-    MIXED_MEMBERS,
-    PACKAGED_PROFILES,
-    ChannelProfile,
-    ClusteredRandomProfile,
-    MixedProfile,
-    load_profile,
-    parse_profile_text,
-    profile_data_path,
-)
+"""Tapped-delay-line profiles, block-fading frequency responses, and AWGN.
 
-__all__ = [
-    "ChannelRealization",
-    "apply_channel_awgn",
-    "batch_frequency_response",
-    "ebno_to_n0",
-    "frequency_response",
-    "realize_channel",
-    "MIXED_MEMBERS",
-    "PACKAGED_PROFILES",
-    "ChannelProfile",
-    "ClusteredRandomProfile",
-    "MixedProfile",
-    "load_profile",
-    "parse_profile_text",
-    "profile_data_path",
-]
+The package re-exports nothing: import each name from the module that
+defines it (``simorx.channel.profiles``, ``fading``).
+"""

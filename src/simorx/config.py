@@ -11,15 +11,13 @@ Two scales ship with the package:
   structural feature: guards, pilots, coding, fading, surgery.
 
 Helpers build ``TrainConfig`` / ``EvalConfig`` objects from a scale name
-plus overrides (an override of ``None`` keeps the preset), and load YAML
-for the CLI.
+plus overrides (an override of ``None`` keeps the preset).  YAML files are
+read and written by ``simorx.harness.results``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import yaml
 
 from .errors import ConfigError
 from .harness.bler import EvalConfig
@@ -101,16 +99,3 @@ def make_eval_config(scale: str = "desk", **overrides) -> EvalConfig:
     except TypeError:
         raise ConfigError(f"ebno_grid_db must be a list of numbers, got {kwargs['ebno_grid_db']!r}") from None
     return EvalConfig(**kwargs)
-
-
-def load_yaml(path) -> dict:
-    """The top-level mapping of the YAML file at ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        # One line: the YAML parser's message spans several.
-        raise ConfigError(f"{path}: cannot read YAML: {' '.join(str(exc).split())}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping at the top level")
-    return data

@@ -1,34 +1,7 @@
-from .bler import BlerCurve, BlerPoint, EvalConfig, GenieReceiver, NeuralReceiver, run_bler
-from .genie import genie_lmmse_baseline, genie_lmmse_llrs, uncoded_qpsk_ber
-from .results import (
-    CSV_HEADER,
-    curve_rows,
-    emit_results,
-    read_curve_csv,
-    read_manifest,
-    write_curve_csv,
-    write_manifest,
-)
-from .sweep import SweepConfig, SweepResult, sweep
+"""BLER evaluation, the genie-aided baseline, result files, sweeps and the
+command line.
 
-__all__ = [
-    "BlerCurve",
-    "BlerPoint",
-    "EvalConfig",
-    "GenieReceiver",
-    "NeuralReceiver",
-    "run_bler",
-    "genie_lmmse_baseline",
-    "genie_lmmse_llrs",
-    "uncoded_qpsk_ber",
-    "CSV_HEADER",
-    "curve_rows",
-    "emit_results",
-    "read_curve_csv",
-    "read_manifest",
-    "write_curve_csv",
-    "write_manifest",
-    "SweepConfig",
-    "SweepResult",
-    "sweep",
-]
+The package re-exports nothing: import each name from the module that
+defines it (``simorx.harness.bler``, ``genie``, ``results``, ``sweep``,
+``cli``), so that a job imports only the code it runs.
+"""

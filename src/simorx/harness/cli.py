@@ -13,12 +13,14 @@ import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
 from ..checkpoint import load_checkpoint, save_checkpoint
+from ..config import make_eval_config, make_train_config
 from ..errors import SimorxError
 from ..phy.modulation import get_scheme
+from ..receiver import ReceiverModel
 from ..training import train_source
 from ..transfer import TECHNIQUES, AdaptConfig, adapt, count_params, reference_comparison
 from .bler import GenieReceiver, NeuralReceiver, run_bler
-from .results import emit_results, write_manifest
+from .results import emit_results, load_yaml, write_manifest
 from .sweep import SweepConfig, sweep
 
 PROFILE_CHOICES = PACKAGED_PROFILES + ("mixed_cdl",)
@@ -79,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _eval_cfg(args):
-    from ..config import make_eval_config
-
     return make_eval_config(
         args.scale,
         modulation=args.modulation,
@@ -92,8 +92,6 @@ def _eval_cfg(args):
 
 
 def _train_cfg(args):
-    from ..config import make_train_config
-
     return make_train_config(
         args.scale,
         modulation=args.modulation,
@@ -169,8 +167,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from ..config import load_yaml
-
     cfg = SweepConfig.from_dict(load_yaml(args.config))
     result = sweep(cfg, args.out)
     for p in result.curve_paths + [result.manifest_path]:
@@ -179,9 +175,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    from ..config import make_train_config
-    from ..receiver import ReceiverModel
-
     cfg = make_train_config(args.scale, modulation=args.modulation)
     model = ReceiverModel(cfg.model_spec())
     print(count_params(model).format())

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..phy.grid import GridConfig
-from ..phy.modulation import ModulationScheme
+from ..phy.modulation import ModulationScheme, get_scheme, qam_map
 
 LLR_CLIP = 40.0
 _VAR_FLOOR = 1e-30
@@ -75,8 +75,6 @@ def uncoded_qpsk_ber(ebno_db: float, num_bits: int, seed: int = 0) -> float:
     A single unit antenna with ``h = 1``; hard decisions on the LLR sign.
     ``Eb/N0`` here is per uncoded bit (``n0 = 1 / (2 * 10**(ebno/10))``).
     """
-    from ..phy.modulation import get_scheme, qam_map
-
     scheme = get_scheme("qpsk")
     if num_bits % 2:
         raise ConfigError("num_bits must be even for QPSK")

@@ -8,6 +8,10 @@ Floats are written with ``repr`` so files are bit-stable across runs and
 platforms.  The manifest echoes the full run configuration (enough to
 replay the run), the package version, and a checksum of every channel
 profile used.
+
+This module is the package's one reader and writer of YAML: ``load_yaml``
+reads a sweep config or a manifest, so that a job that writes no result
+files never imports the YAML parser.
 """
 
 from __future__ import annotations
@@ -99,9 +103,20 @@ def write_manifest(config: dict, out_dir, *, files=(), profiles=()) -> str:
     return path
 
 
-def read_manifest(path) -> dict:
-    from ..config import load_yaml  # config imports this package
+def load_yaml(path) -> dict:
+    """The top-level mapping of the YAML file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        # One line: the YAML parser's message spans several.
+        raise ConfigError(f"{path}: cannot read YAML: {' '.join(str(exc).split())}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping at the top level")
+    return data
 
+
+def read_manifest(path) -> dict:
     manifest = load_yaml(path)
     if "config" not in manifest:
         raise ConfigError(f"{path}: not a run manifest")

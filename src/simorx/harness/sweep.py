@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from ..channel.profiles import load_profile
 from ..checkpoint import read_checkpoint, save_checkpoint
+from ..config import make_eval_config, make_train_config
 from ..errors import ConfigError, is_integer
 from ..phy.modulation import get_scheme
 from ..training import TrainResult, train_source
@@ -106,8 +107,6 @@ class SweepResult:
 
 def sweep(cfg, out_dir) -> SweepResult:
     """Run a full sweep into ``out_dir``; accepts a SweepConfig or its dict form."""
-    from ..config import make_eval_config, make_train_config
-
     if isinstance(cfg, dict):
         cfg = SweepConfig.from_dict(cfg)
     ckpt_paths: list = []

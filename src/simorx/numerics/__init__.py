@@ -1,13 +1,6 @@
-from .adam import Adam
-from .gradcheck import GradCheckReport, LinearProbeObjective, finite_diff_check
-from .layers import Conv2D, LayerNorm, ReLU
+"""Layers with hand-written backward passes, Adam, and a finite-difference
+gradient checker.
 
-__all__ = [
-    "Adam",
-    "Conv2D",
-    "LayerNorm",
-    "ReLU",
-    "GradCheckReport",
-    "LinearProbeObjective",
-    "finite_diff_check",
-]
+The package re-exports nothing: import each name from the module that
+defines it (``simorx.numerics.layers``, ``adam``, ``gradcheck``).
+"""

@@ -1,18 +1,5 @@
-from .grid import GridConfig, build_grid, extract_data_res, pilot_values
-from .ldpc import LdpcCode, build_code, decode, encode, syndrome
-from .modulation import ModulationScheme, get_scheme, qam_map
+"""Resource grid bookkeeping, Gray-mapped QAM, and the rate-1/2 LDPC code.
 
-__all__ = [
-    "GridConfig",
-    "build_grid",
-    "extract_data_res",
-    "pilot_values",
-    "LdpcCode",
-    "build_code",
-    "decode",
-    "encode",
-    "syndrome",
-    "ModulationScheme",
-    "get_scheme",
-    "qam_map",
-]
+The package re-exports nothing: import each name from the module that
+defines it (``simorx.phy.grid``, ``modulation``, ``ldpc``).
+"""

@@ -83,11 +83,6 @@ class LdpcCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.m, self.n), dtype=np.uint8)
-        h[np.repeat(np.arange(self.m), ROW_WEIGHT), self.row_vars.reshape(-1)] = 1
-        return h
-
 
 def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):
     """Check-node adjacency ``[m, 6]`` with every column used exactly 3 times.

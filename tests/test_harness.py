@@ -14,17 +14,12 @@ import yaml
 
 import simorx.chain
 import simorx.harness.bler
+import simorx.harness.sweep
 from simorx.chain import code_for_grid, simulate_batch
 from simorx.checkpoint import save_checkpoint
 from simorx.channel.fading import ebno_to_n0
 from simorx.channel.profiles import load_profile
-from simorx.config import (
-    EBNO_GRID_DB,
-    SCALES,
-    load_yaml,
-    make_eval_config,
-    make_train_config,
-)
+from simorx.config import EBNO_GRID_DB, SCALES, make_eval_config, make_train_config
 from simorx.errors import ConfigError
 from simorx.harness.bler import (
     BlerCurve,
@@ -39,6 +34,7 @@ from simorx.harness.genie import LLR_CLIP, genie_lmmse_llrs, uncoded_qpsk_ber
 from simorx.harness.results import (
     CSV_HEADER,
     emit_results,
+    load_yaml,
     profile_checksums,
     read_curve_csv,
     read_manifest,
@@ -537,13 +533,10 @@ def test_sweep_config_round_trips_through_dict_form():
     ],
 )
 def test_sweep_config_rejects_bad_values_before_any_training(tmp_path, monkeypatch, bad, match):
-    import importlib
-
     def no_training(cfg):
         raise AssertionError("trained before rejecting the config")
 
-    # ``simorx.harness.sweep`` the attribute is the function, not the module.
-    monkeypatch.setattr(importlib.import_module("simorx.harness.sweep"), "train_source", no_training)
+    monkeypatch.setattr(simorx.harness.sweep, "train_source", no_training)
     with pytest.raises(ConfigError, match=match):
         tiny_sweep_config(**bad)
     with pytest.raises(ConfigError, match=match):
@@ -777,12 +770,10 @@ def test_cli_sweep_rejects_an_unreadable_config_file_with_one_error_line(tmp_pat
 
 
 def cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, bad: dict, match: str):
-    import importlib
-
     def no_training(cfg):
         raise AssertionError("trained before rejecting the config")
 
-    monkeypatch.setattr(importlib.import_module("simorx.harness.sweep"), "train_source", no_training)
+    monkeypatch.setattr(simorx.harness.sweep, "train_source", no_training)
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), **bad}))
     out = tmp_path / "out"

@@ -281,6 +281,51 @@ def test_the_rules_see_every_form_of_package_import():
     ]
 
 
+def imports_in(source: str) -> list:
+    """``(line, module)`` of every import statement in ``source``, at any
+    depth; ``module`` is dotted as written, with the leading dots of a
+    relative import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found)
+
+
+def test_the_rule_sees_every_form_of_import():
+    source = (
+        '"""A package."""\n'
+        "from .bler import run_bler\n"
+        "from . import sweep\n"
+        "import yaml\n"
+        "if True:\n"
+        "    import simorx.chain as c\n"
+        "def f():\n"
+        "    from ..config import load_yaml\n"
+        "x = 'import os'\n"
+    )
+    assert imports_in(source) == [
+        (2, ".bler"), (3, "."), (4, "yaml"), (6, "simorx.chain"), (8, "..config"),
+    ]
+    assert imports_in('"""Docstring only."""\n') == []
+
+
+def test_subpackage_inits_import_nothing():
+    # A subpackage that re-exported its modules' names would make every
+    # job that imports one module of it import them all; each name has
+    # one import path, the module that defines it.
+    inits = sorted(PACKAGE_DIR.glob("*/__init__.py"))
+    assert {p.parent.name for p in inits} >= {"channel", "harness", "numerics", "phy"}
+    offenders = [
+        f"{path.relative_to(PACKAGE_DIR)}:{line}: {module}"
+        for path in inits
+        for line, module in imports_in(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def module_name(path: Path) -> str:
     return ".".join(("simorx",) + path.relative_to(PACKAGE_DIR).with_suffix("").parts)
 
@@ -315,8 +360,9 @@ def fresh_python(code: str) -> list:
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
+    assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
 
@@ -329,16 +375,43 @@ def test_importing_the_package_loads_no_thread_pool_or_blas_handle():
     ) == ["False", "0"]
 
 
-def test_set_up_loads_no_masked_arrays():
-    # numpy's set routines (np.unique, np.setdiff1d, ...) import numpy.ma,
-    # about 20 ms of every process's set-up that nothing in the package uses.
+def test_set_up_imports_only_the_code_a_job_runs():
+    # Training and evaluation set-up at desk scale.  Result files, sweeps,
+    # the command line, transfer learning and the gradient checker are
+    # other jobs' code, and YAML is read and written only with result
+    # files.  numpy's set routines (np.unique, np.setdiff1d, ...) import
+    # numpy.ma, about 20 ms of every process's set-up that nothing uses.
+    unused = (
+        "yaml", "simorx.harness.results", "simorx.harness.sweep", "simorx.harness.cli",
+        "simorx.transfer", "simorx.numerics.gradcheck", "numpy.ma",
+    )
     assert fresh_python(
-        "import sys, simorx.config, simorx.training, simorx.harness.bler\n"
+        "import sys, simorx.config, simorx.training, simorx.harness.bler, simorx.checkpoint\n"
         "from simorx.chain import code_for_grid\n"
         "cfg = simorx.config.make_train_config('desk', modulation='qpsk')\n"
         "code_for_grid(cfg.grid, cfg.scheme(), cfg.ldpc_seed)\n"
-        "print('numpy.ma' in sys.modules)"
-    ) == ["False"]
+        f"print('loaded:', *[m for m in {unused!r} if m in sys.modules])"
+    ) == ["loaded:"]
+
+
+def test_every_module_imports_first_without_a_cycle():
+    # Each module is imported into an interpreter that holds no other
+    # simorx module, so an import cycle shows whichever module starts it.
+    # ``__main__`` runs the command line when imported and is left out.
+    modules = sorted(
+        module_name(path).removesuffix(".__init__")
+        for path in PACKAGE_DIR.rglob("*.py")
+        if path.name != "__main__.py"
+    )
+    assert "simorx.harness.results" in modules and "simorx.config" in modules
+    assert fresh_python(
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    for key in [k for k in sys.modules if k == 'simorx' or k.startswith('simorx.')]:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+        "    print(name)"
+    ) == modules
 
 
 def test_every_benchmark_wrap_point_resolves(monkeypatch):
