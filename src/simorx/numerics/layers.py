@@ -4,7 +4,7 @@ Activations use a channels-last layout ``[batch, height, width, channels]``
 so that the im2col buffer and the normalisation axis are both contiguous.
 
 Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]`` so the forward
-pass is a single matrix product with no repacking; the canonical
+pass of each image is one matrix product with no repacking; the canonical
 ``[c_out, c_in, kh, kw]`` view used by checkpoints is exposed through the
 ``weights`` property.
 
@@ -13,9 +13,9 @@ goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
 each layer records one entry under itself as the key, and keeps only what
 no other entry can reproduce:
 
-- ``Conv2D``: its input, by reference.  Neither the padded copy nor the
-  im2col buffer (``kh * kw`` times larger) is kept; the backward pass pads
-  and rebuilds im2col in the workspace.
+- ``Conv2D``: its input, by reference.  Neither the padded copy nor any
+  im2col taps are kept; the backward pass pads again and rebuilds the
+  taps in the workspace.
 - ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
   per-position inverse standard deviation.  ``taped_output`` and
   ``relu_output`` rebuild ``forward(x)`` and ``relu(forward(x))`` from
@@ -29,13 +29,19 @@ A forward without a tape records nothing.  ``backward(grad_out, tape)``
 pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
 leaves state on a layer, two forwards on two tapes may share one model.
+``Conv2D`` and ``LayerNorm`` backwards take ``param_grads=False`` to skip
+their parameter gradients (``grads`` is then empty) when the caller keeps
+none of them.
 
 Conv im2col buffers and padded scratch live in a workspace owned by the
-calling thread, not by a layer.  Each buffer grows to the largest request
-and is reused by every later conv call on that thread, so a training step
-allocates no im2col or padding memory after its first iteration.  Nothing
-in the workspace outlives the call that filled it: every forward and backward
-returns a freshly allocated array, and threads never share a workspace.
+calling thread, not by a layer.  The padded buffer holds a whole shard;
+the im2col buffer holds the ``kh * kw`` taps of one image (one transport
+block) at a time, since each image's GEMM reads only its own taps.  Each
+buffer grows to the largest request and is reused by every later conv call
+on that thread, so a training step allocates no im2col or padding memory
+after its first iteration.  Nothing in the workspace outlives the call that
+filled it: every forward and backward returns a freshly allocated array,
+and threads never share a workspace.
 Training runs the shards of a batch on two threads (``simorx.training``),
 one model on two tapes at once; the tape and the per-thread workspace are
 what make that safe.
@@ -102,13 +108,15 @@ def _padded(x: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
 class Conv2D:
     """2-D convolution with same-size zero padding.
 
-    ``forward`` pads its input and runs one GEMM on an im2col buffer, both
-    in the thread's workspace.  With a tape the layer records its input
-    there; ``backward`` pads it and rebuilds the im2col buffer from it in
-    the workspace for the weight gradient, then reuses the same buffers for
-    the im2col of the padded output gradient, which gives the input
-    gradient.  A 1x1 kernel needs neither padding nor im2col and runs its
-    GEMMs on the input as is.
+    ``forward`` pads its input in the thread's workspace and then, image by
+    image, copies that image's taps into the workspace's im2col buffer and
+    runs one GEMM from it straight into the output.  With a tape the layer
+    records its input there; ``backward`` pads it again and sums the
+    per-image weight-gradient GEMMs over the images in image order, then
+    runs the same per-image loop on the padded output gradient against the
+    flipped kernel, which gives the input gradient.  With
+    ``param_grads=False`` it forms the input gradient only.  A 1x1 kernel
+    needs neither padding nor im2col and runs one GEMM on the whole input.
     """
 
     kind = "conv2d"
@@ -176,18 +184,45 @@ class Conv2D:
         kh, kw = self.kernel
         return (*_pad_amounts(kh), *_pad_amounts(kw))
 
-    def _im2col(self, xp: np.ndarray, h: int, w: int) -> np.ndarray:
-        """``[m * h * w, kh * kw * c]`` taps of the padded ``xp``, in the
-        workspace (or ``xp`` itself reshaped, for a 1x1 kernel)."""
+    def _image_taps(self, xp: np.ndarray, h: int, w: int):
+        """Yield the ``[h * w, kh * kw * c]`` taps of each image of the
+        padded ``xp`` in turn, all in one workspace buffer that each step
+        overwrites."""
         m, _, _, c = xp.shape
         kh, kw = self.kernel
-        if kh == kw == 1:
-            return xp.reshape(m * h * w, c)
         sm, sh, sw, sc = xp.strides
         taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
-        cols = _WORKSPACE.take("cols", taps.shape, xp.dtype)
-        np.copyto(cols, taps)
-        return cols.reshape(m * h * w, kh * kw * c)
+        cols = _WORKSPACE.take("cols", taps.shape[1:], xp.dtype)
+        flat = cols.reshape(h * w, kh * kw * c)
+        for img in taps:
+            np.copyto(cols, img)
+            yield flat
+
+    def _taps_matmul(self, xp: np.ndarray, h: int, w: int, rhs: np.ndarray) -> np.ndarray:
+        """``[m * h * w, rhs columns]``: the taps of the padded ``xp`` times
+        ``rhs``, one GEMM per image into a fresh array (one GEMM on ``xp``
+        itself for a 1x1 kernel)."""
+        m, _, _, c = xp.shape
+        if self.kernel == (1, 1):
+            return xp.reshape(m * h * w, c) @ rhs
+        out = np.empty((m, h * w, rhs.shape[1]), dtype=np.result_type(xp, rhs))
+        for i, cols in enumerate(self._image_taps(xp, h, w)):
+            np.matmul(cols, rhs, out=out[i])
+        return out.reshape(m * h * w, rhs.shape[1])
+
+    def _weight_grad(self, xp: np.ndarray, h: int, w: int, gm: np.ndarray) -> np.ndarray:
+        """``taps(xp).T @ gm``, summed over the images in image order."""
+        m, _, _, c = xp.shape
+        if self.kernel == (1, 1):
+            return xp.reshape(m * h * w, c).T @ gm
+        gi = gm.reshape(m, h * w, gm.shape[1])
+        taps = self._image_taps(xp, h, w)
+        total = next(taps).T @ gi[0]
+        part = np.empty_like(total)
+        for i, cols in enumerate(taps, start=1):
+            np.matmul(cols.T, gi[i], out=part)
+            total += part
+        return total
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.ndim != 4 or x.shape[-1] != self.in_channels:
@@ -197,18 +232,20 @@ class Conv2D:
         m, h, w, _ = x.shape
         if tape is not None:
             tape[self] = x
-        out = self._im2col(_padded(x, self._same_pads()), h, w) @ self.wmat
+        out = self._taps_matmul(_padded(x, self._same_pads()), h, w, self.wmat)
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
-    def backward(self, grad_out: np.ndarray, tape: dict):
+    def backward(self, grad_out: np.ndarray, tape: dict, *, param_grads: bool = True):
         x = tape.pop(self)
         kh, kw = self.kernel
         ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
         m, h, w, _ = x.shape
-        gm = grad_out.reshape(m * h * w, self.out_channels)
-        grad_bias = gm.sum(axis=0)
-        grad_wmat = self._im2col(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w).T @ gm
+        grads = []
+        if param_grads:
+            gm = grad_out.reshape(m * h * w, self.out_channels)
+            xp = _padded(x, (ph_lo, ph_hi, pw_lo, pw_hi))
+            grads = [self._weight_grad(xp, h, w, gm), gm.sum(axis=0)]
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
@@ -218,8 +255,8 @@ class Conv2D:
             .transpose(0, 1, 3, 2)
             .reshape(kh * kw * self.out_channels, self.in_channels)
         )
-        grad_in = (self._im2col(gp, h, w) @ wrot).reshape(m, h, w, self.in_channels)
-        return grad_in, [grad_wmat, grad_bias]
+        grad_in = self._taps_matmul(gp, h, w, wrot).reshape(m, h, w, self.in_channels)
+        return grad_in, grads
 
 
 def _channel_mean_vector(num_channels: int, dtype) -> np.ndarray:
@@ -300,13 +337,16 @@ class LayerNorm:
         np.maximum(out, 0, out=out)
         return out.reshape(*lead_shape, self.num_channels)
 
-    def backward(self, grad_out: np.ndarray, tape: dict):
+    def backward(self, grad_out: np.ndarray, tape: dict, *, param_grads: bool = True):
         xhat, inv = tape.pop(self)
         g2 = grad_out.reshape(xhat.shape)
         mean = _channel_mean_vector(self.num_channels, xhat.dtype)
-        scratch = g2 * xhat
-        grad_gamma = scratch.sum(axis=0)
-        grad_beta = g2.sum(axis=0)
+        grads = []
+        if param_grads:
+            scratch = g2 * xhat
+            grads = [scratch.sum(axis=0), g2.sum(axis=0)]
+        else:
+            scratch = np.empty_like(xhat)
         g = g2 * self.gamma
         np.multiply(g, xhat, out=scratch)
         proj = scratch @ mean
@@ -315,7 +355,7 @@ class LayerNorm:
         g -= gmean
         g -= scratch
         g *= inv
-        return g.reshape(grad_out.shape), [grad_gamma, grad_beta]
+        return g.reshape(grad_out.shape), grads
 
 
 class ReLU:

@@ -1,5 +1,7 @@
 """Layer arithmetic, Adam, and the finite-difference checker."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from simorx.errors import ConfigError
 from simorx.numerics.adam import Adam
 from simorx.numerics.gradcheck import LinearProbeObjective, finite_diff_check, relu_kink_distance
-from simorx.numerics.layers import Conv2D, LayerNorm, ReLU, _pad_amounts
+from simorx.numerics.layers import _WORKSPACE, Conv2D, LayerNorm, ReLU, _pad_amounts
 from simorx.receiver import ModelSpec, ReceiverModel
 
 
@@ -108,7 +110,7 @@ def test_gemm_path_matches_direct_convolution():
 @settings(max_examples=20)
 @given(
     kernel=st.sampled_from(KERNELS),
-    batch=st.integers(2, 3),
+    batch=st.integers(1, 5),
     cin=st.integers(1, 3),
     cout=st.integers(1, 3),
     h=st.integers(3, 6),
@@ -139,6 +141,28 @@ def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, 
     np.testing.assert_allclose(gx, fd, rtol=1e-9, atol=1e-9)
     report = finite_diff_check(SingleConv(conv), x, step=1.0)
     assert report.max_rel_err < 1e-9, report.format()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 9])
+def test_conv_workspace_holds_one_image_of_taps(batch):
+    # A fresh thread starts with an empty workspace, so the "cols" slot is
+    # as large as the largest request this conv's two passes made.
+    conv = Conv2D(5, 7, rng=np.random.default_rng(4))
+    x = np.random.default_rng(5).standard_normal((batch, 6, 8, 5)).astype(np.float32)
+    seen = {}
+
+    def run():
+        tape = {}
+        y = conv.forward(x, tape)
+        conv.backward(np.ones_like(y), tape)
+        seen["cols"] = _WORKSPACE.slots["cols"].nbytes
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    one_image = 6 * 8 * 3 * 3 * max(conv.in_channels, conv.out_channels) * x.itemsize
+    assert 0 < seen["cols"] <= one_image
 
 
 def test_consecutive_forward_calls_return_unaliased_arrays():
@@ -349,11 +373,50 @@ def test_adam_two_steps_match_hand_computed_trace():
         assert p[0] == pytest.approx(want, rel=1e-12)
 
 
+def textbook_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The update as one expression per moment and one per parameter."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return ms, vs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_the_textbook_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(17)
+    shapes = [(9 * 6, 8), (8,), (3, 5, 2), (1,)]
+    scales = [1e-6, 1e-3, 1.0, 1e2]
+    start = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    grads_per_step = [
+        [(scale * rng.standard_normal(shape)).astype(dtype) for shape, scale in zip(shapes, np.roll(scales, t))]
+        for t in range(6)
+    ]
+    want = [p.copy() for p in start]
+    want_m, want_v = textbook_adam(want, grads_per_step, lr=3e-3)
+    got = [p.copy() for p in start]
+    opt = Adam(got, lr=3e-3)
+    for grads in grads_per_step:
+        opt.step(got, grads)
+    for a, b in zip(got + opt.m + opt.v, want + want_m + want_v):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_adam_rejects_non_finite_gradients():
     p = np.array([1.0])
     opt = Adam([p], lr=1e-3)
     with pytest.raises(FloatingPointError):
         opt.step([p], [np.array([np.nan])])
+    with pytest.raises(ValueError):
+        opt.step([p], [np.array([0.5], dtype=np.float32)])
+    assert opt.t == 0 and p[0] == 1.0
 
 
 # --------------------------------------------------------- gradient checking
@@ -388,8 +451,8 @@ def test_check_flags_a_sign_flipped_backward(monkeypatch):
     bad = model.blocks[1].conv1
     orig = Conv2D.backward
 
-    def flipped(self, grad_out, tape):
-        grad_in, (grad_wmat, grad_bias) = orig(self, grad_out, tape)
+    def flipped(self, grad_out, tape, **kwargs):
+        grad_in, (grad_wmat, grad_bias) = orig(self, grad_out, tape, **kwargs)
         if self is bad:
             grad_wmat = -grad_wmat
         return grad_in, [grad_wmat, grad_bias]
