@@ -12,11 +12,6 @@ class Adam:
     is keyed by position in the parameter list, so the caller must pass the
     same parameters in the same order on every step.  State is deliberately
     not serialisable; adaptation restarts always begin from fresh moments.
-
-    A step allocates no float arrays: the update's elementwise operations
-    run in the textbook formula's order, each into one of two scratch
-    buffers the size of the largest parameter, so the bits match that
-    formula's.  That needs each gradient in its parameter's dtype.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -27,35 +22,19 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        nbytes = max((p.nbytes for p in params), default=0)
-        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
 
     def step(self, params, grads) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("parameter list changed length since Adam was created")
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if g.dtype != p.dtype:
-                raise ValueError(f"gradient {i} is {g.dtype}, its parameter {p.dtype}")
+        for i, g in enumerate(grads):
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in parameter {i}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
-            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-            s, d = (buf[: p.nbytes].view(p.dtype).reshape(p.shape) for buf in self._scratch)
-            np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
-            m += s
-            np.square(g, out=s)
-            s *= 1.0 - self.beta2
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += s
-            np.divide(m, c1, out=s)
-            s *= self.lr
-            np.divide(v, c2, out=d)
-            np.sqrt(d, out=d)
-            d += self.eps
-            s /= d
-            p -= s
+            v += (1.0 - self.beta2) * np.square(g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -29,9 +29,6 @@ A forward without a tape records nothing.  ``backward(grad_out, tape)``
 pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
 leaves state on a layer, two forwards on two tapes may share one model.
-``Conv2D`` and ``LayerNorm`` backwards take ``param_grads=False`` to skip
-their parameter gradients (``grads`` is then empty) when the caller keeps
-none of them.
 
 Conv im2col buffers and padded scratch live in a workspace owned by the
 calling thread, not by a layer.  The padded buffer holds a whole shard;
@@ -114,9 +111,8 @@ class Conv2D:
     records its input there; ``backward`` pads it again and sums the
     per-image weight-gradient GEMMs over the images in image order, then
     runs the same per-image loop on the padded output gradient against the
-    flipped kernel, which gives the input gradient.  With
-    ``param_grads=False`` it forms the input gradient only.  A 1x1 kernel
-    needs neither padding nor im2col and runs one GEMM on the whole input.
+    flipped kernel, which gives the input gradient.  A 1x1 kernel needs
+    neither padding nor im2col and runs one GEMM on the whole input.
     """
 
     kind = "conv2d"
@@ -185,42 +181,40 @@ class Conv2D:
         return (*_pad_amounts(kh), *_pad_amounts(kw))
 
     def _image_taps(self, xp: np.ndarray, h: int, w: int):
-        """Yield the ``[h * w, kh * kw * c]`` taps of each image of the
-        padded ``xp`` in turn, all in one workspace buffer that each step
-        overwrites."""
+        """Yield ``(rows, cols)`` for each image of the padded ``xp`` in
+        turn: ``cols`` is that image's ``[h * w, kh * kw * c]`` taps, in one
+        workspace buffer that each step overwrites, and ``rows`` its slice
+        of the ``m * h * w`` output rows.  A 1x1 kernel's taps are ``xp``
+        itself, so it yields once, every row against ``xp`` reshaped."""
         m, _, _, c = xp.shape
         kh, kw = self.kernel
+        if kh == kw == 1:
+            yield slice(None), xp.reshape(m * h * w, c)
+            return
         sm, sh, sw, sc = xp.strides
         taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
         cols = _WORKSPACE.take("cols", taps.shape[1:], xp.dtype)
         flat = cols.reshape(h * w, kh * kw * c)
-        for img in taps:
+        for i, img in enumerate(taps):
             np.copyto(cols, img)
-            yield flat
+            yield slice(i * h * w, (i + 1) * h * w), flat
 
     def _taps_matmul(self, xp: np.ndarray, h: int, w: int, rhs: np.ndarray) -> np.ndarray:
         """``[m * h * w, rhs columns]``: the taps of the padded ``xp`` times
-        ``rhs``, one GEMM per image into a fresh array (one GEMM on ``xp``
-        itself for a 1x1 kernel)."""
-        m, _, _, c = xp.shape
-        if self.kernel == (1, 1):
-            return xp.reshape(m * h * w, c) @ rhs
-        out = np.empty((m, h * w, rhs.shape[1]), dtype=np.result_type(xp, rhs))
-        for i, cols in enumerate(self._image_taps(xp, h, w)):
-            np.matmul(cols, rhs, out=out[i])
-        return out.reshape(m * h * w, rhs.shape[1])
+        ``rhs``, one GEMM per image into a fresh array."""
+        out = np.empty((xp.shape[0] * h * w, rhs.shape[1]), dtype=np.result_type(xp, rhs))
+        for rows, cols in self._image_taps(xp, h, w):
+            np.matmul(cols, rhs, out=out[rows])
+        return out
 
     def _weight_grad(self, xp: np.ndarray, h: int, w: int, gm: np.ndarray) -> np.ndarray:
         """``taps(xp).T @ gm``, summed over the images in image order."""
-        m, _, _, c = xp.shape
-        if self.kernel == (1, 1):
-            return xp.reshape(m * h * w, c).T @ gm
-        gi = gm.reshape(m, h * w, gm.shape[1])
         taps = self._image_taps(xp, h, w)
-        total = next(taps).T @ gi[0]
+        rows, cols = next(taps)
+        total = cols.T @ gm[rows]
         part = np.empty_like(total)
-        for i, cols in enumerate(taps, start=1):
-            np.matmul(cols.T, gi[i], out=part)
+        for rows, cols in taps:
+            np.matmul(cols.T, gm[rows], out=part)
             total += part
         return total
 
@@ -236,16 +230,14 @@ class Conv2D:
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
-    def backward(self, grad_out: np.ndarray, tape: dict, *, param_grads: bool = True):
+    def backward(self, grad_out: np.ndarray, tape: dict):
         x = tape.pop(self)
         kh, kw = self.kernel
         ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
         m, h, w, _ = x.shape
-        grads = []
-        if param_grads:
-            gm = grad_out.reshape(m * h * w, self.out_channels)
-            xp = _padded(x, (ph_lo, ph_hi, pw_lo, pw_hi))
-            grads = [self._weight_grad(xp, h, w, gm), gm.sum(axis=0)]
+        gm = grad_out.reshape(m * h * w, self.out_channels)
+        grad_bias = gm.sum(axis=0)
+        grad_wmat = self._weight_grad(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w, gm)
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
         # transposed pad split.
@@ -256,7 +248,7 @@ class Conv2D:
             .reshape(kh * kw * self.out_channels, self.in_channels)
         )
         grad_in = self._taps_matmul(gp, h, w, wrot).reshape(m, h, w, self.in_channels)
-        return grad_in, grads
+        return grad_in, [grad_wmat, grad_bias]
 
 
 def _channel_mean_vector(num_channels: int, dtype) -> np.ndarray:
@@ -337,16 +329,13 @@ class LayerNorm:
         np.maximum(out, 0, out=out)
         return out.reshape(*lead_shape, self.num_channels)
 
-    def backward(self, grad_out: np.ndarray, tape: dict, *, param_grads: bool = True):
+    def backward(self, grad_out: np.ndarray, tape: dict):
         xhat, inv = tape.pop(self)
         g2 = grad_out.reshape(xhat.shape)
         mean = _channel_mean_vector(self.num_channels, xhat.dtype)
-        grads = []
-        if param_grads:
-            scratch = g2 * xhat
-            grads = [scratch.sum(axis=0), g2.sum(axis=0)]
-        else:
-            scratch = np.empty_like(xhat)
+        scratch = g2 * xhat
+        grad_gamma = scratch.sum(axis=0)
+        grad_beta = g2.sum(axis=0)
         g = g2 * self.gamma
         np.multiply(g, xhat, out=scratch)
         proj = scratch @ mean
@@ -355,7 +344,7 @@ class LayerNorm:
         g -= gmean
         g -= scratch
         g *= inv
-        return g.reshape(grad_out.shape), grads
+        return g.reshape(grad_out.shape), [grad_gamma, grad_beta]
 
 
 class ReLU:

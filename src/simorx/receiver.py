@@ -96,27 +96,25 @@ class ResNetBlock:
         return h
 
     @staticmethod
-    def _relu_conv_backward(norm, relu, conv, grad_out, tape, param_grads):
+    def _relu_conv_backward(norm, relu, conv, grad_out, tape):
         # The conv input, rebuilt from the norm's entry, is also the ReLU's
         # output: tape it for both backwards, which pop it again.
         tape[relu] = tape[conv] = norm.relu_output(tape, grad_out.shape[:-1])
-        g, grads = conv.backward(grad_out, tape, param_grads=param_grads)
+        g, grads = conv.backward(grad_out, tape)
         g, _ = relu.backward(g, tape)
         return g, grads
 
-    def backward(self, grad_out: np.ndarray, tape: dict, *, param_grads: bool = True):
-        """``(grad_in, grads)``, ``grads`` in ``primitive_items`` order;
-        with ``param_grads=False`` no layer forms its parameter gradients
-        and ``grads`` is empty."""
-        g, g_conv2 = self._relu_conv_backward(self.norm2, self.relu2, self.conv2, grad_out, tape, param_grads)
-        g, g_norm2 = self.norm2.backward(g, tape, param_grads=param_grads)
-        g, g_conv1 = self._relu_conv_backward(self.norm1, self.relu1, self.conv1, g, tape, param_grads)
-        g, g_norm1 = self.norm1.backward(g, tape, param_grads=param_grads)
+    def backward(self, grad_out: np.ndarray, tape: dict):
+        """``(grad_in, grads)``, ``grads`` in ``primitive_items`` order."""
+        g, g_conv2 = self._relu_conv_backward(self.norm2, self.relu2, self.conv2, grad_out, tape)
+        g, g_norm2 = self.norm2.backward(g, tape)
+        g, g_conv1 = self._relu_conv_backward(self.norm1, self.relu1, self.conv1, g, tape)
+        g, g_norm1 = self.norm1.backward(g, tape)
         grads = g_norm1 + g_conv1 + g_norm2 + g_conv2
         if self.proj is None:
             g += grad_out
         else:
-            g_skip, g_proj = self.proj.backward(grad_out, tape, param_grads=param_grads)
+            g_skip, g_proj = self.proj.backward(grad_out, tape)
             g += g_skip
             grads += g_proj
         return g, grads
@@ -211,16 +209,16 @@ class ReceiverModel:
         from the output back to the first trainable coarse layer and stops
         there: the frozen prefix before it recorded nothing and runs no
         backward.  Frozen layers after a trainable one still pass the
-        gradient on but form no parameter gradients: their convs build no
-        weight-gradient taps and run no weight-gradient GEMM, and no bias,
-        gamma or beta sum is taken.  Nothing reads the gradient with
-        respect to the model's input, so none is returned.
+        gradient on, and their own gradients are dropped.  Nothing reads
+        the gradient with respect to the model's input, so none is
+        returned.
         """
         g = np.asarray(grad_out, dtype=self.dtype)
         grads = []
         for name, layer in reversed(self.coarse_layers()[self._first_trainable() :]):
-            g, layer_grads = layer.backward(g, tape, param_grads=self.trainable[name])
-            grads[:0] = layer_grads
+            g, layer_grads = layer.backward(g, tape)
+            if self.trainable[name]:
+                grads[:0] = layer_grads
         return grads
 
     def stage_forward_plan(self, x: np.ndarray):

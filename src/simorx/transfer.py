@@ -21,8 +21,7 @@ keep a random layer random, and refusing the adaptation would leave
 those mismatch axes without transfer.
 
 Frozen coarse layers in front of the first trainable one run their
-forward without a tape and no backward at all, and frozen layers behind a
-trainable one form only their input gradients (see
+forward without a tape and no backward at all (see
 ``ReceiverModel.backward``), so partial fine-tuning costs less per step
 than ``fine_tuning``.
 

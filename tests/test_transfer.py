@@ -18,7 +18,6 @@ from simorx.checkpoint import (
     save_checkpoint,
 )
 from simorx.errors import CheckpointError, ConfigError, TrainingDiverged
-from simorx.numerics.layers import Conv2D
 from simorx.phy.grid import SUPPORTED_SCS_KHZ, GridConfig
 from simorx.receiver import ModelSpec, ReceiverModel
 from simorx.training import TrainConfig, TrainResult, run_training
@@ -550,65 +549,6 @@ def test_antenna_count_mismatch_trains_the_input_conv(tiny_grid):
         assert out.transplant_delta == ["reinitialized input_conv: shape mismatch"]
         assert out.model.trainable["input_conv"], tech
         assert not np.array_equal(out.model.input_conv.weights, fresh.input_conv.weights), tech
-
-
-def test_frozen_blocks_behind_a_trainable_input_conv_form_no_parameter_gradients(tiny_grid, monkeypatch):
-    # feature_extraction after 2 -> 1 antennas: the re-initialised input
-    # conv trains, blocks 1-4 are frozen behind it, and the added block and
-    # the output conv train.
-    source_cfg = tiny_cfg(tiny_grid, n_rx=2)
-    src = checkpoint_from_model(
-        ReceiverModel(source_cfg.model_spec(), seed=source_cfg.seed), source_cfg.fingerprint()
-    )
-    target = tiny_cfg(tiny_grid, n_rx=1)
-    model = load_checkpoint(src, target_spec=target.model_spec(), init_seed=target.seed).model
-    add_resnet_block(model)
-    set_trainable(model, FROZEN_PREFIX["feature_extraction"], {"input_conv"})
-    frozen = ["block1", "block2", "block3", "block4"]
-    assert [name for name, on in model.trainable.items() if not on] == frozen
-
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal((3, 2, 6, 8))
-    out_shape = model.forward(x).shape
-    grad = rng.standard_normal(out_shape).astype(np.float32)
-
-    # Every parameter gradient formed, then only the trainable ones kept:
-    # the backward as it was before frozen layers skipped theirs.
-    flags = model.trainable
-    model.trainable = dict.fromkeys(flags, True)
-    tape = {}
-    model.forward(x, tape)
-    every = iter(model.backward(grad, tape))
-    model.trainable = flags
-    want = [
-        g
-        for qual, layer in model.primitive_layers()
-        for _, g in zip(layer.param_items(), every)
-        if flags[qual.split(".")[0]]
-    ]
-
-    weight_taps = []
-    orig = Conv2D._weight_grad
-
-    def spy(self, *args):
-        weight_taps.append(self)
-        return orig(self, *args)
-
-    monkeypatch.setattr(Conv2D, "_weight_grad", spy)
-    tape = {}
-    model.forward(x, tape)
-    got = model.backward(grad, tape)
-    assert len(got) == len(want) == len(model.trainable_params())
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    frozen_convs = {
-        id(layer)
-        for name, block in model.coarse_layers()
-        if name in frozen
-        for _, layer in block.primitive_items()
-    }
-    assert weight_taps and not frozen_convs & {id(conv) for conv in weight_taps}
-    assert {id(conv) for conv in weight_taps} >= {id(model.input_conv), id(model.output_conv)}
 
 
 TINY_GRID = GridConfig(num_symbols=14, num_subcarriers=12, guard_lo=1, guard_hi=1)
