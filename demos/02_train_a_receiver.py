@@ -19,7 +19,6 @@ import os
 
 import numpy as np
 
-from simorx.checkpoint import save_checkpoint
 from simorx.config import make_eval_config, make_train_config
 from simorx.harness.bler import GenieReceiver, NeuralReceiver, run_bler
 from simorx.phy.modulation import get_scheme
@@ -58,11 +57,9 @@ def main() -> None:
     print(f"  {len(losses) - 1:4d}  {losses[-1]:+6.3f}  <- final")
 
     os.makedirs(args.out, exist_ok=True)
-    ckpt = os.path.join(args.out, "source.ckpt")
-    save_checkpoint(result.checkpoint, ckpt)
-    result.write_log(os.path.join(args.out, "source_log.csv"))
+    ckpt, log = result.save(args.out, "source")
     print(f"\ncheckpoint: {ckpt}")
-    print(f"run log:    {os.path.join(args.out, 'source_log.csv')}")
+    print(f"run log:    {log}")
 
     print("\n=== BLER against the genie (true-channel) baseline ===")
     eval_cfg = make_eval_config(

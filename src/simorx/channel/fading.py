@@ -87,8 +87,13 @@ def apply_channel_awgn(tx, h, n0, rng: np.random.Generator) -> np.ndarray:
         n0 = n0.reshape(n0.shape + (1,) * (clean.ndim - n0.ndim))
     if not np.all(np.isfinite(n0)) or np.any(n0 < 0):
         raise ConfigError("noise variance must be finite and non-negative")
-    w = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-    return clean + np.sqrt(n0 / 2.0) * w
+    # Real parts are drawn before imaginary ones; stored results rest on it.
+    rx = np.empty(clean.shape, dtype=np.complex128)
+    rx.real = rng.standard_normal(clean.shape)
+    rx.imag = rng.standard_normal(clean.shape)
+    rx *= np.sqrt(n0 / 2.0)
+    rx += clean
+    return rx
 
 
 def ebno_to_n0(ebno_db, bits_per_symbol: int, code_rate: float):

@@ -156,11 +156,8 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
     return head + header + payload
 
 
-def save_checkpoint(model_or_ck, path, fingerprint: dict | None = None) -> None:
-    """Serialise a model or in-memory checkpoint to ``path`` atomically."""
-    ck = model_or_ck
-    if isinstance(model_or_ck, ReceiverModel):
-        ck = checkpoint_from_model(model_or_ck, fingerprint)
+def save_checkpoint(ck: Checkpoint, path) -> None:
+    """Serialise an in-memory checkpoint to ``path`` atomically."""
     blob = checkpoint_bytes(ck)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)

@@ -12,7 +12,7 @@ import os
 import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
-from ..checkpoint import load_checkpoint, save_checkpoint
+from ..checkpoint import load_checkpoint
 from ..config import make_eval_config, make_train_config
 from ..errors import SimorxError
 from ..phy.modulation import get_scheme
@@ -20,7 +20,7 @@ from ..receiver import ReceiverModel
 from ..training import train_source
 from ..transfer import TECHNIQUES, AdaptConfig, adapt, count_params, reference_comparison
 from .bler import GenieReceiver, NeuralReceiver, run_bler
-from .results import emit_results, load_yaml, write_manifest
+from .results import emit_results, load_yaml
 from .sweep import SweepConfig, sweep
 
 PROFILE_CHOICES = PACKAGED_PROFILES + ("mixed_cdl",)
@@ -106,18 +106,16 @@ def _cmd_train_source(args) -> int:
     cfg = _train_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     result = train_source(cfg)
-    ckpt = os.path.join(args.out, "source.ckpt")
-    save_checkpoint(result.checkpoint, ckpt)
-    log = os.path.join(args.out, "source_log.csv")
-    result.write_log(log)
-    write_manifest(
+    files = result.save(args.out, "source")
+    emit_results(
+        {},
+        args.out,
         {"verb": "train-source", "scale": args.scale, **cfg.fingerprint(),
          "batch": cfg.batch, "iterations": cfg.iterations},
-        args.out,
-        files=(ckpt, log),
         profiles={args.profile},
+        files=files,
     )
-    print(f"checkpoint: {ckpt}")
+    print(f"checkpoint: {files[0]}")
     print(f"final L: {result.final_loss:.4f}")
     return 0
 
@@ -127,21 +125,18 @@ def _cmd_adapt(args) -> int:
     cfg = AdaptConfig(args.technique, args.alpha, target)
     os.makedirs(args.out, exist_ok=True)
     result = adapt(args.source, cfg)
-    name = f"{args.technique}_a{args.alpha}"
-    ckpt = os.path.join(args.out, f"{name}.ckpt")
-    save_checkpoint(result.checkpoint, ckpt)
-    log = os.path.join(args.out, f"{name}_log.csv")
-    result.write_log(log)
-    write_manifest(
+    files = result.save(args.out, f"{args.technique}_a{args.alpha}")
+    emit_results(
+        {},
+        args.out,
         {"verb": "adapt", "technique": args.technique, "alpha": args.alpha,
          "steps": result.steps, "scale": args.scale, **target.fingerprint()},
-        args.out,
-        files=(ckpt, log),
         profiles={args.profile},
+        files=files,
     )
     for line in result.transplant_delta:
         print(line)
-    print(f"checkpoint: {ckpt} ({result.steps} iterations)")
+    print(f"checkpoint: {files[0]} ({result.steps} iterations)")
     return 0
 
 

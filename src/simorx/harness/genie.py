@@ -39,12 +39,13 @@ def genie_lmmse_llrs(y: np.ndarray, h: np.ndarray, n0, scheme: ModulationScheme)
     var = np.broadcast_to(np.asarray(n0, dtype=np.float64), energy.shape) / np.maximum(
         energy, _VAR_FLOOR
     )
-    d2 = np.abs(z[..., None] - scheme.points) ** 2  # [..., 2**K]
+    points = scheme.points.reshape((-1,) + (1,) * z.ndim)
+    d2 = np.abs(z - points) ** 2  # [2**K, ...]
     masks = scheme.bit_masks()  # [K, 2**K]
     llrs = np.empty(z.shape + (scheme.bits_per_symbol,))
     for k in range(scheme.bits_per_symbol):
-        d_one = np.where(masks[k], d2, np.inf).min(axis=-1)
-        d_zero = np.where(masks[k], np.inf, d2).min(axis=-1)
+        d_one = d2[masks[k]].min(axis=0)
+        d_zero = d2[~masks[k]].min(axis=0)
         raw = (d_zero - d_one) / np.maximum(var, _VAR_FLOOR)
         np.clip(raw, -LLR_CLIP, LLR_CLIP, out=raw)
         llrs[..., k] = raw

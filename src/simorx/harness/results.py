@@ -89,7 +89,7 @@ def profile_checksums(names) -> dict:
     return out
 
 
-def write_manifest(config: dict, out_dir, *, files=(), profiles=()) -> str:
+def _write_manifest(config: dict, out_dir, *, files=(), profiles=()) -> str:
     """Echo the resolved run configuration next to its outputs."""
     manifest = {
         "package_version": __version__,
@@ -132,5 +132,5 @@ def emit_results(curves: dict, out_dir, config: dict, profiles=(), files=()) -> 
         path = os.path.join(out_dir, f"{name}.csv")
         write_curve_csv(curve, path)
         paths.append(path)
-    paths.append(write_manifest(config, out_dir, files=[*files, *paths], profiles=profiles))
+    paths.append(_write_manifest(config, out_dir, files=[*files, *paths], profiles=profiles))
     return paths

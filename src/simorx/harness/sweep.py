@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 from ..channel.profiles import load_profile
-from ..checkpoint import read_checkpoint, save_checkpoint
+from ..checkpoint import read_checkpoint
 from ..config import make_eval_config, make_train_config
 from ..errors import ConfigError, is_integer
 from ..phy.modulation import get_scheme
@@ -136,24 +136,17 @@ def sweep(cfg, out_dir) -> SweepResult:
     else:
         result = train_source(train_cfg(cfg.source_modulation, cfg.source_profile, cfg.source_seed))
         source = result.checkpoint
-        source_path = os.path.join(out_dir, "source.ckpt")
-        save_checkpoint(source, source_path)
-        log = os.path.join(out_dir, "source_log.csv")
-        result.write_log(log)
-        log_paths.append(log)
+        source_path, *log = result.save(out_dir, "source")
         ckpt_paths.append(source_path)
+        log_paths.extend(log)
 
     curves: dict[str, BlerCurve] = {}
 
     def record(name: str, res: TrainResult, seed: int, technique: str, alpha) -> None:
         """Store one variant's checkpoint and run log, and evaluate it."""
-        path = os.path.join(out_dir, f"{name}.ckpt")
-        save_checkpoint(res.checkpoint, path)
+        path, *log = res.save(out_dir, name)
         ckpt_paths.append(path)
-        if res.log_lines:
-            log = os.path.join(out_dir, f"{name}_log.csv")
-            res.write_log(log)
-            log_paths.append(log)
+        log_paths.extend(log)
         eval_cfg = dataclasses.replace(base_eval, seed=seed)
         curve = run_bler(eval_cfg, NeuralReceiver(res.model, eval_cfg.grid, res.checkpoint.fingerprint_id))
         curve.metadata.update(

@@ -157,33 +157,26 @@ def finite_diff_check(
         )
 
     # Each perturbation only disturbs the network from its own layer on, so
-    # when the model exposes its stage chain we cache the stage inputs and
-    # re-run the suffix instead of the whole forward pass.  Per-stage op
-    # order is unchanged, so results are bit-identical to a full forward.
+    # we cache the stage inputs and re-run the suffix instead of the whole
+    # forward pass.  Per-stage op order is unchanged, so results are
+    # bit-identical to a full forward.  A model without a stage chain is
+    # one stage; a layer the chain does not name re-runs it from the start.
     plan = getattr(model, "stage_forward_plan", None)
-    if plan is not None:
-        y0, stages = plan(x)
-        names = [n for n, _ in stages]
-        funcs = [f for _, f in stages]
-        inputs = [y0]
-        for f in funcs:
-            inputs.append(f(inputs[-1]))
+    y0, stages = plan(x) if plan is not None else (x, [("", model.forward)])
+    stage_index = {name: i for i, (name, _) in enumerate(stages)}
+    funcs = [f for _, f in stages]
+    inputs = [y0]
+    for f in funcs[:-1]:
+        inputs.append(f(inputs[-1]))
 
-        def evaluate(stage: int) -> float:
-            y = inputs[stage]
-            for f in funcs[stage:]:
-                y = f(y)
-            return objective.value(y)
+    def evaluate(stage: int) -> float:
+        y = inputs[stage]
+        for f in funcs[stage:]:
+            y = f(y)
+        return objective.value(y)
 
-        def stage_of(layer_name: str) -> int:
-            return names.index(layer_name.split(".", 1)[0])
-
-    else:
-        def evaluate(stage: int) -> float:
-            return objective.value(model.forward(x))
-
-        def stage_of(layer_name: str) -> int:
-            return 0
+    def stage_of(layer_name: str) -> int:
+        return stage_index.get(layer_name.split(".", 1)[0], 0)
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     for (layer, kind, param, array), grad in zip(items, grads):

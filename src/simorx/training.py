@@ -23,12 +23,14 @@ shard size alone, never on the thread count.
 Randomness is derived per iteration from ``SeedSequence(seed,
 spawn_key=(iteration,))``, so runs are reproducible.  They are not
 resumable: Adam's moments are not saved and the run log is written only
-when the run ends, so an interrupted run starts over (ROADMAP open item 4).
+when the run ends, so an interrupted run starts over (see ROADMAP's open
+item on resumable training).
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .chain import code_for_grid, shard_map, shard_slices, simulate_batch
 from .channel.fading import ebno_to_n0
 from .channel.profiles import load_profile
-from .checkpoint import Checkpoint, checkpoint_from_model
+from .checkpoint import Checkpoint, checkpoint_from_model, save_checkpoint
 from .errors import ConfigError, TrainingDiverged, is_finite_real, is_integer
 from .numerics.adam import Adam
 from .phy.grid import GridConfig
@@ -143,9 +145,16 @@ class TrainResult:
     def final_loss(self) -> float:
         return float(self.losses[-1]) if self.losses.size else float("nan")
 
-    def write_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.log_lines) + "\n")
+    def save(self, out_dir, name: str) -> list:
+        """Write ``<name>.ckpt`` and, if the run has log lines,
+        ``<name>_log.csv`` into ``out_dir``; returns their paths."""
+        paths = [os.path.join(out_dir, f"{name}.ckpt")]
+        save_checkpoint(self.checkpoint, paths[0])
+        if self.log_lines:
+            paths.append(os.path.join(out_dir, f"{name}_log.csv"))
+            with open(paths[1], "w", encoding="utf-8") as fh:
+                fh.write("\n".join(self.log_lines) + "\n")
+        return paths
 
 
 def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:

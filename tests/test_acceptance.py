@@ -19,6 +19,7 @@ import pytest
 
 from simorx.checkpoint import (
     checkpoint_bytes,
+    checkpoint_from_model,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -336,7 +337,7 @@ def test_criterion_10_checkpoint_integrity(capsys, tmp_path):
     with criterion(capsys, 10, "checkpoint round trip and corruption rejection") as detail:
         model = ReceiverModel(ModelSpec(4, 8, 16, 4, 2), seed=3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, fingerprint={"modulation": "qpsk"})
+        save_checkpoint(checkpoint_from_model(model, {"modulation": "qpsk"}), path)
         blob = path.read_bytes()
         ck = read_checkpoint(path)
         assert checkpoint_bytes(ck) == blob  # parse/serialise is the identity

@@ -263,6 +263,32 @@ def test_per_sample_noise_levels():
     assert p1 == pytest.approx(10.0, rel=0.15)
 
 
+def sum_form_awgn(tx, h, n0, rng):
+    """The channel with the noise built as ``a + 1j * b`` and added out of
+    place: the byte-for-byte reference."""
+    clean = h[..., :, None, :] * tx[..., None, :, :]
+    n0 = np.asarray(n0, dtype=np.float64)
+    if n0.ndim:
+        n0 = n0.reshape(n0.shape + (1,) * (clean.ndim - n0.ndim))
+    w = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+    return clean + np.sqrt(n0 / 2.0) * w
+
+
+@pytest.mark.parametrize("n0", [0.3, 0.0, [0.1, 2.5, 0.0]])
+@pytest.mark.parametrize("n_rx", [1, 4])
+def test_awgn_matches_the_sum_form_byte_for_byte(n_rx, n0):
+    rng = np.random.default_rng(n_rx)
+    tx = rng.standard_normal((3, 14, 32)) + 1j * rng.standard_normal((3, 14, 32))
+    tx[0, 0] = -0.0  # signed zeros survive a zero noise level alike
+    h = rng.standard_normal((3, n_rx, 32)) + 1j * rng.standard_normal((3, n_rx, 32))
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = apply_channel_awgn(tx, h, n0, got_rng)
+    want = sum_form_awgn(tx, h, n0, ref_rng)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_awgn_validation():
     with pytest.raises(ConfigError):
         apply_channel_awgn(np.zeros((14, 32)), np.zeros((2, 31)), 0.1, np.random.default_rng(0))

@@ -16,7 +16,7 @@ import simorx.chain
 import simorx.harness.bler
 import simorx.harness.sweep
 from simorx.chain import code_for_grid, simulate_batch
-from simorx.checkpoint import save_checkpoint
+from simorx.checkpoint import checkpoint_from_model, save_checkpoint
 from simorx.channel.fading import ebno_to_n0
 from simorx.channel.profiles import load_profile
 from simorx.config import EBNO_GRID_DB, SCALES, make_eval_config, make_train_config
@@ -96,6 +96,40 @@ def test_genie_llrs_match_a_brute_force_max_log_oracle(name):
             ones = np.array(ones)
             want = d[~ones].min() - d[ones].min()
             assert got[i, bit] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def where_genie_llrs(y, h, n0, scheme):
+    """The demapper with each bit's minima taken over ``inf``-padded copies
+    of the distance array: the byte-for-byte reference."""
+    energy = np.sum(np.abs(h) ** 2, axis=-1)
+    z = np.sum(np.conj(h) * y, axis=-1) / np.maximum(energy, 1e-30)
+    var = np.broadcast_to(np.asarray(n0, dtype=np.float64), energy.shape) / np.maximum(energy, 1e-30)
+    d2 = np.abs(z[..., None] - scheme.points) ** 2
+    masks = scheme.bit_masks()
+    llrs = np.empty(z.shape + (scheme.bits_per_symbol,))
+    for k in range(scheme.bits_per_symbol):
+        d_one = np.where(masks[k], d2, np.inf).min(axis=-1)
+        d_zero = np.where(masks[k], np.inf, d2).min(axis=-1)
+        raw = (d_zero - d_one) / np.maximum(var, 1e-30)
+        np.clip(raw, -LLR_CLIP, LLR_CLIP, out=raw)
+        llrs[..., k] = raw
+    return llrs
+
+
+@pytest.mark.parametrize("per_block", [False, True])
+@pytest.mark.parametrize("n_rx", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["qpsk", "16qam", "64qam"])
+def test_genie_llrs_match_the_where_form_byte_for_byte(name, n_rx, per_block):
+    scheme = get_scheme(name)
+    rng = np.random.default_rng(n_rx)
+    shape = (3, 40, n_rx)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = scheme.points[rng.integers(0, scheme.num_points, size=shape[:2])]
+    y = h * s[..., None] + 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    y[0, :4] = h[0, :4] = 0.0  # no energy: the variance floor
+    n0 = rng.uniform(0.05, 2.0, size=(3, 1)) if per_block else 0.3
+    got = genie_lmmse_llrs(y, h, n0, scheme)
+    assert got.tobytes() == where_genie_llrs(y, h, n0, scheme).tobytes()
 
 
 def test_genie_llrs_are_clipped_at_zero_noise():
@@ -561,7 +595,7 @@ def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
     assert all(os.path.exists(p) for p in result.checkpoint_paths)
     # model_transfer trains nothing, so it leaves no run log
     logged = {os.path.basename(p) for p in result.log_paths}
-    assert "model_transfer_log.csv" not in logged
+    assert "model_transfer_s0_log.csv" not in logged
     assert "source_log.csv" in logged
     manifest = read_manifest(result.manifest_path)
     assert manifest["config"]["alphas"] == [0.5]
@@ -825,7 +859,7 @@ def test_cli_reports_package_errors_as_exit_two(tmp_path, capsys):
 
 def test_cli_reports_a_malformed_checkpoint_field_as_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(ReceiverModel(ModelSpec(2, 4, 6, 1, 2)), path)
+    save_checkpoint(checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 1, 2))), path)
     blob = path.read_bytes()
     header_len = int.from_bytes(blob[8:16], "little")
     header, payload = blob[24 : 24 + header_len], blob[24 + header_len :]

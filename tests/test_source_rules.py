@@ -430,3 +430,69 @@ def test_every_benchmark_wrap_point_resolves(monkeypatch):
         if not callable((owner.__dict__ if isinstance(owner, type) else vars(owner)).get(attr))
     ]
     assert missing == []
+
+
+def uses_of(source: str, names) -> list:
+    """``(line, scope, name)`` of every use of one of ``names`` in
+    ``source``, as a bare name or as an attribute (``m.name``), called or
+    passed on; ``scope`` is the dotted path of the enclosing classes and
+    functions, ``""`` at module level.  Definitions and imports are not uses."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((child.lineno, scope, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((child.lineno, scope, child.attr))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_rule_sees_every_form_of_use():
+    source = (
+        "from .checkpoint import save_checkpoint\n"
+        "import simorx.checkpoint as c\n"
+        "def save_checkpoint(ck, path):\n"
+        "    pass\n"
+        "save_checkpoint(ck, 'a')\n"
+        "class TrainResult:\n"
+        "    def save(self, out_dir, name):\n"
+        "        save_checkpoint(self.checkpoint, name)\n"
+        "        def later():\n"
+        "            c.save_checkpoint(ck, name)\n"
+        "writer = save_checkpoint\n"
+        "_write_manifest({}, 'out')\n"
+    )
+    assert uses_of(source, {"save_checkpoint", "_write_manifest"}) == [
+        (5, "", "save_checkpoint"),
+        (8, "TrainResult.save", "save_checkpoint"),
+        (10, "TrainResult.save.later", "save_checkpoint"),
+        (11, "", "save_checkpoint"),
+        (12, "", "_write_manifest"),
+    ]
+
+
+def test_one_writer_for_checkpoints_and_manifests():
+    # A run's checkpoint and log are written by TrainResult.save, and a
+    # manifest only through emit_results, so that the file layout and the
+    # list of files a manifest names are decided in one place each.
+    allowed = {
+        "save_checkpoint": {("training.py", "TrainResult.save")},
+        "write_manifest": set(),
+        "_write_manifest": {("harness/results.py", "emit_results")},
+    }
+    files = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert files
+    offenders = [
+        f"{path.relative_to(PACKAGE_DIR)}:{line}: {name} in {scope or 'module'}"
+        for path in files
+        for line, scope, name in uses_of(path.read_text(encoding="utf-8"), set(allowed))
+        if (path.relative_to(PACKAGE_DIR).as_posix(), scope) not in allowed[name]
+    ]
+    assert offenders == []

@@ -68,9 +68,12 @@ def test_log_format_round_trips(tiny_grid, tmp_path):
         assert float(metric) == 1.0 - float(bce)
         assert (float(lo), float(hi)) == (cfg.ebno_lo_db, cfg.ebno_hi_db)
         assert int(seed) == cfg.seed
-    p = tmp_path / "run.csv"
-    result.write_log(p)
-    assert p.read_text().splitlines() == result.log_lines
+    ckpt, log = result.save(tmp_path, "run")
+    assert (ckpt, log) == (str(tmp_path / "run.ckpt"), str(tmp_path / "run_log.csv"))
+    with open(log, encoding="utf-8") as fh:
+        assert fh.read().splitlines() == result.log_lines
+    with open(ckpt, "rb") as fh:
+        assert fh.read() == checkpoint_bytes(result.checkpoint)
 
 
 def test_final_loss_property(tiny_grid):

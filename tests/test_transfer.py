@@ -69,7 +69,7 @@ def test_file_round_trip_is_bit_exact(tmp_path):
     model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
     model.trainable["block1"] = False
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, fingerprint={"modulation": "qpsk", "seed": 5})
+    save_checkpoint(checkpoint_from_model(model, {"modulation": "qpsk", "seed": 5}), path)
     ck = read_checkpoint(path)
 
     loaded = load_checkpoint(ck)
@@ -96,7 +96,7 @@ def test_fingerprint_id_is_stable_and_order_free():
 def valid_blob(tmp_path):
     model = ReceiverModel(ModelSpec(2, 4, 6, 2, 2), seed=5)
     path = tmp_path / "ok.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(checkpoint_from_model(model), path)
     return path, path.read_bytes()
 
 
@@ -605,9 +605,9 @@ def test_adapt_log_has_one_row_per_step(tiny_source, tmp_path):
     src, cfg = tiny_source
     out = adapt(src, AdaptConfig("feature_extraction", 0.25, cfg))
     assert len(out.log_lines) == out.steps + 1  # header + rows
-    p = tmp_path / "adapt.csv"
-    out.write_log(p)
-    assert p.read_text().splitlines() == out.log_lines
+    _, log = out.save(tmp_path, "adapt")
+    with open(log, encoding="utf-8") as fh:
+        assert fh.read().splitlines() == out.log_lines
 
 
 def test_without_tl_benchmark_spends_the_alpha_budget(tiny_grid):
@@ -628,12 +628,15 @@ def test_without_tl_benchmark_spends_the_alpha_budget(tiny_grid):
         run_benchmark("without_tl", None, cfg)
 
 
-def test_model_transfer_benchmark_runs_zero_updates(tiny_source):
+def test_model_transfer_benchmark_runs_zero_updates(tiny_source, tmp_path):
     src, cfg = tiny_source
     out = run_benchmark("model_transfer", src, cfg)
     assert isinstance(out, TrainResult)
     assert out.steps == 0
     assert out.log_lines == []
+    # no log lines, so saving writes the checkpoint alone
+    assert out.save(tmp_path, "mt") == [str(tmp_path / "mt.ckpt")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mt.ckpt"]
     for name, _ in out.model.coarse_layers():
         assert not changed(src, out.model, name)
     assert out.checkpoint.fingerprint["technique"] == "model_transfer"
