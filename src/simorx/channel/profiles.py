@@ -182,8 +182,13 @@ def load_profile(name_or_path: str):
         path = name_or_path
         if not os.path.exists(path):
             raise ConfigError(f"profile file {path!r} does not exist")
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_profile_text(fh.read(), origin=path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"profile file {path!r}: cannot read: {why}") from None
+        return parse_profile_text(text, origin=path)
     if name_or_path not in PACKAGED_PROFILES:
         raise ConfigError(
             f"unknown profile {name_or_path!r}; packaged: {PACKAGED_PROFILES + ('mixed_cdl',)}"

@@ -10,10 +10,11 @@ File layout::
 
 The header carries a fingerprint (architecture plus domain identifiers)
 and one record per primitive layer: name, kind, channel counts, trainable
-flag, and the byte extent of its slice of the payload.  A conv layer's
-slice is its weights ``[out, in, kh, kw]`` followed by its bias; a norm
-layer's slice is gamma followed by beta.  Offsets must tile the payload
-exactly; anything else is rejected.
+flag, and the byte extent of its slice of the payload.  ``ARRAYS`` is the
+one place that says what a record holds: for each layer kind, the layer
+attributes whose arrays fill its slice, in file order (a conv layer's
+weights ``[out, in, kh, kw]`` then its bias, a norm layer's gamma then
+beta).  Offsets must tile the payload exactly; anything else is rejected.
 
 Writes are atomic (temp file in the same directory, then ``os.replace``).
 Optimiser state is never stored; adaptation always restarts Adam fresh.
@@ -29,6 +30,7 @@ benchmark).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -36,25 +38,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError
-from .numerics.layers import Conv2D, LayerNorm
 from .receiver import ModelSpec, ReceiverModel
 
 MAGIC = b"NRXCKPT1"
 
 SPEC_KEYS = ("in_channels", "width_in", "width_res", "num_blocks", "out_bits")
 
+# Per layer kind, the attributes whose arrays fill a record's payload slice.
+ARRAYS = {"conv2d": ("weights", "bias"), "layer_norm": ("gamma", "beta")}
+
 
 @dataclass
 class CheckpointLayer:
     name: str
-    kind: str                      # conv2d | layer_norm
-    shape_meta: dict
+    kind: str                      # a key of ARRAYS
     trainable: bool
     arrays: list = field(default_factory=list)
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.arrays)
+
+    @property
+    def shape_meta(self) -> dict:
+        """The record's header shape fields, read off its first array."""
+        shape = self.arrays[0].shape
+        if self.kind == "conv2d":
+            c_out, c_in, kh, kw = shape
+            return {"in": c_in, "out": c_out, "kernel": f"{kh}x{kw}"}
+        return {"channels": shape[0]}
 
 
 def _int_field(where: str, key: str, value, lo: int = 1) -> int:
@@ -110,25 +122,11 @@ def checkpoint_from_model(model: ReceiverModel, fingerprint: dict | None = None)
     if fingerprint:
         fp.update({k: str(v) for k, v in fingerprint.items()})
     layers = []
-    coarse_of = {qual: qual.split(".")[0] for qual, _ in model.primitive_layers()}
     for qual, layer in model.primitive_layers():
-        trainable = model.trainable[coarse_of[qual]]
-        if isinstance(layer, Conv2D):
-            meta = {
-                "in": layer.in_channels,
-                "out": layer.out_channels,
-                "kernel": f"{layer.kernel[0]}x{layer.kernel[1]}",
-            }
-            arrays = [layer.weights, layer.bias]
-            kind = "conv2d"
-        elif isinstance(layer, LayerNorm):
-            meta = {"channels": layer.num_channels}
-            arrays = [layer.gamma, layer.beta]
-            kind = "layer_norm"
-        else:
+        if layer.kind not in ARRAYS:
             raise CheckpointError(f"cannot serialise layer kind {type(layer).__name__}")
-        arrays = [np.ascontiguousarray(a, dtype=np.float32) for a in arrays]
-        layers.append(CheckpointLayer(qual, kind, meta, trainable, arrays))
+        arrays = [np.ascontiguousarray(getattr(layer, a), dtype=np.float32) for a in ARRAYS[layer.kind]]
+        layers.append(CheckpointLayer(qual, layer.kind, model.trainable[qual.split(".")[0]], arrays))
     return Checkpoint(fp, layers)
 
 
@@ -221,7 +219,7 @@ def read_checkpoint(path) -> Checkpoint:
             return pairs[key] if lo is None else _int_field(path, key, pairs[key], lo)
 
         kind = get("kind")
-        if kind not in ("conv2d", "layer_norm"):
+        if kind not in ARRAYS:
             raise CheckpointError(f"{path}: unknown layer kind {kind!r}")
         offset, nbytes = get("offset", lo=0), get("nbytes", lo=0)
         if offset + nbytes > payload_len:
@@ -233,28 +231,18 @@ def read_checkpoint(path) -> Checkpoint:
             kernel = [_int_field(path, f"layer.{i}.kernel", v) for v in get("kernel").split("x")]
             if len(kernel) != 2:
                 raise CheckpointError(f"{path}: layer.{i}.kernel must read KHxKW, got {get('kernel')!r}")
-            kh, kw = kernel
-            wbytes = c_out * c_in * kh * kw * 4
-            if nbytes != wbytes + c_out * 4:
-                raise CheckpointError(f"{path}: layer {i} size disagrees with its shape")
-            raw = payload[offset : offset + nbytes]
-            weights = np.frombuffer(raw[:wbytes], dtype="<f4").reshape(c_out, c_in, kh, kw)
-            bias = np.frombuffer(raw[wbytes:], dtype="<f4")
-            arrays = [weights.copy(), bias.copy()]
-            shape_meta = {"in": c_in, "out": c_out, "kernel": f"{kh}x{kw}"}
+            shapes = [(c_out, c_in, *kernel), (c_out,)]
         else:
             c = get("channels", lo=1)
-            if nbytes != 2 * c * 4:
-                raise CheckpointError(f"{path}: layer {i} size disagrees with its shape")
-            raw = payload[offset : offset + nbytes]
-            arrays = [
-                np.frombuffer(raw[: c * 4], dtype="<f4").copy(),
-                np.frombuffer(raw[c * 4 :], dtype="<f4").copy(),
-            ]
-            shape_meta = {"channels": c}
-        layers.append(
-            CheckpointLayer(get("name"), kind, shape_meta, get("trainable") == "1", arrays)
-        )
+            shapes = [(c,), (c,)]
+        if nbytes != 4 * sum(math.prod(shape) for shape in shapes):
+            raise CheckpointError(f"{path}: layer {i} size disagrees with its shape")
+        arrays, start = [], offset
+        for shape in shapes:
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(payload, "<f4", count, start).reshape(shape).copy())
+            start += 4 * count
+        layers.append(CheckpointLayer(get("name"), kind, get("trainable") == "1", arrays))
 
     extents.sort()
     cursor = 0
@@ -271,21 +259,12 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def _apply_layer(target, rec: CheckpointLayer) -> bool:
-    if isinstance(target, Conv2D) and rec.kind == "conv2d":
-        w, b = rec.arrays
-        if w.shape != target.weights.shape:
-            return False
-        target.weights = w.astype(target.dtype).copy()
-        target.bias = b.astype(target.dtype).copy()
-        return True
-    if isinstance(target, LayerNorm) and rec.kind == "layer_norm":
-        g, be = rec.arrays
-        if g.shape != target.gamma.shape:
-            return False
-        target.gamma = g.astype(target.dtype).copy()
-        target.beta = be.astype(target.dtype).copy()
-        return True
-    return False
+    names = ARRAYS[rec.kind]
+    if target.kind != rec.kind or getattr(target, names[0]).shape != rec.arrays[0].shape:
+        return False
+    for name, a in zip(names, rec.arrays):
+        setattr(target, name, a.astype(target.dtype).copy())
+    return True
 
 
 @dataclass
@@ -323,9 +302,7 @@ def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed:
             reinitialized.append((rec.name, "absent from the target architecture"))
             continue
         if _apply_layer(target, rec):
-            coarse = rec.name.split(".")[0]
-            if coarse in model.trainable:
-                model.trainable[coarse] = rec.trainable
+            model.trainable[rec.name.split(".")[0]] = rec.trainable
         else:
             reinitialized.append((rec.name, "shape mismatch"))
     missing = [q for q in by_name if q not in {r.name for r in ck.layers}]

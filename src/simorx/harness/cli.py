@@ -14,7 +14,7 @@ import sys
 from ..channel.profiles import PACKAGED_PROFILES
 from ..checkpoint import load_checkpoint
 from ..config import make_eval_config, make_train_config
-from ..errors import SimorxError
+from ..errors import ConfigError, SimorxError
 from ..phy.modulation import get_scheme
 from ..receiver import ReceiverModel
 from ..training import train_source
@@ -148,6 +148,16 @@ def _cmd_eval(args) -> int:
               "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks}
     if args.verb == "eval":
         loaded = load_checkpoint(args.checkpoint)
+        spec = loaded.model.spec
+        for key, have, want in (
+            ("out_bits", spec.out_bits, get_scheme(args.modulation).bits_per_symbol),
+            ("in_channels", spec.in_channels, 2 * eval_cfg.n_rx),
+        ):
+            if have != want:
+                raise ConfigError(
+                    f"{args.checkpoint}: the receiver has {key}={have}, but {args.modulation} "
+                    f"with {eval_cfg.n_rx} antennas needs {key}={want}"
+                )
         receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
         config["checkpoint"] = args.checkpoint
         name, technique = args.name, "eval"

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..phy.grid import GridConfig
-from ..phy.modulation import ModulationScheme, get_scheme, qam_map
+from ..phy.modulation import ModulationScheme
 
 LLR_CLIP = 40.0
 _VAR_FLOOR = 1e-30
@@ -68,24 +68,3 @@ def genie_lmmse_baseline(rx: np.ndarray, h: np.ndarray, n0, scheme: ModulationSc
         n0 = n0[:, None]
     llrs = genie_lmmse_llrs(y, hh, n0, scheme)        # [B, n_data, K]
     return llrs.reshape(rx.shape[0], -1)
-
-
-def uncoded_qpsk_ber(ebno_db: float, num_bits: int, seed: int = 0) -> float:
-    """Monte-Carlo BER of uncoded QPSK over AWGN using the genie demapper.
-
-    A single unit antenna with ``h = 1``; hard decisions on the LLR sign.
-    ``Eb/N0`` here is per uncoded bit (``n0 = 1 / (2 * 10**(ebno/10))``).
-    """
-    scheme = get_scheme("qpsk")
-    if num_bits % 2:
-        raise ConfigError("num_bits must be even for QPSK")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(round(ebno_db * 1000)),)))
-    bits = rng.integers(0, 2, size=num_bits, dtype=np.uint8)
-    sym = qam_map(bits, scheme)
-    n0 = 1.0 / (2.0 * 10.0 ** (ebno_db / 10.0))
-    noise = (rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape)) * np.sqrt(n0 / 2.0)
-    y = (sym + noise)[..., None]
-    h = np.ones_like(y)
-    llrs = genie_lmmse_llrs(y, h, n0, scheme)
-    hard = (llrs.reshape(-1) > 0).astype(np.uint8)
-    return float(np.mean(hard != bits))

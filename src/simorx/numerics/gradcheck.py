@@ -20,7 +20,7 @@ nearest ReLU input lies within ``10 * step`` of zero is rejected.  Every
 ReLU here takes a LayerNorm output, so that distance is read from the
 LayerNorm entries of the tape.
 
-Relative errors use ``|a - f| / max(|a|, |f|, floor)``; the floor keeps
+Relative errors use ``|a - f| / max(|a|, |f|, FLOOR)``; the floor keeps
 finite-difference roundoff from dominating when a gradient is genuinely
 tiny.
 """
@@ -33,6 +33,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from .layers import LayerNorm
+
+FLOOR = 1e-4
 
 
 class LinearProbeObjective:
@@ -131,7 +133,6 @@ def finite_diff_check(
     objective=None,
     tolerance: float = 1e-4,
     step: float = 1e-6,
-    floor: float = 1e-4,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences for every parameter."""
     if np.dtype(model.dtype) != np.float64:
@@ -193,7 +194,7 @@ def finite_diff_check(
             flat[idx] = saved
             fd = (hi - lo) / (2.0 * step)
             a = gflat[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), FLOOR)
             if rel >= worst[0]:
                 worst = (rel, idx, a, fd)
         report.entries.append(

@@ -76,6 +76,8 @@ class _Workspace(threading.local):
 
 _WORKSPACE = _Workspace()
 
+EPSILON = 1e-9   # LayerNorm's variance floor
+
 
 def _pad_amounts(kernel: int) -> tuple[int, int]:
     # Zero padding that preserves the spatial size ("same").  For even
@@ -259,8 +261,8 @@ def _channel_mean_vector(num_channels: int, dtype) -> np.ndarray:
 class LayerNorm:
     """Normalisation over the channel axis, separately at every grid position.
 
-    ``gamma`` and ``beta`` are per-channel.  ``epsilon`` is added to the
-    variance before the square root; the default keeps the normalised
+    ``gamma`` and ``beta`` are per-channel.  ``EPSILON`` is added to the
+    variance before the square root; its value keeps the normalised
     variance within 1e-3 of one whenever the input variance exceeds 1e-6.
 
     The channel means (of the input, its centred square, and the two
@@ -272,11 +274,10 @@ class LayerNorm:
 
     kind = "layer_norm"
 
-    def __init__(self, num_channels: int, *, epsilon: float = 1e-9, dtype=np.float32):
+    def __init__(self, num_channels: int, *, dtype=np.float32):
         if num_channels < 1:
             raise ConfigError("num_channels must be positive")
         self.num_channels = int(num_channels)
-        self.epsilon = float(epsilon)
         self.gamma = np.ones(num_channels, dtype=dtype)
         self.beta = np.zeros(num_channels, dtype=dtype)
 
@@ -302,7 +303,7 @@ class LayerNorm:
         xhat = x2 - x2 @ mean
         out = np.square(xhat)
         inv = out @ mean
-        inv += self.epsilon
+        inv += EPSILON
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
         xhat *= inv

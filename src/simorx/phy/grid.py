@@ -114,22 +114,3 @@ def build_grid(symbols: np.ndarray, cfg: GridConfig) -> np.ndarray:
     for row, tsym in enumerate(cfg.pilot_symbols):
         grid[..., tsym, cfg.guard_lo : cfg.num_subcarriers - cfg.guard_hi] = pil[row]
     return grid
-
-
-def extract_data_res(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Inverse of the placement step: ``[..., F, S, ...tail] -> [..., n_data, ...tail]``.
-
-    Works on any array whose two leading-of-trailing axes are the grid; a
-    trailing per-RE axis (for example per-bit LLRs) is preserved.
-    """
-    grid = np.asarray(grid)
-    t, f = cfg.data_symbol_index, cfg.data_subcarrier_index
-    # Locate the (F, S) axis pair: it is the last pair for plain grids, or
-    # the pair before a trailing feature axis when one exists.
-    if grid.ndim >= 2 and grid.shape[-2:] == (cfg.num_symbols, cfg.num_subcarriers):
-        return grid[..., t, f]
-    if grid.ndim >= 3 and grid.shape[-3:-1] == (cfg.num_symbols, cfg.num_subcarriers):
-        return grid[..., t, f, :]
-    raise ConfigError(
-        f"no ({cfg.num_symbols}, {cfg.num_subcarriers}) axis pair in shape {grid.shape}"
-    )

@@ -63,6 +63,8 @@ logger = logging.getLogger(__name__)
 ROW_WEIGHT = 6
 COL_WEIGHT = 3
 DEFAULT_CONSTRUCTION_SEED = 1
+MAX_ATTEMPTS = 32   # construction seeds tried before giving up
+MAX_REPAIR = 200    # duplicate-edge repair passes per seed
 _SIGN_BIT = np.uint32(0x80000000)
 
 
@@ -84,7 +86,7 @@ class LdpcCode:
         return self.k / self.n
 
 
-def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):
+def _biregular_rows(n: int, rng: np.random.Generator):
     """Check-node adjacency ``[m, 6]`` with every column used exactly 3 times.
 
     Duplicate edges (one column twice in a row) are swapped with random
@@ -95,7 +97,7 @@ def _biregular_rows(n: int, rng: np.random.Generator, max_repair: int = 200):
     rng.shuffle(stubs)
     rows = stubs.reshape(m, ROW_WEIGHT)
     flat = rows.reshape(-1)
-    for _ in range(max_repair):
+    for _ in range(MAX_REPAIR):
         sorted_rows = np.sort(rows, axis=1)
         dup_rows = np.nonzero((sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1))[0]
         if dup_rows.size == 0:
@@ -185,12 +187,12 @@ def _rref_gf2(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 @functools.lru_cache(maxsize=32)
-def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED, max_attempts: int = 32) -> LdpcCode:
+def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED) -> LdpcCode:
     """Construct the rate-1/2 code of block length ``n`` (``n`` divisible by 6)."""
     if n % 2 or n < 4 * ROW_WEIGHT:
         raise ConfigError(f"block length must be even and at least {4 * ROW_WEIGHT}, got {n}")
     m = n // 2
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         rows = _biregular_rows(n, rng)
         if rows is None:
@@ -203,7 +205,7 @@ def build_code(n: int, seed: int = DEFAULT_CONSTRUCTION_SEED, max_attempts: int 
             break
         logger.info("ldpc n=%d seed %d: rank %d < %d, retrying", n, seed + attempt, len(pivots), m)
     else:
-        raise ConfigError(f"no full-rank construction for n={n} within {max_attempts} seeds")
+        raise ConfigError(f"no full-rank construction for n={n} within {MAX_ATTEMPTS} seeds")
 
     pivot_cols = np.asarray(pivots)
     is_free = np.ones(n, dtype=bool)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from simorx.checkpoint import (
+    ARRAYS,
     checkpoint_bytes,
     checkpoint_from_model,
     load_checkpoint,
@@ -27,7 +28,6 @@ from simorx.checkpoint import (
 from simorx.config import EBNO_GRID_DB, make_eval_config, make_train_config
 from simorx.errors import CheckpointError, ConfigError
 from simorx.harness.bler import NeuralReceiver, run_bler
-from simorx.harness.genie import uncoded_qpsk_ber
 from simorx.harness.results import read_curve_csv, read_manifest
 from simorx.harness.sweep import SweepConfig, sweep
 from simorx.numerics.gradcheck import finite_diff_check
@@ -47,6 +47,8 @@ from simorx.transfer import (
     run_benchmark,
     set_trainable,
 )
+
+from oracles import uncoded_qpsk_ber
 
 PROFILE = "cdl_d_like"   # line-of-sight-like profile: learnable at desk scale
 SEEDS = (0, 1, 2)
@@ -126,9 +128,7 @@ def ck_records(ck, coarse):
 
 def live_arrays(model, rec):
     layer = dict(model.primitive_layers())[rec.name]
-    if rec.kind == "conv2d":
-        return [layer.weights, layer.bias]
-    return [layer.gamma, layer.beta]
+    return [getattr(layer, a) for a in ARRAYS[rec.kind]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Profile parsing, fading statistics, and noise calibration."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,11 @@ def test_load_profile_from_path(tmp_path):
     p = load_profile(str(f))
     assert p.name == "custom"
     assert p.num_taps == 2
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# name=caf\xe9\n# los=false\n0 0\n")
+    for path, why in ((tmp_path, "Is a directory"), (latin1, "'utf-8' codec can't decode byte 0xe9")):
+        with pytest.raises(ConfigError, match=re.escape(f"profile file '{path}': cannot read: {why}")):
+            load_profile(str(path))
 
 
 def test_clustered_random_sampling_statistics():

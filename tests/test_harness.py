@@ -30,7 +30,7 @@ from simorx.harness.bler import (
     run_bler,
 )
 from simorx.harness.cli import main
-from simorx.harness.genie import LLR_CLIP, genie_lmmse_llrs, uncoded_qpsk_ber
+from simorx.harness.genie import LLR_CLIP, genie_lmmse_llrs
 from simorx.harness.results import (
     CSV_HEADER,
     emit_results,
@@ -45,6 +45,8 @@ from simorx.phy.grid import GridConfig
 from simorx.phy.ldpc import decode
 from simorx.phy.modulation import get_scheme
 from simorx.receiver import ModelSpec, ReceiverModel
+
+from oracles import uncoded_qpsk_ber
 
 
 def qfunc(x: float) -> float:
@@ -881,6 +883,32 @@ def test_cli_reports_a_missing_checkpoint_as_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {path}: cannot read: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "spec, key, have, want",
+    [(ModelSpec(4, 4, 6, 1, 2), "out_bits", 2, 4), (ModelSpec(2, 4, 6, 1, 4), "in_channels", 2, 4)],
+    ids=["modulation", "antennas"],
+)
+def test_cli_eval_rejects_a_receiver_that_does_not_fit_before_any_batch(
+    tmp_path, capsys, monkeypatch, spec, key, have, want
+):
+    def no_batch(*args):
+        raise AssertionError("simulated a batch before rejecting the checkpoint")
+
+    monkeypatch.setattr(simorx.harness.bler, "simulate_batch", no_batch)
+    path = tmp_path / "rx.ckpt"
+    save_checkpoint(checkpoint_from_model(ReceiverModel(spec)), path)
+    out = tmp_path / "eval"
+    code = run_cli(
+        "eval", "--checkpoint", str(path), "--modulation", "16qam", "--scale", "desk",
+        "--profile", "flat", "--ebno", "8", "--max-blocks", "4", "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: the receiver has {key}={have}, but 16qam with 2 antennas needs {key}={want}"
+    ]
+    assert not out.exists()
 
 
 def test_cli_rejects_a_negative_seed_with_exit_two(tmp_path, capsys):

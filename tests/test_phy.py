@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simorx.errors import ConfigError
-from simorx.phy.grid import GridConfig, build_grid, extract_data_res, pilot_values
+from simorx.phy.grid import GridConfig, build_grid, pilot_values
 from simorx.phy.ldpc import (
     COL_WEIGHT,
     ROW_WEIGHT,
@@ -19,6 +19,8 @@ from simorx.phy.ldpc import (
     syndrome,
 )
 from simorx.phy.modulation import get_scheme, qam_map
+
+from oracles import extract_data_res
 
 # -------------------------------------------------------------- constellation
 

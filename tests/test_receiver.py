@@ -9,7 +9,7 @@ import pytest
 from simorx.config import make_train_config
 from simorx.errors import ConfigError
 from simorx.numerics.layers import LayerNorm
-from simorx.phy.grid import GridConfig, extract_data_res
+from simorx.phy.grid import GridConfig
 from simorx.receiver import (
     ModelSpec,
     ReceiverModel,
@@ -21,6 +21,8 @@ from simorx.receiver import (
     preprocess,
     scatter_llr_bit_grad,
 )
+
+from oracles import extract_data_res
 
 # ---------------------------------------------------------------------------
 # preprocessing

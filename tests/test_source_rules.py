@@ -355,6 +355,25 @@ def test_evaluation_imports_nothing_from_training():
     assert offenders == []
 
 
+def test_the_rule_sees_every_form_of_layer_import():
+    source = (
+        "from .numerics.layers import Conv2D, LayerNorm\n"
+        "from .numerics import layers\n"
+        "import simorx.numerics.layers as L\n"
+        "from .numerics.gradcheck import finite_diff_check\n"
+        "from .receiver import ReceiverModel\n"
+    )
+    assert imports_of(source, "simorx.checkpoint", "simorx.numerics.layers") == [1, 1, 2, 3]
+
+
+def test_checkpoint_imports_nothing_from_the_layers():
+    # What a record holds is checkpoint.ARRAYS, looked up by a layer's
+    # ``kind``; a layer class named in checkpoint.py would be a second place.
+    path = PACKAGE_DIR / "checkpoint.py"
+    source = path.read_text(encoding="utf-8")
+    assert imports_of(source, module_name(path), "simorx.numerics.layers") == []
+
+
 def fresh_python(code: str) -> list:
     """The words ``code`` prints, run in a new interpreter that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))

@@ -1,6 +1,7 @@
 """Checkpoint format, model surgery, the freeze rule, and adaptation."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from simorx.channel.profiles import PACKAGED_PROFILES
 from simorx.checkpoint import (
+    ARRAYS,
     MAGIC,
     Checkpoint,
     checkpoint_bytes,
@@ -83,6 +85,13 @@ def test_file_round_trip_is_bit_exact(tmp_path):
 
     # Serialising the parsed checkpoint reproduces the file byte for byte.
     assert checkpoint_bytes(ck) == path.read_bytes()
+
+
+def test_the_file_layout_is_pinned():
+    # The round trips take checkpoint.ARRAYS as given; this pin catches a
+    # change to the header or to the order of a record's arrays.
+    blob = checkpoint_bytes(checkpoint_from_model(ReceiverModel(ModelSpec(2, 4, 6, 1, 2), seed=0)))
+    assert hashlib.sha256(blob).hexdigest() == "5d7eba9a7e66318a722298a672456e4f704e3c776ee02b0975428532c72ca592"
 
 
 def test_fingerprint_id_is_stable_and_order_free():
@@ -469,7 +478,7 @@ def changed(src_ck, model, coarse):
         if rec.name.split(".")[0] != coarse:
             continue
         layer = dict(model.primitive_layers())[rec.name]
-        now = [layer.weights, layer.bias] if rec.kind == "conv2d" else [layer.gamma, layer.beta]
+        now = [getattr(layer, a) for a in ARRAYS[rec.kind]]
         any_diff |= any(not np.array_equal(a, b) for a, b in zip(rec.arrays, now))
     return any_diff
 
@@ -597,7 +606,7 @@ def test_freeze_rule_holds_on_every_mismatch_axis(changes):
         for qual, layer in out.model.primitive_layers():
             if qual.split(".")[0] in frozen:
                 rec = TINY_SOURCE.layer(qual)  # a frozen tensor came from the source
-                now = [layer.weights, layer.bias] if rec.kind == "conv2d" else [layer.gamma, layer.beta]
+                now = [getattr(layer, a) for a in ARRAYS[rec.kind]]
                 assert [a.tobytes() for a in now] == [a.tobytes() for a in rec.arrays], (tech, qual)
 
 
