@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..phy.grid import GridConfig
-from .profiles import MixedProfile
+from .profiles import ChannelProfile, MixedProfile
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,15 @@ class ChannelRealization:
     gains: np.ndarray = field(repr=False)     # [n_rx, T] complex
 
 
-def _draw_gains(powers, k_db, n_rx: int, rng: np.random.Generator) -> np.ndarray:
-    t = len(powers)
+def _gain_terms(powers, k_db):
+    """``(det, diffuse_std)`` per tap: the specular amplitude and the
+    per-component standard deviation of the diffuse part."""
     k_lin = np.where(np.isnan(k_db), 0.0, 10.0 ** (np.asarray(k_db) / 10.0))
-    det = np.sqrt(powers * k_lin / (k_lin + 1.0))
-    diffuse_std = np.sqrt(powers / (k_lin + 1.0) / 2.0)
+    return np.sqrt(powers * k_lin / (k_lin + 1.0)), np.sqrt(powers / (k_lin + 1.0) / 2.0)
+
+
+def _draw_gains(det, diffuse_std, n_rx: int, rng: np.random.Generator) -> np.ndarray:
+    t = len(det)
     noise = rng.standard_normal((n_rx, t)) + 1j * rng.standard_normal((n_rx, t))
     return det + diffuse_std * noise
 
@@ -41,14 +45,18 @@ def realize_channel(profile, n_rx: int, rng: np.random.Generator) -> ChannelReal
     if n_rx < 1:
         raise ConfigError("n_rx must be positive")
     delays, powers, k_db = profile.sample_taps(rng)
-    return ChannelRealization(delays, _draw_gains(powers, k_db, n_rx, rng))
+    return ChannelRealization(delays, _draw_gains(*_gain_terms(powers, k_db), n_rx, rng))
+
+
+def _phase(delays_s, cfg: GridConfig) -> np.ndarray:
+    """``[T, S]``: each tap's phase rotation on each subcarrier."""
+    freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
+    return np.exp(-2j * np.pi * np.outer(delays_s, freqs))
 
 
 def frequency_response(realization: ChannelRealization, cfg: GridConfig) -> np.ndarray:
     """Per-subcarrier response ``[n_rx, S]`` at spacing ``cfg.subcarrier_spacing_hz``."""
-    freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
-    phase = np.exp(-2j * np.pi * np.outer(realization.delays_s, freqs))  # [T, S]
-    return realization.gains @ phase
+    return realization.gains @ _phase(realization.delays_s, cfg)
 
 
 def batch_frequency_response(
@@ -58,15 +66,27 @@ def batch_frequency_response(
 
     For a mixed profile the member is drawn uniformly per sample; draws
     happen in sample order, so the result is reproducible from the rng
-    alone.
+    alone.  A fixed member draws only its diffuse gains per sample: its
+    gain terms and phase matrix are computed once per call, which gives
+    the bytes of ``frequency_response(realize_channel(...))`` per sample.
     """
+    if n_rx < 1:
+        raise ConfigError("n_rx must be positive")
     if isinstance(profile, MixedProfile):
         members = [profile.members[c] for c in rng.integers(len(profile.members), size=batch)]
     else:
         members = [profile] * batch
+    fixed = {}   # id(member) -> (det, diffuse_std, phase)
     h = np.empty((batch, n_rx, cfg.num_subcarriers), dtype=np.complex128)
     for i, member in enumerate(members):
-        h[i] = frequency_response(realize_channel(member, n_rx, rng), cfg)
+        if not isinstance(member, ChannelProfile):
+            h[i] = frequency_response(realize_channel(member, n_rx, rng), cfg)
+            continue
+        if id(member) not in fixed:
+            terms = _gain_terms(member.powers_linear, member.k_factors_db)
+            fixed[id(member)] = (*terms, _phase(member.delays_s, cfg))
+        det, diffuse_std, phase = fixed[id(member)]
+        h[i] = _draw_gains(det, diffuse_std, n_rx, rng) @ phase
     return h
 
 

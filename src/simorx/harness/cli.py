@@ -3,6 +3,10 @@
 Verbs map thinly onto the library: train-source, adapt, eval, sweep,
 baseline, params.  Outputs (checkpoints, run logs, CSV curves) land in
 --out, next to a ``manifest.yaml`` that echoes the resolved configuration.
+
+Each verb imports the modules it runs when it runs, so that one verb's
+set-up does not import another's code (``eval`` never loads the sweep or
+transfer-learning modules).
 """
 
 from __future__ import annotations
@@ -12,16 +16,7 @@ import os
 import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
-from ..checkpoint import load_checkpoint
-from ..config import make_eval_config, make_train_config
 from ..errors import ConfigError, SimorxError
-from ..phy.modulation import get_scheme
-from ..receiver import ReceiverModel
-from ..training import train_source
-from ..transfer import TECHNIQUES, AdaptConfig, adapt, count_params, reference_comparison
-from .bler import GenieReceiver, NeuralReceiver, run_bler
-from .results import emit_results, load_yaml
-from .sweep import SweepConfig, sweep
 
 PROFILE_CHOICES = PACKAGED_PROFILES + ("mixed_cdl",)
 
@@ -49,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt", help="adapt a source checkpoint to a target domain")
     p.add_argument("--source", required=True, help="source checkpoint file")
-    p.add_argument("--technique", required=True, choices=TECHNIQUES)
+    p.add_argument("--technique", required=True, help="fine_tuning, fine_tuning_plus or feature_extraction")
     p.add_argument("--alpha", type=float, default=0.1)
     _add_domain_args(p, default_modulation="16qam")
     p.add_argument("--iterations", type=int, default=None, help="source-scale budget before alpha")
@@ -81,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _eval_cfg(args):
+    from ..config import make_eval_config
+
     return make_eval_config(
         args.scale,
         modulation=args.modulation,
@@ -92,6 +89,8 @@ def _eval_cfg(args):
 
 
 def _train_cfg(args):
+    from ..config import make_train_config
+
     return make_train_config(
         args.scale,
         modulation=args.modulation,
@@ -103,6 +102,9 @@ def _train_cfg(args):
 
 
 def _cmd_train_source(args) -> int:
+    from ..training import train_source
+    from .results import emit_results
+
     cfg = _train_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     result = train_source(cfg)
@@ -121,6 +123,9 @@ def _cmd_train_source(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    from ..transfer import AdaptConfig, adapt
+    from .results import emit_results
+
     target = _train_cfg(args)
     cfg = AdaptConfig(args.technique, args.alpha, target)
     os.makedirs(args.out, exist_ok=True)
@@ -142,11 +147,17 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_eval(args) -> int:
     """``eval`` scores a checkpoint's receiver, ``baseline`` the genie."""
+    from ..phy.modulation import get_scheme
+    from .bler import GenieReceiver, NeuralReceiver, run_bler
+    from .results import emit_results
+
     eval_cfg = _eval_cfg(args)
     config = {"verb": args.verb, "scale": args.scale, "modulation": args.modulation,
               "profile": args.profile, "seed": args.seed,
               "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks}
     if args.verb == "eval":
+        from ..checkpoint import load_checkpoint
+
         loaded = load_checkpoint(args.checkpoint)
         spec = loaded.model.spec
         for key, have, want in (
@@ -172,6 +183,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .results import load_yaml
+    from .sweep import SweepConfig, sweep
+
     cfg = SweepConfig.from_dict(load_yaml(args.config))
     result = sweep(cfg, args.out)
     for p in result.curve_paths + [result.manifest_path]:
@@ -180,6 +194,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from ..config import make_train_config
+    from ..receiver import ReceiverModel
+    from ..transfer import count_params, reference_comparison
+
     cfg = make_train_config(args.scale, modulation=args.modulation)
     model = ReceiverModel(cfg.model_spec())
     print(count_params(model).format())

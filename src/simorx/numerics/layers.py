@@ -1,12 +1,12 @@
 """Dense layers with explicit forward and backward passes.
 
 Activations use a channels-last layout ``[batch, height, width, channels]``
-so that the im2col buffer and the normalisation axis are both contiguous.
+so that the conv tap strips and the normalisation axis are both contiguous.
 
-Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]`` so the forward
-pass of each image is one matrix product with no repacking; the canonical
-``[c_out, c_in, kh, kw]`` view used by checkpoints is exposed through the
-``weights`` property.
+Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]``, so tap row
+``k`` of the kernel is the contiguous row block ``[k * kw * c_in, (k + 1) *
+kw * c_in)`` and needs no repacking; the canonical ``[c_out, c_in, kh, kw]``
+view used by checkpoints is exposed through the ``weights`` property.
 
 A layer holds its weights and nothing else.  What a backward pass reads
 goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
@@ -14,8 +14,8 @@ each layer records one entry under itself as the key, and keeps only what
 no other entry can reproduce:
 
 - ``Conv2D``: its input, by reference.  Neither the padded copy nor any
-  im2col taps are kept; the backward pass pads again and rebuilds the
-  taps in the workspace.
+  tap strips are kept; the backward pass pads again and rebuilds the
+  strips in the workspace.
 - ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
   per-position inverse standard deviation.  ``taped_output`` and
   ``relu_output`` rebuild ``forward(x)`` and ``relu(forward(x))`` from
@@ -30,15 +30,19 @@ pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
 leaves state on a layer, two forwards on two tapes may share one model.
 
-Conv im2col buffers and padded scratch live in a workspace owned by the
+Conv tap strips and padded scratch live in a workspace owned by the
 calling thread, not by a layer.  The padded buffer holds a whole shard;
-the im2col buffer holds the ``kh * kw`` taps of one image (one transport
-block) at a time, since each image's GEMM reads only its own taps.  Each
-buffer grows to the largest request and is reused by every later conv call
-on that thread, so a training step allocates no im2col or padding memory
-after its first iteration.  Nothing in the workspace outlives the call that
-filled it: every forward and backward returns a freshly allocated array,
-and threads never share a workspace.
+the strip buffer holds one image (one transport block) at a time, since
+each image's GEMMs read only its own taps.  It is about ``kh`` times
+smaller than that image's full im2col: each padded row's ``kw``
+horizontal taps are copied once, and the ``kh`` tap rows of every output
+position are overlapping row slices of it (the lowering of MEC, Cho &
+Brand, arXiv:1706.06873).  Each buffer grows to the largest request and
+is reused by every later conv call on that thread, so a training step
+allocates no tap or padding memory after its first iteration.  Nothing
+in the workspace outlives the call that filled it: every forward and
+backward returns a freshly allocated array, and threads never share a
+workspace.
 Training runs the shards of a batch on two threads (``simorx.training``),
 one model on two tapes at once; the tape and the per-thread workspace are
 what make that safe.
@@ -108,13 +112,18 @@ class Conv2D:
     """2-D convolution with same-size zero padding.
 
     ``forward`` pads its input in the thread's workspace and then, image by
-    image, copies that image's taps into the workspace's im2col buffer and
-    runs one GEMM from it straight into the output.  With a tape the layer
-    records its input there; ``backward`` pads it again and sums the
-    per-image weight-gradient GEMMs over the images in image order, then
-    runs the same per-image loop on the padded output gradient against the
-    flipped kernel, which gives the input gradient.  A 1x1 kernel needs
-    neither padding nor im2col and runs one GEMM on the whole input.
+    image, copies that image's tap strips into the workspace (every padded
+    row's ``kw`` horizontal taps at each output column) and runs the
+    ``kh`` tap rows' GEMMs in one batched call, each a row slice of the
+    strips against that row's block of ``wmat``, summing the ``kh``
+    products into the output.  With a tape the layer records its input
+    there.  ``backward`` runs the same per-image loop on the padded output
+    gradient against the flipped kernel, which gives the input gradient;
+    then it pads the input again and writes each tap row's weight-gradient
+    GEMM into its own block of the image's gradient, summed over the images
+    in image order, so the weight gradient has the bits of a nine-tap
+    im2col.  A 1x1 kernel needs neither padding nor strips and runs one
+    GEMM on the whole input.
     """
 
     kind = "conv2d"
@@ -182,42 +191,61 @@ class Conv2D:
         kh, kw = self.kernel
         return (*_pad_amounts(kh), *_pad_amounts(kw))
 
-    def _image_taps(self, xp: np.ndarray, h: int, w: int):
-        """Yield ``(rows, cols)`` for each image of the padded ``xp`` in
-        turn: ``cols`` is that image's ``[h * w, kh * kw * c]`` taps, in one
-        workspace buffer that each step overwrites, and ``rows`` its slice
-        of the ``m * h * w`` output rows.  A 1x1 kernel's taps are ``xp``
-        itself, so it yields once, every row against ``xp`` reshaped."""
-        m, _, _, c = xp.shape
+    def _image_strips(self, xp: np.ndarray, h: int, w: int):
+        """Yield ``(rows, taps)`` for each image of the padded ``xp`` in turn.
+
+        The image's strips, every padded row's ``kw`` horizontal taps at each
+        of the ``w`` output columns (``[(h + kh - 1) * w, kw * c]``), are
+        copied into one workspace buffer that each step overwrites.  ``taps``
+        is the ``[kh, h * w, kw * c]`` view of it whose entry ``k`` is tap
+        row ``k`` of every output position: strip rows ``k * w`` to
+        ``k * w + h * w``.  ``rows`` is the image's slice of the ``m * h * w``
+        output rows."""
+        m, hp, _, c = xp.shape
         kh, kw = self.kernel
-        if kh == kw == 1:
-            yield slice(None), xp.reshape(m * h * w, c)
-            return
         sm, sh, sw, sc = xp.strides
-        taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
-        cols = _WORKSPACE.take("cols", taps.shape[1:], xp.dtype)
-        flat = cols.reshape(h * w, kh * kw * c)
-        for i, img in enumerate(taps):
-            np.copyto(cols, img)
-            yield slice(i * h * w, (i + 1) * h * w), flat
+        view = as_strided(xp, shape=(m, hp, w, kw, c), strides=(sm, sh, sw, sw, sc))
+        strips = _WORKSPACE.take("strips", view.shape[1:], xp.dtype)
+        s_row, s_col, _, s_c = strips.strides
+        taps = as_strided(strips, shape=(kh, h * w, kw * c), strides=(s_row, s_col, s_c))
+        for i, img in enumerate(view):
+            np.copyto(strips, img)
+            yield slice(i * h * w, (i + 1) * h * w), taps
 
     def _taps_matmul(self, xp: np.ndarray, h: int, w: int, rhs: np.ndarray) -> np.ndarray:
         """``[m * h * w, rhs columns]``: the taps of the padded ``xp`` times
-        ``rhs``, one GEMM per image into a fresh array."""
-        out = np.empty((xp.shape[0] * h * w, rhs.shape[1]), dtype=np.result_type(xp, rhs))
-        for rows, cols in self._image_taps(xp, h, w):
-            np.matmul(cols, rhs, out=out[rows])
+        ``rhs``, into a fresh array.  Per image, one batched call runs the
+        ``kh`` tap rows' GEMMs and one reduction sums them in tap-row order;
+        a 1x1 kernel is one GEMM on ``xp``."""
+        m, _, _, c = xp.shape
+        n = rhs.shape[1]
+        out = np.empty((m * h * w, n), dtype=np.result_type(xp, rhs))
+        kh, kw = self.kernel
+        if kh == kw == 1:
+            return np.matmul(xp.reshape(m * h * w, c), rhs, out=out)
+        blocks = rhs.reshape(kh, kw * c, n)
+        parts = np.empty((kh, h * w, n), dtype=out.dtype)
+        for rows, taps in self._image_strips(xp, h, w):
+            np.matmul(taps, blocks, out=parts)
+            np.add.reduce(parts, axis=0, out=out[rows])
         return out
 
     def _weight_grad(self, xp: np.ndarray, h: int, w: int, gm: np.ndarray) -> np.ndarray:
-        """``taps(xp).T @ gm``, summed over the images in image order."""
-        taps = self._image_taps(xp, h, w)
-        rows, cols = next(taps)
-        total = cols.T @ gm[rows]
+        """``taps(xp).T @ gm``, summed over the images in image order.  Each
+        tap row's GEMM fills its own ``[kw * c, n]`` block of an image's
+        gradient, so the sum is the one a nine-tap im2col gives, bit for bit."""
+        m, _, _, c = xp.shape
+        kh, kw = self.kernel
+        if kh == kw == 1:
+            return xp.reshape(m * h * w, c).T @ gm
+        n = gm.shape[1]
+        total = np.empty((kh * kw * c, n), dtype=np.result_type(xp, gm))
         part = np.empty_like(total)
-        for rows, cols in taps:
-            np.matmul(cols.T, gm[rows], out=part)
-            total += part
+        for i, (rows, taps) in enumerate(self._image_strips(xp, h, w)):
+            dst = part if i else total
+            np.matmul(taps.transpose(0, 2, 1), gm[rows], out=dst.reshape(kh, kw * c, n))
+            if i:
+                total += part
         return total
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -239,17 +267,16 @@ class Conv2D:
         m, h, w, _ = x.shape
         gm = grad_out.reshape(m * h * w, self.out_channels)
         grad_bias = gm.sum(axis=0)
-        grad_wmat = self._weight_grad(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w, gm)
         # The input gradient is itself a same-size correlation: the padded
         # output gradient against the spatially flipped kernel, with the
-        # transposed pad split.
-        gp = _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo))
-        wrot = np.ascontiguousarray(
-            self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
-            .transpose(0, 1, 3, 2)
-            .reshape(kh * kw * self.out_channels, self.in_channels)
-        )
-        grad_in = self._taps_matmul(gp, h, w, wrot).reshape(m, h, w, self.in_channels)
+        # transposed pad split.  It goes first, so that its partial products
+        # and flipped kernel are freed before the weight gradient is formed.
+        flipped = self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
+        grad_in = self._taps_matmul(
+            _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo)), h, w,
+            np.ascontiguousarray(flipped.transpose(0, 1, 3, 2)).reshape(kh * kw * self.out_channels, -1),
+        ).reshape(m, h, w, self.in_channels)
+        grad_wmat = self._weight_grad(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w, gm)
         return grad_in, [grad_wmat, grad_bias]
 
 

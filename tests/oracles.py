@@ -3,12 +3,20 @@
 ``uncoded_qpsk_ber`` is criterion 02's Monte-Carlo estimate of the genie
 demapper's bit error rate; ``extract_data_res`` is the inverse of
 ``build_grid``'s placement, against which the receiver's LLR extraction
-is checked.
+is checked.  ``per_block_frequency_response`` draws a batch of channels
+one ``realize_channel`` at a time, the path ``batch_frequency_response``
+must match byte for byte.  ``nine_tap_weight_grad`` is a conv's weight gradient through
+a full ``kh * kw``-tap im2col of each image, the lowering ``Conv2D`` used
+before its tap-row strips; the strips must give the same bits.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from simorx.channel.fading import frequency_response, realize_channel
+from simorx.channel.profiles import MixedProfile
 from simorx.errors import ConfigError
+from simorx.numerics.layers import _pad_amounts
 from simorx.harness.genie import genie_lmmse_llrs
 from simorx.phy.grid import GridConfig
 from simorx.phy.modulation import get_scheme, qam_map
@@ -52,3 +60,32 @@ def extract_data_res(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
     raise ConfigError(
         f"no ({cfg.num_symbols}, {cfg.num_subcarriers}) axis pair in shape {grid.shape}"
     )
+
+
+def per_block_frequency_response(profile, batch: int, n_rx: int, cfg: GridConfig, rng) -> np.ndarray:
+    """``[batch, n_rx, S]`` in ``batch_frequency_response``'s draw order: a
+    mixed profile picks every member up front, then each sample draws its
+    whole realization in sample order."""
+    if isinstance(profile, MixedProfile):
+        members = [profile.members[c] for c in rng.integers(len(profile.members), size=batch)]
+    else:
+        members = [profile] * batch
+    return np.stack([frequency_response(realize_channel(m, n_rx, rng), cfg) for m in members])
+
+
+def nine_tap_weight_grad(conv, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """``conv``'s ``[kh * kw * c_in, c_out]`` weight gradient for input ``x``
+    and output gradient ``grad_out``: per image, its ``[h * w, kh * kw *
+    c_in]`` taps transposed times its rows of ``grad_out``, summed over the
+    images in image order."""
+    kh, kw = conv.kernel
+    m, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), _pad_amounts(kh), _pad_amounts(kw), (0, 0)))
+    sm, sh, sw, sc = xp.strides
+    taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
+    gm = grad_out.reshape(m, h * w, -1)
+    total = None
+    for img, g in zip(taps, gm):
+        part = np.ascontiguousarray(img).reshape(h * w, kh * kw * c).T @ g
+        total = part if total is None else total + part
+    return total

@@ -26,6 +26,8 @@ from simorx.channel.profiles import (
 from simorx.errors import ConfigError
 from simorx.phy.grid import GridConfig
 
+from oracles import per_block_frequency_response
+
 # Shipped profile data is part of the numerical contract; any edit must be
 # deliberate and show up here.
 SHIPPED_SHA256 = {
@@ -212,21 +214,16 @@ def test_batch_frequency_response_is_reproducible(desk_grid):
     assert not np.allclose(h1[0], h1[1])
 
 
-@pytest.mark.parametrize("name", ["cdl_c_like", "mixed_cdl"])
+@pytest.mark.parametrize("name", PACKAGED_PROFILES + ("mixed_cdl",))
 def test_batch_frequency_response_matches_per_sample_realizations(desk_grid, name):
+    # Fixed members reuse their gain terms and phase matrix across the
+    # batch; the bytes and the draws must be those of one realization per
+    # sample.
     p = load_profile(name)
     batch, n_rx = 5, 2
     got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     got = batch_frequency_response(p, batch, n_rx, desk_grid, got_rng)
-    # Reference draw order: mixed profiles pick every member up front, then
-    # each sample draws its realization in sample order.
-    if isinstance(p, MixedProfile):
-        members = [p.members[c] for c in ref_rng.integers(len(p.members), size=batch)]
-    else:
-        members = [p] * batch
-    want = np.stack(
-        [frequency_response(realize_channel(m, n_rx, ref_rng), desk_grid) for m in members]
-    )
+    want = per_block_frequency_response(p, batch, n_rx, desk_grid, ref_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     # both generators consumed exactly the same draws

@@ -13,6 +13,8 @@ from simorx.numerics.gradcheck import LinearProbeObjective, finite_diff_check, r
 from simorx.numerics.layers import _WORKSPACE, Conv2D, LayerNorm, ReLU, _pad_amounts
 from simorx.receiver import ModelSpec, ReceiverModel
 
+from oracles import nine_tap_weight_grad
+
 
 def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Reference convolution with explicit loops, channels-first single sample.
@@ -74,7 +76,12 @@ KERNELS = [
     (1, 1),
     (2, 3),  # even height: asymmetric pad split
     (3, 2),
+    (1, 3),  # one tap row: one strip GEMM per image
+    (3, 1),  # one tap per row: the strips are the padded rows
+    (2, 2),
 ]
+# Every kernel that runs through the tap-row strips, with its edge cases.
+STRIP_KERNELS = [(3, 3), (1, 3), (3, 1), (2, 2)]
 
 
 def test_identity_kernel_passes_input_through():
@@ -118,6 +125,16 @@ def test_gemm_path_matches_direct_convolution():
     seed=st.integers(0, 2**16),
 )
 def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
+    check_conv_against_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kernel", STRIP_KERNELS)
+def test_strip_conv_matches_direct_and_finite_differences(kernel, batch):
+    check_conv_against_direct_and_finite_differences(kernel, batch, 2, 3, 4, 5, seed=batch)
+
+
+def check_conv_against_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
     rng = np.random.default_rng(seed)
     conv = Conv2D(cin, cout, kernel=kernel, rng=rng, dtype=np.float64)
     conv.bias = rng.standard_normal(cout)
@@ -143,10 +160,30 @@ def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, 
     assert report.max_rel_err < 1e-9, report.format()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kernel", STRIP_KERNELS)
+def test_weight_gradient_is_the_nine_tap_im2col_bit_for_bit(kernel, batch, dtype):
+    # Each tap row's GEMM fills its own block of the gradient and the
+    # images are summed in order, so only the forward pass and the input
+    # gradient may round differently from a nine-tap im2col.
+    rng = np.random.default_rng(batch)
+    conv = Conv2D(3, 4, kernel=kernel, rng=rng, dtype=dtype)
+    x = rng.standard_normal((batch, 5, 7, 3)).astype(dtype)
+    g = rng.standard_normal((batch, 5, 7, 4)).astype(dtype)
+    tape = {}
+    conv.forward(x, tape)
+    _, (grad_wmat, _) = conv.backward(g, tape)
+    want = nine_tap_weight_grad(conv, x, g)
+    assert grad_wmat.dtype == want.dtype and grad_wmat.shape == want.shape
+    assert grad_wmat.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 2, 9])
 def test_conv_workspace_holds_one_image_of_taps(batch):
-    # A fresh thread starts with an empty workspace, so the "cols" slot is
-    # as large as the largest request this conv's two passes made.
+    # A fresh thread starts with an empty workspace, so the "strips" slot
+    # is as large as the largest request this conv's two passes made: one
+    # image's padded rows, each with its three horizontal taps.
     conv = Conv2D(5, 7, rng=np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((batch, 6, 8, 5)).astype(np.float32)
     seen = {}
@@ -155,14 +192,15 @@ def test_conv_workspace_holds_one_image_of_taps(batch):
         tape = {}
         y = conv.forward(x, tape)
         conv.backward(np.ones_like(y), tape)
-        seen["cols"] = _WORKSPACE.slots["cols"].nbytes
+        seen["strips"] = _WORKSPACE.slots["strips"].nbytes
 
     worker = threading.Thread(target=run)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    one_image = 6 * 8 * 3 * 3 * max(conv.in_channels, conv.out_channels) * x.itemsize
-    assert 0 < seen["cols"] <= one_image
+    kh, kw = conv.kernel
+    one_image = (6 + kh - 1) * 8 * kw * max(conv.in_channels, conv.out_channels) * x.itemsize
+    assert 0 < seen["strips"] <= one_image
 
 
 def test_consecutive_forward_calls_return_unaliased_arrays():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "simorx"
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
@@ -411,6 +413,26 @@ def test_set_up_imports_only_the_code_a_job_runs():
         "code_for_grid(cfg.grid, cfg.scheme(), cfg.ldpc_seed)\n"
         f"print('loaded:', *[m for m in {unused!r} if m in sys.modules])"
     ) == ["loaded:"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, unused",
+    [
+        (["eval", "--checkpoint", "missing.ckpt"], 2, ("simorx.harness.sweep", "simorx.transfer")),
+        (["params", "--scale", "desk"], 0, ("yaml", "simorx.harness.results", "simorx.harness.sweep")),
+    ],
+    ids=["eval", "params"],
+)
+def test_a_verb_imports_only_the_code_it_runs(argv, code, unused):
+    # The command line imports each verb's modules when that verb runs; a
+    # missing checkpoint makes ``eval`` exit 2 after its imports.
+    assert fresh_python(
+        "import contextlib, io, sys\n"
+        "from simorx.harness.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, 'loaded:', *[m for m in {unused!r} if m in sys.modules])"
+    ) == [str(code), "loaded:"]
 
 
 def test_every_module_imports_first_without_a_cycle():
