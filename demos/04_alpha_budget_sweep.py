@@ -61,7 +61,7 @@ def main() -> None:
     for path in sorted(result.curve_paths):
         curve = read_curve_csv(path)
         blers = " ".join(f"{p.bler:.3f}@{p.ebno_db:g}dB" for p in curve.points)
-        print(f"  alpha {curve.metadata['alpha']:>5}: {blers}")
+        print(f"  alpha {curve.alpha:>5}: {blers}")
 
     manifest = read_manifest(result.manifest_path)
     print(f"\nmanifest: {result.manifest_path}")

@@ -20,11 +20,16 @@ alone, and must be safe to call from two threads at once.  The last
 batch of a point runs only the shards that hold the blocks the point
 still counts.  The counts never depend on the thread count; LLR float
 bits may depend on the shard boundaries, which depend on ``batch`` alone.
+
+A ``BlerCurve`` holds the points and the run columns of its CSV rows as
+fields.  ``run_bler`` fills ``technique`` and ``target_fp`` from the
+receiver's ``describe()`` and ``seed`` from the config; a caller that knows
+the technique, α or source fingerprint sets them with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +56,9 @@ class EvalConfig:
     batch: int = 32
     seed: int = 0
     ldpc_seed: int = 1
-    decoder_iters: int = 20
 
     def __post_init__(self):
-        for name in ("n_rx", "max_blocks", "max_block_errors", "batch", "decoder_iters"):
+        for name in ("n_rx", "max_blocks", "max_block_errors", "batch"):
             value = getattr(self, name)
             if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -82,10 +86,14 @@ class BlerPoint:
         return self.block_errors / self.blocks
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlerCurve:
     points: list
-    metadata: dict = field(default_factory=dict)
+    technique: str            # the receiver's ``describe()`` unless a caller names it
+    alpha: float | None       # the adaptation budget; None where none was spent
+    seed: int
+    source_fp: str            # fingerprint of the source domain, "" if none
+    target_fp: str
 
     def blers(self) -> np.ndarray:
         return np.array([p.bler for p in self.points])
@@ -145,13 +153,12 @@ def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
                 need = min(tb.batch, cfg.max_blocks - blocks)
                 shards = [tb.blocks(s) for s in shard_slices(need)]
                 llrs = np.concatenate(list(smap(receiver.llrs, shards)))
-                info, _ = decode(llrs[:need], code, max_iters=cfg.decoder_iters)
+                info, _ = decode(llrs[:need], code)
                 wrong_bits = (info != tb.info_bits[:need]).sum(axis=1)
                 blocks += need
                 block_errors += int((wrong_bits > 0).sum())
                 bit_errors += int(wrong_bits.sum())
                 batch_idx += 1
             points.append(BlerPoint(float(ebno), blocks, block_errors, bit_errors))
-    meta = {"modulation": cfg.modulation, "profile": cfg.profile, "seed": cfg.seed}
-    meta.update(receiver.describe())
-    return BlerCurve(points, meta)
+    described = receiver.describe()
+    return BlerCurve(points, described["receiver"], None, cfg.seed, "", described["target_fp"])

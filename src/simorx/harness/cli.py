@@ -12,11 +12,12 @@ transfer-learning modules).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
-from ..errors import ConfigError, SimorxError
+from ..errors import SimorxError
 
 PROFILE_CHOICES = PACKAGED_PROFILES + ("mixed_cdl",)
 
@@ -159,24 +160,14 @@ def _cmd_eval(args) -> int:
         from ..checkpoint import load_checkpoint
 
         loaded = load_checkpoint(args.checkpoint)
-        spec = loaded.model.spec
-        for key, have, want in (
-            ("out_bits", spec.out_bits, get_scheme(args.modulation).bits_per_symbol),
-            ("in_channels", spec.in_channels, 2 * eval_cfg.n_rx),
-        ):
-            if have != want:
-                raise ConfigError(
-                    f"{args.checkpoint}: the receiver has {key}={have}, but {args.modulation} "
-                    f"with {eval_cfg.n_rx} antennas needs {key}={want}"
-                )
+        loaded.model.spec.check_fits(args.modulation, eval_cfg.n_rx, args.checkpoint)
         receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
         config["checkpoint"] = args.checkpoint
         name, technique = args.name, "eval"
     else:
         receiver = GenieReceiver(get_scheme(args.modulation), eval_cfg.grid)
         name = technique = "genie"
-    curve = run_bler(eval_cfg, receiver)
-    curve.metadata["technique"] = technique
+    curve = dataclasses.replace(run_bler(eval_cfg, receiver), technique=technique)
     for p in emit_results({name: curve}, args.out, config, profiles={args.profile}):
         print(p)
     return 0

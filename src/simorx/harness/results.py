@@ -4,10 +4,16 @@ The CSV header is part of the public contract::
 
     technique,alpha,ebno_db,blocks,block_errors,bler,bit_errors,seed,source_fp,target_fp
 
-Floats are written with ``repr`` so files are bit-stable across runs and
-platforms.  The manifest echoes the full run configuration (enough to
-replay the run), the package version, and a checksum of every channel
-profile used.
+Each row is one ``BlerPoint``; the run columns (``technique``, ``alpha``,
+``seed``, ``source_fp``, ``target_fp``) are the ``BlerCurve`` fields of the
+same names, repeated on every row, and ``alpha`` is empty where it is
+``None``.  Floats are written with ``repr`` so files are bit-stable across
+runs and platforms, and ``read_curve_csv`` returns a curve equal to the one
+written.  It rejects a file with no rows, or whose rows disagree on a run
+column.
+
+The manifest echoes the full run configuration (enough to replay the
+run), the package version, and a checksum of every channel profile used.
 
 This module is the package's one reader and writer of YAML: ``load_yaml``
 reads a sweep config or a manifest, so that a job that writes no result
@@ -27,51 +33,50 @@ from ..errors import ConfigError
 from .bler import BlerCurve, BlerPoint
 
 CSV_HEADER = "technique,alpha,ebno_db,blocks,block_errors,bler,bit_errors,seed,source_fp,target_fp"
-
-
-def curve_rows(curve: BlerCurve) -> list:
-    md = curve.metadata
-    technique = md.get("technique", md.get("receiver", ""))
-    alpha = md.get("alpha", "")
-    alpha = repr(float(alpha)) if alpha != "" else ""
-    rows = []
-    for p in curve.points:
-        rows.append(
-            f"{technique},{alpha},{p.ebno_db!r},{p.blocks},{p.block_errors},"
-            f"{p.bler!r},{p.bit_errors},{md.get('seed', '')},"
-            f"{md.get('source_fp', '')},{md.get('target_fp', '')}"
-        )
-    return rows
+COLUMNS = CSV_HEADER.split(",")
+RUN_COLUMNS = ("technique", "alpha", "seed", "source_fp", "target_fp")
 
 
 def write_curve_csv(curve: BlerCurve, path) -> None:
+    alpha = "" if curve.alpha is None else repr(float(curve.alpha))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in curve_rows(curve):
-            fh.write(row + "\n")
+        for p in curve.points:
+            fh.write(
+                f"{curve.technique},{alpha},{p.ebno_db!r},{p.blocks},{p.block_errors},"
+                f"{p.bler!r},{p.bit_errors},{curve.seed},{curve.source_fp},{curve.target_fp}\n"
+            )
 
 
 def read_curve_csv(path) -> BlerCurve:
+    """The curve written to ``path``, equal to the one ``write_curve_csv`` took."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [l.rstrip("\n") for l in fh if l.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected header {lines[:1]!r}")
-    points = []
-    meta: dict = {}
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no rows")
+    rows = []
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 10:
+        if len(fields) != len(COLUMNS):
             raise ConfigError(f"{path}: malformed row {line!r}")
-        technique, alpha, ebno, blocks, errs, _bler, bits, seed, sfp, tfp = fields
-        points.append(BlerPoint(float(ebno), int(blocks), int(errs), int(bits)))
-        meta = {
-            "technique": technique,
-            "alpha": alpha,
-            "seed": seed,
-            "source_fp": sfp,
-            "target_fp": tfp,
-        }
-    return BlerCurve(points, meta)
+        rows.append(dict(zip(COLUMNS, fields)))
+    for name in RUN_COLUMNS:
+        values = sorted({row[name] for row in rows})
+        if len(values) > 1:
+            raise ConfigError(f"{path}: rows disagree on {name}: {values!r}")
+    run = rows[0]
+    try:
+        points = [
+            BlerPoint(float(r["ebno_db"]), int(r["blocks"]), int(r["block_errors"]), int(r["bit_errors"]))
+            for r in rows
+        ]
+        alpha = None if run["alpha"] == "" else float(run["alpha"])
+        seed = int(run["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row: {exc}") from None
+    return BlerCurve(points, run["technique"], alpha, seed, run["source_fp"], run["target_fp"])
 
 
 def profile_checksums(names) -> dict:

@@ -149,10 +149,9 @@ def sweep(cfg, out_dir) -> SweepResult:
         log_paths.extend(log)
         eval_cfg = dataclasses.replace(base_eval, seed=seed)
         curve = run_bler(eval_cfg, NeuralReceiver(res.model, eval_cfg.grid, res.checkpoint.fingerprint_id))
-        curve.metadata.update(
-            technique=technique, alpha="" if alpha is None else alpha, source_fp=source.fingerprint_id
+        curves[name] = dataclasses.replace(
+            curve, technique=technique, alpha=alpha, source_fp=source.fingerprint_id
         )
-        curves[name] = curve
 
     for seed in cfg.seeds:
         tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
@@ -168,9 +167,8 @@ def sweep(cfg, out_dir) -> SweepResult:
             record(f"model_transfer_s{seed}", res, seed, "model_transfer", None)
 
     if cfg.include_genie:
-        curve = run_bler(base_eval, GenieReceiver(get_scheme(cfg.target_modulation), base_eval.grid))
-        curve.metadata.update(technique="genie", alpha="", source_fp="")
-        curves["genie"] = curve
+        genie = GenieReceiver(get_scheme(cfg.target_modulation), base_eval.grid)
+        curves["genie"] = run_bler(base_eval, genie)
 
     *curve_paths, manifest = emit_results(
         curves,

@@ -1,14 +1,19 @@
 """Finite-difference verification of backward passes.
 
 ``finite_diff_check`` perturbs every parameter of a model by ``±step``,
-recomputes the objective, and compares the central difference against the
-analytic gradient produced by ``model.backward``.  The model must expose
+recomputes a ``LinearProbeObjective``, and compares the central difference
+against the analytic gradient produced by ``model.backward``; it passes
+when every relative error is below ``TOLERANCE``.  The model must expose
 
 - ``forward(x, tape=None)``, which records on ``tape`` what the backward
   pass reads, and ``backward(grad_out, tape)``, which returns one gradient
   per parameter,
 - ``named_param_items()`` yielding ``(layer, kind, param, array)`` in the
   order of those gradients,
+- ``stage_forward_plan(x)`` returning ``(first_input, [(name, fn), ...])``,
+  the tape-free forward as a chain of stages whose fold over
+  ``first_input`` is ``forward(x)``; a parameter of layer ``name`` (or
+  ``name.sub``) re-runs the chain from that stage,
 - a ``dtype`` attribute; verification insists on float64.
 
 Every parameter is checked, so every layer must be trainable: a model whose
@@ -35,6 +40,7 @@ from ..errors import ConfigError
 from .layers import LayerNorm
 
 FLOOR = 1e-4
+TOLERANCE = 1e-4
 
 
 class LinearProbeObjective:
@@ -75,7 +81,6 @@ class ParamCheck:
 
 @dataclass
 class GradCheckReport:
-    tolerance: float
     step: float
     entries: list[ParamCheck] = field(default_factory=list)
 
@@ -85,7 +90,7 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < TOLERANCE
 
     @property
     def worst(self) -> ParamCheck:
@@ -108,7 +113,7 @@ class GradCheckReport:
         w = self.worst
         lines = [
             f"finite-difference check: max rel err {self.max_rel_err:.3e} "
-            f"(tolerance {self.tolerance:.1e}): {status}",
+            f"(tolerance {TOLERANCE:.1e}): {status}",
             f"  worst: {w.layer}.{w.param}[{w.worst_index}] "
             f"analytic {w.analytic:.6e} numeric {w.numeric:.6e}",
         ]
@@ -126,20 +131,12 @@ def relu_kink_distance(tape: dict) -> float:
     return min((float(np.min(np.abs(out))) for out in outs if out.size), default=np.inf)
 
 
-def finite_diff_check(
-    model,
-    x: np.ndarray,
-    *,
-    objective=None,
-    tolerance: float = 1e-4,
-    step: float = 1e-6,
-) -> GradCheckReport:
+def finite_diff_check(model, x: np.ndarray, *, step: float = 1e-6) -> GradCheckReport:
     """Compare analytic gradients against central differences for every parameter."""
     if np.dtype(model.dtype) != np.float64:
         raise ConfigError("finite_diff_check requires a float64 model; call astype(np.float64)")
     x = np.asarray(x, dtype=np.float64)
-    if objective is None:
-        objective = LinearProbeObjective()
+    objective = LinearProbeObjective()
 
     tape = {}
     out = model.forward(x, tape)
@@ -160,10 +157,9 @@ def finite_diff_check(
     # Each perturbation only disturbs the network from its own layer on, so
     # we cache the stage inputs and re-run the suffix instead of the whole
     # forward pass.  Per-stage op order is unchanged, so results are
-    # bit-identical to a full forward.  A model without a stage chain is
-    # one stage; a layer the chain does not name re-runs it from the start.
-    plan = getattr(model, "stage_forward_plan", None)
-    y0, stages = plan(x) if plan is not None else (x, [("", model.forward)])
+    # bit-identical to a full forward.  A layer the chain does not name
+    # re-runs it from the start.
+    y0, stages = model.stage_forward_plan(x)
     stage_index = {name: i for i, (name, _) in enumerate(stages)}
     funcs = [f for _, f in stages]
     inputs = [y0]
@@ -179,7 +175,7 @@ def finite_diff_check(
     def stage_of(layer_name: str) -> int:
         return stage_index.get(layer_name.split(".", 1)[0], 0)
 
-    report = GradCheckReport(tolerance=tolerance, step=step)
+    report = GradCheckReport(step=step)
     for (layer, kind, param, array), grad in zip(items, grads):
         stage = stage_of(layer)
         flat = array.reshape(-1)

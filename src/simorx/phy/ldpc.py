@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, is_finite_real, is_integer
+from ..errors import ConfigError, is_integer
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +65,7 @@ COL_WEIGHT = 3
 DEFAULT_CONSTRUCTION_SEED = 1
 MAX_ATTEMPTS = 32   # construction seeds tried before giving up
 MAX_REPAIR = 200    # duplicate-edge repair passes per seed
+NORMALIZATION = 0.75  # min-sum scaling of each check-to-variable magnitude
 _SIGN_BIT = np.uint32(0x80000000)
 
 
@@ -254,7 +255,6 @@ def decode(
     llrs: np.ndarray,
     code: LdpcCode,
     max_iters: int = 20,
-    normalization: float = 0.75,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalised min-sum decoding with flooding schedule and early stop.
 
@@ -273,18 +273,15 @@ def decode(
     over its other five edges from prefix and suffix running minima, and
     the sign over its other five edges as the XOR of the check's sign
     bits with the edge's own.  Every per-edge value is rounded as in the
-    textbook flooding decoder (``normalization * min`` in float32, the
+    textbook flooding decoder (``NORMALIZATION * min`` in float32, the
     variable sum as ``channel + ((r_0 + r_1) + r_2)`` in check order), so
     bits and flags are bit-identical to it, whichever other blocks share
     the batch; ``tests/test_phy.py`` keeps that decoder as the oracle.
 
-    ``max_iters`` must be an integer >= 1 and ``normalization`` a finite
-    number in (0, 1]; it is applied in float32.
+    ``max_iters`` must be an integer >= 1.
     """
     if not (is_integer(max_iters) and max_iters >= 1):
         raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-    if not (is_finite_real(normalization) and 0.0 < normalization <= 1.0):
-        raise ConfigError(f"normalization must be a finite number in (0, 1], got {normalization!r}")
     llrs = np.asarray(llrs)
     if llrs.ndim == 0 or llrs.shape[-1] != code.n:
         raise ConfigError(f"expected {code.n} LLRs per block, got shape {llrs.shape}")
@@ -303,7 +300,7 @@ def decode(
     np.negative(l0, out=l0)
     check_vars = code.row_vars.T.reshape(-1)  # slot j of check c at j * m + c
     e0, e1, e2 = code.var_slot_edges
-    norm = np.float32(normalization)
+    norm = np.float32(NORMALIZATION)
 
     info = np.zeros((batch, k), dtype=np.uint8)
     converged = np.zeros(batch, dtype=bool)

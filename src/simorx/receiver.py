@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .numerics.layers import Conv2D, LayerNorm, ReLU
 from .phy.grid import GridConfig
+from .phy.modulation import get_scheme
 
 LN2 = math.log(2.0)
 
@@ -41,6 +42,17 @@ class ModelSpec:
         for name in ("in_channels", "width_in", "width_res", "num_blocks", "out_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+
+    def check_fits(self, modulation: str, n_rx: int, where: str) -> None:
+        """Reject a receiver that does not fit a link of ``modulation`` and
+        ``n_rx`` antennas; ``where`` names the receiver in the message."""
+        for key, want in (("out_bits", get_scheme(modulation).bits_per_symbol), ("in_channels", 2 * n_rx)):
+            have = getattr(self, key)
+            if have != want:
+                raise ConfigError(
+                    f"{where}: the receiver has {key}={have}, but {modulation} "
+                    f"with {n_rx} antennas needs {key}={want}"
+                )
 
     def with_extra_block(self) -> "ModelSpec":
         return replace(self, num_blocks=self.num_blocks + 1)

@@ -198,14 +198,8 @@ def run_training(
     Every checkpoint it builds, the result's and a ``TrainingDiverged``
     snapshot alike, carries ``fingerprint`` (default ``cfg.fingerprint()``).
     """
+    model.spec.check_fits(cfg.modulation, cfg.n_rx, "training")
     scheme = cfg.scheme()
-    if model.spec.out_bits != scheme.bits_per_symbol:
-        raise ConfigError(
-            f"model emits {model.spec.out_bits} bits per RE but "
-            f"{cfg.modulation} needs {scheme.bits_per_symbol}"
-        )
-    if model.spec.in_channels != 2 * cfg.n_rx:
-        raise ConfigError("model input planes do not match 2 * n_rx")
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
     steps = cfg.iterations if iterations is None else iterations

@@ -143,7 +143,7 @@ def test_criterion_01_gradient_check(capsys):
         ).astype(np.float64)
         x = np.random.default_rng(1).standard_normal((1, 4, 14, 16))
         start = time.perf_counter()
-        report = finite_diff_check(model, x, tolerance=1e-4)
+        report = finite_diff_check(model, x)
         elapsed = time.perf_counter() - start
         assert report.max_rel_err < 1e-4, report.format()
         assert report.passed
@@ -404,7 +404,7 @@ def test_criterion_11_alpha_budget_sweep(capsys, tmp_path, source_run):
             match = [p for p in result.curve_paths if f"_a{a}_" in os.path.basename(p)]
             assert len(match) == 1
             curve = read_curve_csv(match[0])
-            assert float(curve.metadata["alpha"]) == a
+            assert curve.alpha == a
             assert len(curve.points) == len(TOP_TWO_DB)
         detail["note"] = (
             "iterations " + ", ".join(f"{a}->{seen[a]}" for a in alphas)

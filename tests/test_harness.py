@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import simorx.chain
 import simorx.harness.bler
@@ -170,7 +173,7 @@ def tiny_eval(grid, **kw):
 def test_eval_config_validation(tiny_grid):
     with pytest.raises(ConfigError):
         tiny_eval(tiny_grid, ebno_grid_db=())
-    for field in ("n_rx", "max_blocks", "max_block_errors", "batch", "decoder_iters"):
+    for field in ("n_rx", "max_blocks", "max_block_errors", "batch"):
         for bad in (0, 1.5, 2.5, 4.0, True, "4", None):
             with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
                 tiny_eval(tiny_grid, **{field: bad})
@@ -256,8 +259,8 @@ def test_neural_receiver_adapter_runs_end_to_end(tiny_grid):
     )
     curve = run_bler(cfg, NeuralReceiver(model, tiny_grid, "cafe01234567"))
     assert curve.points[0].blocks == 4
-    assert curve.metadata["receiver"] == "neural"
-    assert curve.metadata["target_fp"] == "cafe01234567"
+    assert (curve.technique, curve.alpha, curve.seed) == ("neural", None, cfg.seed)
+    assert (curve.source_fp, curve.target_fp) == ("", "cafe01234567")
 
 
 class RecordingReceiver:
@@ -288,7 +291,7 @@ def whole_batch_points(cfg: EvalConfig, receiver) -> list:
         while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx)))
             tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
-            info, _ = decode(receiver.llrs(tb), code, max_iters=cfg.decoder_iters)
+            info, _ = decode(receiver.llrs(tb), code)
             wrong_bits = (info != tb.info_bits).sum(axis=1)[: cfg.max_blocks - blocks]
             blocks += wrong_bits.size
             block_errors += int((wrong_bits > 0).sum())
@@ -385,14 +388,7 @@ def test_bler_restores_the_blas_thread_count_when_it_returns_or_raises(tiny_grid
 
 def demo_curve():
     points = [BlerPoint(-4.0, 96, 80, 5120), BlerPoint(8.0, 96, 3, 17)]
-    meta = {
-        "technique": "fine_tuning",
-        "alpha": 0.35,
-        "seed": 7,
-        "source_fp": "aaaabbbbcccc",
-        "target_fp": "ddddeeeeffff",
-    }
-    return BlerCurve(points, meta)
+    return BlerCurve(points, "fine_tuning", 0.35, 7, "aaaabbbbcccc", "ddddeeeeffff")
 
 
 def test_curve_csv_round_trip_is_exact(tmp_path):
@@ -402,12 +398,58 @@ def test_curve_csv_round_trip_is_exact(tmp_path):
     assert lines[0] == CSV_HEADER
     assert lines[1] == "fine_tuning,0.35,-4.0,96,80,0.8333333333333334,5120,7,aaaabbbbcccc,ddddeeeeffff"
 
-    back = read_curve_csv(path)
-    assert back.points == demo_curve().points
-    assert back.metadata["technique"] == "fine_tuning"
-    assert float(back.metadata["alpha"]) == 0.35
-    np.testing.assert_array_equal(back.blers(), demo_curve().blers())
-    assert [p.ebno_db for p in back.points] == [-4.0, 8.0]
+    assert read_curve_csv(path) == demo_curve()
+
+
+FINGERPRINTS = st.text(alphabet="0123456789abcdef", max_size=12)
+
+
+@st.composite
+def bler_points(draw):
+    blocks = draw(st.integers(1, 10**6))
+    errors = draw(st.integers(0, blocks))
+    return BlerPoint(
+        draw(st.floats(-50, 50, allow_nan=False)), blocks, errors, draw(st.integers(errors, 10**9))
+    )
+
+
+@given(
+    points=st.lists(bler_points(), min_size=1, max_size=5),
+    technique=st.sampled_from(["fine_tuning", "without_tl", "model_transfer", "genie", "eval", "neural"]),
+    alpha=st.none() | st.floats(allow_nan=False),
+    seed=st.integers(0, 2**63 - 1),
+    source_fp=FINGERPRINTS,
+    target_fp=FINGERPRINTS,
+)
+def test_every_curve_reads_back_equal_to_the_one_written(
+    tmp_path_factory, points, technique, alpha, seed, source_fp, target_fp
+):
+    curve = BlerCurve(points, technique, alpha, seed, source_fp, target_fp)
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    write_curve_csv(curve, path)
+    assert read_curve_csv(path) == curve
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("technique", "other"), ("alpha", "0.5"), ("seed", "8"), ("source_fp", "other"), ("target_fp", "other")],
+)
+def test_csv_reader_rejects_rows_that_disagree_on_a_run_column(tmp_path, name, value):
+    path = tmp_path / "curve.csv"
+    write_curve_csv(demo_curve(), path)
+    header, first, second = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[CSV_HEADER.split(",").index(name)] = value
+    path.write_text("\n".join([header, first, ",".join(fields)]) + "\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: rows disagree on {name}"):
+        read_curve_csv(path)
+
+
+def test_csv_reader_rejects_a_file_without_rows(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text(CSV_HEADER + "\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: no rows"):
+        read_curve_csv(path)
 
 
 def test_csv_reader_rejects_malformed_files(tmp_path):
@@ -419,6 +461,10 @@ def test_csv_reader_rejects_malformed_files(tmp_path):
     bad_row.write_text(CSV_HEADER + "\nonly,three,fields\n")
     with pytest.raises(ConfigError, match="malformed row"):
         read_curve_csv(bad_row)
+    not_a_number = tmp_path / "c.csv"
+    not_a_number.write_text(CSV_HEADER + "\nfine_tuning,,0.0,many,1,0.5,3,0,,\n")
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_curve_csv(not_a_number)
 
 
 def test_profile_checksums_cover_files_and_the_mixed_alias():
@@ -592,7 +638,7 @@ def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
         "model_transfer_s0.csv",
         "genie.csv",
     }
-    assert read_curve_csv(out / "genie.csv").metadata["technique"] == "genie"
+    assert read_curve_csv(out / "genie.csv").technique == "genie"
     assert os.path.basename(result.source_checkpoint_path) == "source.ckpt"
     assert all(os.path.exists(p) for p in result.checkpoint_paths)
     # model_transfer trains nothing, so it leaves no run log
@@ -654,7 +700,7 @@ def test_alpha_sweep_budgets_scale_with_alpha(tmp_path):
     assert steps == {(a, seed): round(a * 8) for a in (0.25, 0.5, 1.0) for seed in (0, 3)}
     for path in result.curve_paths:
         seed = os.path.basename(path)[: -len(".csv")].split("_s")[-1]
-        assert read_curve_csv(path).metadata["seed"] == seed
+        assert read_curve_csv(path).seed == int(seed)
 
 
 def test_sweep_reruns_from_its_manifest_byte_for_byte(tmp_path):
@@ -765,7 +811,7 @@ def test_cli_baseline_writes_a_genie_curve(tmp_path):
     )
     assert code == 0
     curve = read_curve_csv(out / "genie.csv")
-    assert curve.metadata["technique"] == "genie"
+    assert curve.technique == "genie"
     assert curve.points[0].bler < 0.5  # the genie is clean at 8 dB
 
 

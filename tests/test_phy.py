@@ -497,8 +497,5 @@ def test_decode_input_validation():
     for max_iters in (0, -1, 2.0, True, "3", None):
         with pytest.raises(ConfigError):
             decode(llrs, code, max_iters=max_iters)
-    for normalization in (0.0, -0.5, 1.5, np.nan, np.inf, False, "0.75", None):
-        with pytest.raises(ConfigError):
-            decode(llrs, code, normalization=normalization)
-    info, _ = decode(llrs, code, max_iters=np.int64(1), normalization=1)
+    info, _ = decode(llrs, code, max_iters=np.int64(1))
     np.testing.assert_array_equal(info, np.ones((2, code.k), dtype=np.uint8))

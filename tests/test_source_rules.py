@@ -537,3 +537,75 @@ def test_one_writer_for_checkpoints_and_manifests():
         if (path.relative_to(PACKAGE_DIR).as_posix(), scope) not in allowed[name]
     ]
     assert offenders == []
+
+
+def public_definitions(source: str) -> list:
+    """``(line, name)`` of every public function and class that ``source``
+    defines at module level, and of every public method of those classes
+    (at any class depth).  A function defined inside a function is local."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not child.name.startswith("_"):
+                    found.append((child.lineno, child.name))
+                if isinstance(child, ast.ClassDef):
+                    visit(child)
+            elif not isinstance(child, ast.expr):
+                visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_the_rule_sees_every_public_definition():
+    source = (
+        "def run(x):\n"
+        "    def helper():\n"
+        "        pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Curve:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def bler(self):\n"
+        "        pass\n"
+        "    class Row:\n"
+        "        def parse(self):\n"
+        "            pass\n"
+        "if True:\n"
+        "    def gated():\n"
+        "        pass\n"
+    )
+    assert public_definitions(source) == [
+        (1, "run"), (6, "Curve"), (10, "bler"), (12, "Row"), (13, "parse"), (16, "gated"),
+    ]
+
+
+# Public names that only the tests use, each with its reason.
+TEST_ONLY_NAMES = {
+    "finite_diff_check": "criterion 01's gradient checker; only the tests run it",
+}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A public function, class or method that nothing in the package, the
+    # benchmark or the demos uses is a wrapper for the tests alone.  Uses
+    # are matched by name, so a name also used for something else counts.
+    repo = PACKAGE_DIR.parents[1]
+    users = [
+        *sorted(PACKAGE_DIR.rglob("*.py")),
+        *sorted(p for p in (repo / "perfbench").rglob("*.py") if "tests" not in p.relative_to(repo).parts),
+        *sorted((repo / "demos").rglob("*.py")),
+    ]
+    defined = {
+        name: f"{path.relative_to(PACKAGE_DIR)}:{line}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line, name in public_definitions(path.read_text(encoding="utf-8"))
+    }
+    used = {name for path in users for _, _, name in uses_of(path.read_text(encoding="utf-8"), set(defined))}
+    unused = set(defined) - used
+    assert sorted(f"{defined[name]}: {name}" for name in unused - set(TEST_ONLY_NAMES)) == []
+    assert unused >= set(TEST_ONLY_NAMES), "an allowlisted name is used or gone: take it off the list"

@@ -162,10 +162,13 @@ def test_config_validation(tiny_grid):
 def test_model_and_config_must_agree(tiny_grid):
     cfg = tiny_cfg(tiny_grid)
     wrong_bits = ReceiverModel(replace(cfg.model_spec(), out_bits=4), seed=0)
-    with pytest.raises(ConfigError, match="bits per RE"):
+    with pytest.raises(ConfigError) as bits:
         run_training(wrong_bits, cfg)
+    assert str(bits.value) == (
+        "training: the receiver has out_bits=4, but qpsk with 1 antennas needs out_bits=2"
+    )
     cfg2 = tiny_cfg(tiny_grid, n_rx=2)
-    with pytest.raises(ConfigError, match="input planes"):
+    with pytest.raises(ConfigError, match="in_channels=2, but qpsk with 2 antennas needs in_channels=4"):
         run_training(ReceiverModel(cfg.model_spec(), seed=0), cfg2)
 
 
