@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from ..channel.profiles import PACKAGED_PROFILES
@@ -104,10 +103,10 @@ def _train_cfg(args):
 
 def _cmd_train_source(args) -> int:
     from ..training import train_source
-    from .results import emit_results
+    from .results import emit_results, make_out_dir
 
     cfg = _train_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
     result = train_source(cfg)
     files = result.save(args.out, "source")
     emit_results(
@@ -125,11 +124,11 @@ def _cmd_train_source(args) -> int:
 
 def _cmd_adapt(args) -> int:
     from ..transfer import AdaptConfig, adapt
-    from .results import emit_results
+    from .results import emit_results, make_out_dir
 
     target = _train_cfg(args)
     cfg = AdaptConfig(args.technique, args.alpha, target)
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
     result = adapt(args.source, cfg)
     files = result.save(args.out, f"{args.technique}_a{args.alpha}")
     emit_results(
@@ -150,7 +149,7 @@ def _cmd_eval(args) -> int:
     """``eval`` scores a checkpoint's receiver, ``baseline`` the genie."""
     from ..phy.modulation import get_scheme
     from .bler import GenieReceiver, NeuralReceiver, run_bler
-    from .results import emit_results
+    from .results import emit_results, make_out_dir
 
     eval_cfg = _eval_cfg(args)
     config = {"verb": args.verb, "scale": args.scale, "modulation": args.modulation,
@@ -167,6 +166,7 @@ def _cmd_eval(args) -> int:
     else:
         receiver = GenieReceiver(get_scheme(args.modulation), eval_cfg.grid)
         name = technique = "genie"
+    make_out_dir(args.out)
     curve = dataclasses.replace(run_bler(eval_cfg, receiver), technique=technique)
     for p in emit_results({name: curve}, args.out, config, profiles={args.profile}):
         print(p)

@@ -128,10 +128,21 @@ def read_manifest(path) -> dict:
     return manifest
 
 
+def make_out_dir(path) -> None:
+    """Create the output directory ``path`` and its parents where missing.
+    Jobs call this before any simulation or training, so that a path that
+    cannot be a directory (it, or a parent, is a file) fails first, as a
+    ``ConfigError`` naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make the output directory: {exc.strerror}") from None
+
+
 def emit_results(curves: dict, out_dir, config: dict, profiles=(), files=()) -> list:
     """Write one CSV per named curve plus the manifest, which also names the
     run's other ``files``; returns the CSV paths, then the manifest's."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     paths = []
     for name, curve in curves.items():
         path = os.path.join(out_dir, f"{name}.csv")

@@ -17,7 +17,6 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from ..channel.profiles import load_profile
@@ -28,7 +27,7 @@ from ..phy.modulation import get_scheme
 from ..training import TrainResult, train_source
 from ..transfer import BENCHMARKS, TECHNIQUES, AdaptConfig, adapt, alpha_steps, run_benchmark
 from .bler import BlerCurve, GenieReceiver, NeuralReceiver, run_bler
-from .results import emit_results
+from .results import emit_results, make_out_dir
 
 LIST_FIELDS = ("techniques", "benchmarks", "alphas", "seeds", "ebno_grid_db")
 
@@ -129,7 +128,7 @@ def sweep(cfg, out_dir) -> SweepResult:
         batch=cfg.eval_batch,
     )
 
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     if cfg.source_checkpoint is not None:
         source = read_checkpoint(cfg.source_checkpoint)  # fail fast before any training
         source_path = cfg.source_checkpoint

@@ -13,9 +13,8 @@ goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
 each layer records one entry under itself as the key, and keeps only what
 no other entry can reproduce:
 
-- ``Conv2D``: its input, by reference.  Neither the padded copy nor any
-  tap strips are kept; the backward pass pads again and rebuilds the
-  strips in the workspace.
+- ``Conv2D``: its input, by reference.  No tap strips are kept; the
+  backward pass rebuilds them in the workspace.
 - ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
   per-position inverse standard deviation.  ``taped_output`` and
   ``relu_output`` rebuild ``forward(x)`` and ``relu(forward(x))`` from
@@ -30,19 +29,19 @@ pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
 leaves state on a layer, two forwards on two tapes may share one model.
 
-Conv tap strips and padded scratch live in a workspace owned by the
-calling thread, not by a layer.  The padded buffer holds a whole shard;
-the strip buffer holds one image (one transport block) at a time, since
-each image's GEMMs read only its own taps.  It is about ``kh`` times
-smaller than that image's full im2col: each padded row's ``kw``
-horizontal taps are copied once, and the ``kh`` tap rows of every output
-position are overlapping row slices of it (the lowering of MEC, Cho &
-Brand, arXiv:1706.06873).  Each buffer grows to the largest request and
-is reused by every later conv call on that thread, so a training step
-allocates no tap or padding memory after its first iteration.  Nothing
-in the workspace outlives the call that filled it: every forward and
-backward returns a freshly allocated array, and threads never share a
-workspace.
+Conv tap strips live in a workspace owned by the calling thread, not by
+a layer.  The strip buffer holds one image (one transport block) at a
+time, since each image's GEMMs read only its own taps, and it is the
+only conv scratch: the zero padding is written into the strips, never
+into a padded copy of the input.  It is about ``kh`` times smaller than
+that image's full im2col: each padded row's ``kw`` horizontal taps are
+copied once, and the ``kh`` tap rows of every output position are
+overlapping row slices of it (the lowering of MEC, Cho & Brand,
+arXiv:1706.06873).  The buffer grows to the largest request and is
+reused by every later conv call on that thread, so a training step
+allocates no tap memory after its first iteration.  Nothing in the
+workspace outlives the call that filled it: every forward and backward
+returns a freshly allocated array, and threads never share a workspace.
 Training runs the shards of a batch on two threads (``simorx.training``),
 one model on two tapes at once; the tape and the per-thread workspace are
 what make that safe.
@@ -90,40 +89,22 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return lo, kernel - 1 - lo
 
 
-def _padded(x: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
-    """``x`` zero-padded by ``(top, bottom, left, right)`` on its spatial axes,
-    in the workspace's ``"pad"`` slot; ``x`` itself when every pad is zero.
-    """
-    top, bottom, left, right = pads
-    if not (top or bottom or left or right):
-        return x
-    m, h, w, c = x.shape
-    xp = _WORKSPACE.take("pad", (m, h + top + bottom, w + left + right, c), x.dtype)
-    # A reused buffer holds stale values: zero the border only.
-    xp[:, :top] = 0
-    xp[:, top + h :] = 0
-    xp[:, top : top + h, :left] = 0
-    xp[:, top : top + h, left + w :] = 0
-    xp[:, top : top + h, left : left + w] = x
-    return xp
-
-
 class Conv2D:
     """2-D convolution with same-size zero padding.
 
-    ``forward`` pads its input in the thread's workspace and then, image by
-    image, copies that image's tap strips into the workspace (every padded
-    row's ``kw`` horizontal taps at each output column) and runs the
-    ``kh`` tap rows' GEMMs in one batched call, each a row slice of the
-    strips against that row's block of ``wmat``, summing the ``kh``
+    ``forward`` goes image by image: it copies that image's tap strips into
+    the thread's workspace (every padded row's ``kw`` horizontal taps at
+    each output column, with zeros where a tap falls in the padding) and
+    runs the ``kh`` tap rows' GEMMs in one batched call, each a row slice
+    of the strips against that row's block of ``wmat``, summing the ``kh``
     products into the output.  With a tape the layer records its input
-    there.  ``backward`` runs the same per-image loop on the padded output
-    gradient against the flipped kernel, which gives the input gradient;
-    then it pads the input again and writes each tap row's weight-gradient
-    GEMM into its own block of the image's gradient, summed over the images
-    in image order, so the weight gradient has the bits of a nine-tap
-    im2col.  A 1x1 kernel needs neither padding nor strips and runs one
-    GEMM on the whole input.
+    there.  ``backward`` runs the same per-image loop on the output
+    gradient, with the transposed pad split, against the flipped kernel,
+    which gives the input gradient; then it builds the input's strips
+    again and writes each tap row's weight-gradient GEMM into its own
+    block of the image's gradient, summed over the images in image order,
+    so the weight gradient has the bits of a nine-tap im2col.  A 1x1
+    kernel needs no strips and runs one GEMM on the whole input.
     """
 
     kind = "conv2d"
@@ -191,57 +172,78 @@ class Conv2D:
         kh, kw = self.kernel
         return (*_pad_amounts(kh), *_pad_amounts(kw))
 
-    def _image_strips(self, xp: np.ndarray, h: int, w: int):
-        """Yield ``(rows, taps)`` for each image of the padded ``xp`` in turn.
+    def _image_strips(self, x: np.ndarray, pads: tuple[int, int, int, int]):
+        """Yield ``(rows, taps)`` for each image of ``x`` in turn, reading ``x``
+        as if it were zero-padded by ``pads``, ``(top, bottom, left, right)``,
+        which add up to ``kh - 1`` rows and ``kw - 1`` columns.
 
         The image's strips, every padded row's ``kw`` horizontal taps at each
-        of the ``w`` output columns (``[(h + kh - 1) * w, kw * c]``), are
-        copied into one workspace buffer that each step overwrites.  ``taps``
-        is the ``[kh, h * w, kw * c]`` view of it whose entry ``k`` is tap
-        row ``k`` of every output position: strip rows ``k * w`` to
-        ``k * w + h * w``.  ``rows`` is the image's slice of the ``m * h * w``
-        output rows."""
-        m, hp, _, c = xp.shape
+        of the ``w`` output columns (``[h + kh - 1, w, kw, c]``), live in one
+        workspace buffer that each image overwrites.  The cells that fall in
+        the padding are the same for every image, so they are zeroed once
+        per call: the pad rows, and each edge column, whose taps leave the
+        grid.  Per image, one strided copy writes the interior columns, whose
+        taps all lie in the grid (none on a grid narrower than ``kw``), and
+        one slice copy per edge column writes that column's in-range taps.
+        ``taps`` is the ``[kh, h * w, kw * c]`` view of the buffer whose entry
+        ``k`` is tap row ``k`` of every output position: strip rows ``k * w``
+        to ``k * w + h * w``.  ``rows`` is the image's slice of the
+        ``m * h * w`` output rows."""
+        m, h, w, c = x.shape
         kh, kw = self.kernel
-        sm, sh, sw, sc = xp.strides
-        view = as_strided(xp, shape=(m, hp, w, kw, c), strides=(sm, sh, sw, sw, sc))
-        strips = _WORKSPACE.take("strips", view.shape[1:], xp.dtype)
+        top, _, left, right = pads
+        strips = _WORKSPACE.take("strips", (h + kh - 1, w, kw, c), x.dtype)
+        strips[:top] = 0
+        strips[top + h :] = 0
+        inner = strips[top : top + h]
+        interior = range(left, w - right)
+        # Edge column j takes its taps lo to hi from x's columns j - left + lo on.
+        edges = [(j, max(0, left - j), min(kw, w + left - j)) for j in range(w) if j not in interior]
+        for j, _, _ in edges:
+            inner[:, j] = 0
+        if interior:
+            sm, sh, sw, sc = x.strides
+            view = as_strided(x, shape=(m, h, len(interior), kw, c), strides=(sm, sh, sw, sw, sc))
         s_row, s_col, _, s_c = strips.strides
         taps = as_strided(strips, shape=(kh, h * w, kw * c), strides=(s_row, s_col, s_c))
-        for i, img in enumerate(view):
-            np.copyto(strips, img)
+        for i, img in enumerate(x):
+            if interior:
+                np.copyto(inner[:, left : w - right], view[i])
+            for j, lo, hi in edges:
+                inner[:, j, lo:hi] = img[:, j - left + lo : j - left + hi]
             yield slice(i * h * w, (i + 1) * h * w), taps
 
-    def _taps_matmul(self, xp: np.ndarray, h: int, w: int, rhs: np.ndarray) -> np.ndarray:
-        """``[m * h * w, rhs columns]``: the taps of the padded ``xp`` times
-        ``rhs``, into a fresh array.  Per image, one batched call runs the
-        ``kh`` tap rows' GEMMs and one reduction sums them in tap-row order;
-        a 1x1 kernel is one GEMM on ``xp``."""
-        m, _, _, c = xp.shape
+    def _taps_matmul(self, x: np.ndarray, pads, rhs: np.ndarray) -> np.ndarray:
+        """``[m * h * w, rhs columns]``: the taps of ``x`` padded by ``pads``
+        times ``rhs``, into a fresh array.  Per image, one batched call runs
+        the ``kh`` tap rows' GEMMs and one reduction sums them in tap-row
+        order; a 1x1 kernel is one GEMM on ``x``."""
+        m, h, w, c = x.shape
         n = rhs.shape[1]
-        out = np.empty((m * h * w, n), dtype=np.result_type(xp, rhs))
+        out = np.empty((m * h * w, n), dtype=np.result_type(x, rhs))
         kh, kw = self.kernel
         if kh == kw == 1:
-            return np.matmul(xp.reshape(m * h * w, c), rhs, out=out)
+            return np.matmul(x.reshape(m * h * w, c), rhs, out=out)
         blocks = rhs.reshape(kh, kw * c, n)
         parts = np.empty((kh, h * w, n), dtype=out.dtype)
-        for rows, taps in self._image_strips(xp, h, w):
+        for rows, taps in self._image_strips(x, pads):
             np.matmul(taps, blocks, out=parts)
             np.add.reduce(parts, axis=0, out=out[rows])
         return out
 
-    def _weight_grad(self, xp: np.ndarray, h: int, w: int, gm: np.ndarray) -> np.ndarray:
-        """``taps(xp).T @ gm``, summed over the images in image order.  Each
-        tap row's GEMM fills its own ``[kw * c, n]`` block of an image's
-        gradient, so the sum is the one a nine-tap im2col gives, bit for bit."""
-        m, _, _, c = xp.shape
+    def _weight_grad(self, x: np.ndarray, gm: np.ndarray) -> np.ndarray:
+        """``taps(x).T @ gm`` under same-size padding, summed over the images
+        in image order.  Each tap row's GEMM fills its own ``[kw * c, n]``
+        block of an image's gradient, so the sum is the one a nine-tap im2col
+        gives, bit for bit."""
+        m, h, w, c = x.shape
         kh, kw = self.kernel
         if kh == kw == 1:
-            return xp.reshape(m * h * w, c).T @ gm
+            return x.reshape(m * h * w, c).T @ gm
         n = gm.shape[1]
-        total = np.empty((kh * kw * c, n), dtype=np.result_type(xp, gm))
+        total = np.empty((kh * kw * c, n), dtype=np.result_type(x, gm))
         part = np.empty_like(total)
-        for i, (rows, taps) in enumerate(self._image_strips(xp, h, w)):
+        for i, (rows, taps) in enumerate(self._image_strips(x, self._same_pads())):
             dst = part if i else total
             np.matmul(taps.transpose(0, 2, 1), gm[rows], out=dst.reshape(kh, kw * c, n))
             if i:
@@ -256,7 +258,7 @@ class Conv2D:
         m, h, w, _ = x.shape
         if tape is not None:
             tape[self] = x
-        out = self._taps_matmul(_padded(x, self._same_pads()), h, w, self.wmat)
+        out = self._taps_matmul(x, self._same_pads(), self.wmat)
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
@@ -267,16 +269,16 @@ class Conv2D:
         m, h, w, _ = x.shape
         gm = grad_out.reshape(m * h * w, self.out_channels)
         grad_bias = gm.sum(axis=0)
-        # The input gradient is itself a same-size correlation: the padded
-        # output gradient against the spatially flipped kernel, with the
-        # transposed pad split.  It goes first, so that its partial products
-        # and flipped kernel are freed before the weight gradient is formed.
+        # The input gradient is itself a same-size correlation: the output
+        # gradient against the spatially flipped kernel, with the transposed
+        # pad split.  It goes first, so that its partial products and flipped
+        # kernel are freed before the weight gradient is formed.
         flipped = self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
         grad_in = self._taps_matmul(
-            _padded(grad_out, (ph_hi, ph_lo, pw_hi, pw_lo)), h, w,
+            grad_out, (ph_hi, ph_lo, pw_hi, pw_lo),
             np.ascontiguousarray(flipped.transpose(0, 1, 3, 2)).reshape(kh * kw * self.out_channels, -1),
         ).reshape(m, h, w, self.in_channels)
-        grad_wmat = self._weight_grad(_padded(x, (ph_lo, ph_hi, pw_lo, pw_hi)), h, w, gm)
+        grad_wmat = self._weight_grad(x, gm)
         return grad_in, [grad_wmat, grad_bias]
 
 

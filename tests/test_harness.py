@@ -967,6 +967,49 @@ def test_cli_rejects_a_negative_seed_with_exit_two(tmp_path, capsys):
         assert not out.exists()
 
 
+# Each verb's job, which an unusable --out must stop before it starts.
+OUT_JOBS = {
+    "train-source": ("simorx.training", "train_source"),
+    "adapt": ("simorx.transfer", "adapt"),
+    "eval": ("simorx.harness.bler", "run_bler"),
+    "baseline": ("simorx.harness.bler", "run_bler"),
+    "sweep": ("simorx.harness.sweep", "train_source"),
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("verb", list(OUT_JOBS))
+def test_cli_rejects_an_out_path_that_cannot_be_a_directory_before_any_work(
+    tmp_path, capsys, monkeypatch, verb, under
+):
+    def no_job(*args, **kwargs):
+        raise AssertionError(f"{verb} started its job before checking --out")
+
+    module, name = OUT_JOBS[verb]
+    monkeypatch.setattr(sys.modules[module], name, no_job)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if under else taken
+    domain = ["--scale", "desk", "--profile", "flat"]
+    ckpt = tmp_path / "rx.ckpt"
+    save_checkpoint(checkpoint_from_model(ReceiverModel(ModelSpec(4, 4, 6, 1, 2))), ckpt)
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(tiny_sweep_config().to_dict()))
+    argv = {
+        "train-source": ["train-source", *domain],
+        "adapt": ["adapt", "--source", str(ckpt), "--technique", "fine_tuning", *domain],
+        "eval": ["eval", "--checkpoint", str(ckpt), *domain, "--ebno", "6", "--max-blocks", "4"],
+        "baseline": ["baseline", *domain, "--ebno", "6", "--max-blocks", "4"],
+        "sweep": ["sweep", "--config", str(cfg_path)],
+    }[verb]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out}: cannot make the output directory: {reason}"
+    ]
+    assert taken.read_text() == "keep"
+
+
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):
     import simorx.training
 

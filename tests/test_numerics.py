@@ -82,9 +82,13 @@ KERNELS = [
     (1, 3),  # one tap row: one strip GEMM per image
     (3, 1),  # one tap per row: the strips are the padded rows
     (2, 2),
+    (5, 5),  # two pad rows and columns a side: wider than a 1- or 2-wide grid
 ]
 # Every kernel that runs through the tap-row strips, with its edge cases.
-STRIP_KERNELS = [(3, 3), (1, 3), (3, 1), (2, 2)]
+STRIP_KERNELS = [(3, 3), (1, 3), (3, 1), (2, 2), (5, 5)]
+# Grids (h, w), some narrower or shorter than the kernels: there every
+# output column is an edge column, and taps fall off both sides.
+STRIP_GRIDS = [(4, 5), (5, 1), (5, 2), (1, 7), (2, 2)]
 
 
 def test_identity_kernel_passes_input_through():
@@ -123,8 +127,8 @@ def test_gemm_path_matches_direct_convolution():
     batch=st.integers(1, 5),
     cin=st.integers(1, 3),
     cout=st.integers(1, 3),
-    h=st.integers(3, 6),
-    w=st.integers(3, 6),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
     seed=st.integers(0, 2**16),
 )
 def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
@@ -134,7 +138,8 @@ def test_batched_conv_matches_direct_and_finite_differences(kernel, batch, cin, 
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kernel", STRIP_KERNELS)
 def test_strip_conv_matches_direct_and_finite_differences(kernel, batch):
-    check_conv_against_direct_and_finite_differences(kernel, batch, 2, 3, 4, 5, seed=batch)
+    for h, w in STRIP_GRIDS:
+        check_conv_against_direct_and_finite_differences(kernel, batch, 2, 3, h, w, seed=batch)
 
 
 def check_conv_against_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
@@ -172,38 +177,44 @@ def test_weight_gradient_is_the_nine_tap_im2col_bit_for_bit(kernel, batch, dtype
     # gradient may round differently from a nine-tap im2col.
     rng = np.random.default_rng(batch)
     conv = Conv2D(3, 4, kernel=kernel, rng=rng, dtype=dtype)
-    x = rng.standard_normal((batch, 5, 7, 3)).astype(dtype)
-    g = rng.standard_normal((batch, 5, 7, 4)).astype(dtype)
-    tape = {}
-    conv.forward(x, tape)
-    _, (grad_wmat, _) = conv.backward(g, tape)
-    want = nine_tap_weight_grad(conv, x, g)
-    assert grad_wmat.dtype == want.dtype and grad_wmat.shape == want.shape
-    assert grad_wmat.tobytes() == want.tobytes()
+    for grid in [(5, 7), *STRIP_GRIDS]:
+        x = rng.standard_normal((batch, *grid, 3)).astype(dtype)
+        g = rng.standard_normal((batch, *grid, 4)).astype(dtype)
+        tape = {}
+        conv.forward(x, tape)
+        _, (grad_wmat, _) = conv.backward(g, tape)
+        want = nine_tap_weight_grad(conv, x, g)
+        assert grad_wmat.dtype == want.dtype and grad_wmat.shape == want.shape
+        assert grad_wmat.tobytes() == want.tobytes(), grid
 
 
 @pytest.mark.parametrize("batch", [1, 2, 9])
 def test_conv_workspace_holds_one_image_of_taps(batch):
-    # A fresh thread starts with an empty workspace, so the "strips" slot
-    # is as large as the largest request this conv's two passes made: one
-    # image's padded rows, each with its three horizontal taps.
-    conv = Conv2D(5, 7, rng=np.random.default_rng(4))
+    # A fresh thread starts with an empty workspace, so after a forward and
+    # a backward pass it holds exactly what this conv's passes asked for:
+    # one "strips" slot, as large as one image's padded rows each with its
+    # horizontal taps (of the wider of the input and the output gradient),
+    # whatever the batch.  No buffer that grows with the shard, such as a
+    # padded copy of the input, may join it.  The even kernel takes the
+    # transposed pad split in its input gradient.
     x = np.random.default_rng(5).standard_normal((batch, 6, 8, 5)).astype(np.float32)
-    seen = {}
+    for kernel in [(3, 3), (2, 2)]:
+        conv = Conv2D(5, 7, kernel=kernel, rng=np.random.default_rng(4))
+        seen = {}
 
-    def run():
-        tape = {}
-        y = conv.forward(x, tape)
-        conv.backward(np.ones_like(y), tape)
-        seen["strips"] = _WORKSPACE.slots["strips"].nbytes
+        def run():
+            tape = {}
+            y = conv.forward(x, tape)
+            conv.backward(np.ones_like(y), tape)
+            seen.update((name, buf.nbytes) for name, buf in _WORKSPACE.slots.items())
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    kh, kw = conv.kernel
-    one_image = (6 + kh - 1) * 8 * kw * max(conv.in_channels, conv.out_channels) * x.itemsize
-    assert 0 < seen["strips"] <= one_image
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        kh, kw = kernel
+        one_image = (6 + kh - 1) * 8 * kw * max(conv.in_channels, conv.out_channels) * x.itemsize
+        assert seen == {"strips": one_image}, kernel
 
 
 def test_consecutive_forward_calls_return_unaliased_arrays():

@@ -522,11 +522,14 @@ def test_the_rule_sees_every_form_of_use():
 def test_one_writer_for_checkpoints_and_manifests():
     # A run's checkpoint and log are written by TrainResult.save, and a
     # manifest only through emit_results, so that the file layout and the
-    # list of files a manifest names are decided in one place each.
+    # list of files a manifest names are decided in one place each.  Output
+    # directories are made only by make_out_dir, which turns a path that
+    # cannot be one into a ConfigError.
     allowed = {
         "save_checkpoint": {("training.py", "TrainResult.save")},
         "write_manifest": set(),
         "_write_manifest": {("harness/results.py", "emit_results")},
+        "makedirs": {("harness/results.py", "make_out_dir")},
     }
     files = sorted(PACKAGE_DIR.rglob("*.py"))
     assert files
