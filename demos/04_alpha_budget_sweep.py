@@ -68,7 +68,8 @@ def main() -> None:
     print(f"  package {manifest['package_version']}, "
           f"{len(manifest['files'])} files, profiles checksummed: "
           f"{', '.join(manifest['profiles'])}")
-    print("feed the manifest's config back into sweep() to reproduce the run exactly")
+    print("feed SweepConfig.from_dict(manifest['config']) back into sweep() "
+          "to reproduce the run exactly")
 
 
 if __name__ == "__main__":

@@ -12,19 +12,11 @@ CN(0, p/(K+1)) diffuse part; the specular phase is fixed at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ConfigError
 from ..phy.grid import GridConfig
 from .profiles import ChannelProfile, MixedProfile
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    delays_s: np.ndarray = field(repr=False)  # [T]
-    gains: np.ndarray = field(repr=False)     # [n_rx, T] complex
 
 
 def _gain_terms(powers, k_db):
@@ -40,35 +32,21 @@ def _draw_gains(det, diffuse_std, n_rx: int, rng: np.random.Generator) -> np.nda
     return det + diffuse_std * noise
 
 
-def realize_channel(profile, n_rx: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one block-fading realization with ``n_rx`` independent antennas."""
-    if n_rx < 1:
-        raise ConfigError("n_rx must be positive")
-    delays, powers, k_db = profile.sample_taps(rng)
-    return ChannelRealization(delays, _draw_gains(*_gain_terms(powers, k_db), n_rx, rng))
-
-
 def _phase(delays_s, cfg: GridConfig) -> np.ndarray:
     """``[T, S]``: each tap's phase rotation on each subcarrier."""
     freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
     return np.exp(-2j * np.pi * np.outer(delays_s, freqs))
 
 
-def frequency_response(realization: ChannelRealization, cfg: GridConfig) -> np.ndarray:
-    """Per-subcarrier response ``[n_rx, S]`` at spacing ``cfg.subcarrier_spacing_hz``."""
-    return realization.gains @ _phase(realization.delays_s, cfg)
-
-
 def batch_frequency_response(
     profile, batch: int, n_rx: int, cfg: GridConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Independent realizations straight to responses, ``[batch, n_rx, S]``.
+    """Independent block-fading realizations as responses ``[batch, n_rx, S]``.
 
-    For a mixed profile the member is drawn uniformly per sample; draws
-    happen in sample order, so the result is reproducible from the rng
-    alone.  A fixed member draws only its diffuse gains per sample: its
-    gain terms and phase matrix are computed once per call, which gives
-    the bytes of ``frequency_response(realize_channel(...))`` per sample.
+    A mixed profile draws every sample's member up front, uniformly; then
+    each sample in turn draws its member's taps and its antennas' gains, so
+    the result is reproducible from the rng alone.  A fixed member's taps
+    draw nothing, so its gain terms and phase matrix are computed once.
     """
     if n_rx < 1:
         raise ConfigError("n_rx must be positive")
@@ -79,13 +57,13 @@ def batch_frequency_response(
     fixed = {}   # id(member) -> (det, diffuse_std, phase)
     h = np.empty((batch, n_rx, cfg.num_subcarriers), dtype=np.complex128)
     for i, member in enumerate(members):
-        if not isinstance(member, ChannelProfile):
-            h[i] = frequency_response(realize_channel(member, n_rx, rng), cfg)
-            continue
-        if id(member) not in fixed:
-            terms = _gain_terms(member.powers_linear, member.k_factors_db)
-            fixed[id(member)] = (*terms, _phase(member.delays_s, cfg))
-        det, diffuse_std, phase = fixed[id(member)]
+        terms = fixed.get(id(member))
+        if terms is None:
+            delays, powers, k_db = member.sample_taps(rng)
+            terms = (*_gain_terms(powers, k_db), _phase(delays, cfg))
+            if isinstance(member, ChannelProfile):
+                fixed[id(member)] = terms
+        det, diffuse_std, phase = terms
         h[i] = _draw_gains(det, diffuse_std, n_rx, rng) @ phase
     return h
 

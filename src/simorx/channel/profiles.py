@@ -87,14 +87,11 @@ class ClusteredRandomProfile:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """Uniform per-sample choice among member profiles."""
+    """Uniform per-sample choice among member profiles, drawn by
+    ``fading.batch_frequency_response``."""
 
     name: str
     members: tuple = ()
-
-    def sample_taps(self, rng: np.random.Generator):
-        member = self.members[int(rng.integers(len(self.members)))]
-        return member.sample_taps(rng)
 
 
 def parse_profile_text(text: str, origin: str = "<string>"):

@@ -11,20 +11,20 @@ Two scales ship with the package:
   structural feature: guards, pilots, coding, fading, surgery.
 
 Helpers build ``TrainConfig`` / ``EvalConfig`` objects from a scale name
-plus overrides (an override of ``None`` keeps the preset).  YAML files are
-read and written by ``simorx.harness.results``.
+plus overrides of their fields (an override of ``None`` keeps the preset).
+The presets are the only copy of their values: the config fields they
+fill have no dataclass default, and the full grid is ``GridConfig``'s
+defaults.  YAML files are read and written by ``simorx.harness.results``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from .errors import ConfigError
 from .harness.bler import EvalConfig
 from .phy.grid import GridConfig
 from .training import TrainConfig
 
-FULL_GRID = GridConfig(num_symbols=14, num_subcarriers=128, guard_lo=5, guard_hi=6)
+FULL_GRID = GridConfig()   # GridConfig's defaults are the full-scale grid
 DESK_GRID = GridConfig(num_symbols=14, num_subcarriers=32, guard_lo=2, guard_hi=3)
 
 SCALES = {
@@ -60,22 +60,9 @@ def _scale(name: str) -> dict:
         raise ConfigError(f"unknown scale {name!r}; choose from {sorted(SCALES)}") from None
 
 
-GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridConfig))
-
-
 def _resolve(defaults: dict, overrides: dict) -> dict:
-    """Preset ``defaults`` with every override that is not ``None`` applied.
-
-    Grid field overrides (``num_subcarriers``, ...) replace fields of the
-    preset grid; every other override replaces its key outright.
-    """
-    kwargs = dict(defaults)
-    given = {k: v for k, v in overrides.items() if v is not None}
-    grid = {k: given.pop(k) for k in list(given) if k in GRID_FIELDS}
-    if grid:
-        kwargs["grid"] = dataclasses.replace(kwargs["grid"], **grid)
-    kwargs.update(given)
-    return kwargs
+    """Preset ``defaults`` with every override that is not ``None`` applied."""
+    return {**defaults, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def make_train_config(scale: str = "desk", **overrides) -> TrainConfig:

@@ -44,16 +44,17 @@ from ..receiver import ReceiverModel, extract_llr_bits, preprocess
 from .genie import genie_lmmse_baseline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalConfig:
+    # make_eval_config fills the fields without a default from a scale preset.
     modulation: str = "qpsk"
     profile: str = "cdl_c_like"
-    grid: GridConfig = GridConfig()
+    grid: GridConfig
     n_rx: int = 2
-    ebno_grid_db: tuple = tuple(range(-4, 9))
-    max_blocks: int = 2000
-    max_block_errors: int = 100
-    batch: int = 32
+    ebno_grid_db: tuple
+    max_blocks: int
+    max_block_errors: int
+    batch: int
     seed: int = 0
     ldpc_seed: int = 1
 

@@ -123,13 +123,15 @@ def _cmd_train_source(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    from ..checkpoint import read_checkpoint
     from ..transfer import AdaptConfig, adapt
     from .results import emit_results, make_out_dir
 
     target = _train_cfg(args)
     cfg = AdaptConfig(args.technique, args.alpha, target)
+    source = read_checkpoint(args.source)
     make_out_dir(args.out)
-    result = adapt(args.source, cfg)
+    result = adapt(source, cfg)
     files = result.save(args.out, f"{args.technique}_a{args.alpha}")
     emit_results(
         {},

@@ -10,8 +10,9 @@ budgets is one sweep directory.
 
 Everything the sweep produced (checkpoints, run logs, CSV curves, the
 manifest echoing the resolved config and naming every file) lands in one
-output directory; rerunning a sweep from its manifest reproduces the files
-byte for byte.
+output directory, made after a given ``source_checkpoint`` has been read.
+Rerunning a sweep from its manifest (``SweepConfig.from_dict`` of the
+echoed config) reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from ..channel.profiles import load_profile
 from ..checkpoint import read_checkpoint
-from ..config import make_eval_config, make_train_config
+from ..config import EBNO_GRID_DB, make_eval_config, make_train_config
 from ..errors import ConfigError, is_integer
 from ..phy.modulation import get_scheme
 from ..training import TrainResult, train_source
@@ -44,7 +45,7 @@ class SweepConfig:
     benchmarks: tuple = BENCHMARKS
     alphas: tuple = (0.1,)
     seeds: tuple = (0,)
-    ebno_grid_db: tuple = tuple(range(-4, 9))
+    ebno_grid_db: tuple = EBNO_GRID_DB
     iterations: int | None = None        # source-budget override
     batch: int | None = None
     eval_max_blocks: int | None = None
@@ -104,10 +105,9 @@ class SweepResult:
     log_paths: list
 
 
-def sweep(cfg, out_dir) -> SweepResult:
-    """Run a full sweep into ``out_dir``; accepts a SweepConfig or its dict form."""
-    if isinstance(cfg, dict):
-        cfg = SweepConfig.from_dict(cfg)
+def sweep(cfg: SweepConfig, out_dir) -> SweepResult:
+    """Run a full sweep into ``out_dir``.  A manifest's config echo comes
+    back as a ``SweepConfig`` through ``SweepConfig.from_dict``."""
     ckpt_paths: list = []
     log_paths: list = []
 
@@ -128,11 +128,11 @@ def sweep(cfg, out_dir) -> SweepResult:
         batch=cfg.eval_batch,
     )
 
+    # Read before the output directory is made, so a bad one leaves nothing behind.
+    source_path = cfg.source_checkpoint
+    source = None if source_path is None else read_checkpoint(source_path)
     make_out_dir(out_dir)
-    if cfg.source_checkpoint is not None:
-        source = read_checkpoint(cfg.source_checkpoint)  # fail fast before any training
-        source_path = cfg.source_checkpoint
-    else:
+    if source is None:
         result = train_source(train_cfg(cfg.source_modulation, cfg.source_profile, cfg.source_seed))
         source = result.checkpoint
         source_path, *log = result.save(out_dir, "source")

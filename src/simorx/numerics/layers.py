@@ -8,10 +8,11 @@ Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]``, so tap row
 kw * c_in)`` and needs no repacking; the canonical ``[c_out, c_in, kh, kw]``
 view used by checkpoints is exposed through the ``weights`` property.
 
-A layer holds its weights and nothing else.  What a backward pass reads
-goes on a tape, a dict the caller owns and passes to ``forward(x, tape)``;
-each layer records one entry under itself as the key, and keeps only what
-no other entry can reproduce:
+A layer is built in float32, and ``astype`` converts it.  A layer holds
+its weights and nothing else.  What a backward pass reads goes on a tape,
+a dict the caller owns and passes to ``forward(x, tape)``; each layer
+records one entry under itself as the key, and keeps only what no other
+entry can reproduce:
 
 - ``Conv2D``: its input, by reference.  No tap strips are kept; the
   backward pass rebuilds them in the workspace.
@@ -109,15 +110,7 @@ class Conv2D:
 
     kind = "conv2d"
 
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel=(3, 3),
-        *,
-        rng: np.random.Generator | None = None,
-        dtype=np.float32,
-    ):
+    def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), *, rng: np.random.Generator):
         if in_channels < 1 or out_channels < 1:
             raise ConfigError("channel counts must be positive")
         self.in_channels = int(in_channels)
@@ -127,14 +120,11 @@ class Conv2D:
         fan_in = in_channels * kh * kw
         fan_out = out_channels * kh * kw
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        if rng is None:
-            w = np.zeros((out_channels, in_channels, kh, kw))
-        else:
-            w = rng.uniform(-limit, limit, size=(out_channels, in_channels, kh, kw))
+        w = rng.uniform(-limit, limit, size=(out_channels, in_channels, kh, kw))
         self.wmat = np.ascontiguousarray(
-            w.transpose(2, 3, 1, 0).reshape(kh * kw * in_channels, out_channels), dtype=dtype
+            w.transpose(2, 3, 1, 0).reshape(kh * kw * in_channels, out_channels), dtype=np.float32
         )
-        self.bias = np.zeros(out_channels, dtype=dtype)
+        self.bias = np.zeros(out_channels, dtype=np.float32)
 
     @property
     def dtype(self):
@@ -303,12 +293,12 @@ class LayerNorm:
 
     kind = "layer_norm"
 
-    def __init__(self, num_channels: int, *, dtype=np.float32):
+    def __init__(self, num_channels: int):
         if num_channels < 1:
             raise ConfigError("num_channels must be positive")
         self.num_channels = int(num_channels)
-        self.gamma = np.ones(num_channels, dtype=dtype)
-        self.beta = np.zeros(num_channels, dtype=dtype)
+        self.gamma = np.ones(num_channels, dtype=np.float32)
+        self.beta = np.zeros(num_channels, dtype=np.float32)
 
     @property
     def dtype(self):

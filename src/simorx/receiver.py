@@ -12,7 +12,9 @@ pattern (norm, ReLU, conv, twice) with an additive skip; the skip uses a
 
 Internally activations are channels-last ``[batch, F, S, C]``; the public
 input is channels-first ``[batch, 2 n_rx, F, S]`` and the output is the
-LLR grid ``[batch, F, S, out_bits]``.
+LLR grid ``[batch, F, S, out_bits]``.  A model is built in float32;
+``astype`` is the one way to change its precision (the gradient check
+runs in float64).
 """
 
 from __future__ import annotations
@@ -72,17 +74,15 @@ class ResNetBlock:
     activation between the passes.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.norm1 = LayerNorm(in_channels, dtype=dtype)
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        self.norm1 = LayerNorm(in_channels)
         self.relu1 = ReLU()
-        self.conv1 = Conv2D(in_channels, out_channels, rng=rng, dtype=dtype)
-        self.norm2 = LayerNorm(out_channels, dtype=dtype)
+        self.conv1 = Conv2D(in_channels, out_channels, rng=rng)
+        self.norm2 = LayerNorm(out_channels)
         self.relu2 = ReLU()
-        self.conv2 = Conv2D(out_channels, out_channels, rng=rng, dtype=dtype)
+        self.conv2 = Conv2D(out_channels, out_channels, rng=rng)
         if in_channels != out_channels:
-            self.proj = Conv2D(in_channels, out_channels, kernel=(1, 1), rng=rng, dtype=dtype)
+            self.proj = Conv2D(in_channels, out_channels, kernel=(1, 1), rng=rng)
         else:
             self.proj = None
 
@@ -140,15 +140,15 @@ class ReceiverModel:
     surgery on one layer never shifts the initialisation of another.
     """
 
-    def __init__(self, spec: ModelSpec, seed: int = 0, dtype=np.float32):
+    def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
         self.seed = int(seed)
-        self.input_conv = Conv2D(spec.in_channels, spec.width_in, rng=_layer_rng(seed, 0), dtype=dtype)
+        self.input_conv = Conv2D(spec.in_channels, spec.width_in, rng=_layer_rng(seed, 0))
         self.blocks = []
         for i in range(spec.num_blocks):
             in_ch = spec.width_in if i == 0 else spec.width_res
-            self.blocks.append(ResNetBlock(in_ch, spec.width_res, _layer_rng(seed, 1 + i), dtype))
-        self.output_conv = Conv2D(spec.width_res, spec.out_bits, rng=_layer_rng(seed, 63), dtype=dtype)
+            self.blocks.append(ResNetBlock(in_ch, spec.width_res, _layer_rng(seed, 1 + i)))
+        self.output_conv = Conv2D(spec.width_res, spec.out_bits, rng=_layer_rng(seed, 63))
         self.trainable = {name: True for name, _ in self.coarse_layers()}
 
     @property
@@ -294,11 +294,10 @@ def bmd_loss(llrs: np.ndarray, bits: np.ndarray) -> tuple[float, float]:
     return 1.0 - mean_bce_bits, mean_bce_bits
 
 
-def bmd_loss_grad(llrs: np.ndarray, bits: np.ndarray, count: int | None = None) -> np.ndarray:
+def bmd_loss_grad(llrs: np.ndarray, bits: np.ndarray, count: int) -> np.ndarray:
     """Gradient of ``mean_bce_bits`` with respect to the logits, for a mean
-    over ``count`` bits (default ``llrs.size``); a shard of a batch passes
-    the batch's bit count."""
-    return (expit(llrs) - bits) / (LN2 * (llrs.size if count is None else count))
+    over ``count`` bits; a shard of a batch passes the batch's bit count."""
+    return (expit(llrs) - bits) / (LN2 * count)
 
 
 def extract_llr_bits(llr_grid: np.ndarray, cfg: GridConfig) -> np.ndarray:

@@ -56,17 +56,18 @@ from .receiver import (
 RUN_LOG_HEADER = "iter,L,mean_bce_bits,ebno_lo,ebno_hi,seed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
+    # make_train_config fills the fields without a default from a scale preset.
     modulation: str = "qpsk"
     profile: str = "cdl_c_like"
-    grid: GridConfig = GridConfig()
+    grid: GridConfig
     n_rx: int = 2
-    width_in: int = 128
-    width_res: int = 256
+    width_in: int
+    width_res: int
     num_blocks: int = 4
-    batch: int = 128
-    iterations: int = 27188
+    batch: int
+    iterations: int
     lr: float = 1e-3
     ebno_lo_db: float = -4.0
     ebno_hi_db: float = 8.0

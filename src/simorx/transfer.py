@@ -69,16 +69,16 @@ REFERENCE_PARAM_TOTALS = {
 }
 
 
-def add_resnet_block(model: ReceiverModel, rng: np.random.Generator | None = None) -> ReceiverModel:
-    """Insert a fresh width-preserving block just before the output conv.
+def add_resnet_block(model: ReceiverModel) -> ReceiverModel:
+    """Insert a fresh float32 width-preserving block, initialised from the
+    model's seed, just before the output conv.
 
     Existing tensors and trainable flags are untouched; the new block
     trains until ``set_trainable`` says otherwise.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(99,)))
+    rng = np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(99,)))
     width = model.spec.width_res
-    model.blocks.append(ResNetBlock(width, width, rng, dtype=model.dtype))
+    model.blocks.append(ResNetBlock(width, width, rng))
     model.spec = model.spec.with_extra_block()
     model.trainable = {name: model.trainable.get(name, True) for name, _ in model.coarse_layers()}
     return model

@@ -4,8 +4,9 @@
 demapper's bit error rate; ``extract_data_res`` is the inverse of
 ``build_grid``'s placement, against which the receiver's LLR extraction
 is checked.  ``per_block_frequency_response`` draws a batch of channels
-one ``realize_channel`` at a time, the path ``batch_frequency_response``
-must match byte for byte.  ``nine_tap_weight_grad`` is a conv's weight gradient through
+one sample at a time, from the profile's data alone, in the draw order
+that ``batch_frequency_response`` must match byte for byte.
+``nine_tap_weight_grad`` is a conv's weight gradient through
 a full ``kh * kw``-tap im2col of each image, the lowering ``Conv2D`` used
 before its tap-row strips; the strips must give the same bits.
 """
@@ -13,8 +14,7 @@ before its tap-row strips; the strips must give the same bits.
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from simorx.channel.fading import frequency_response, realize_channel
-from simorx.channel.profiles import MixedProfile
+from simorx.channel.profiles import ClusteredRandomProfile, MixedProfile
 from simorx.errors import ConfigError
 from simorx.numerics.layers import _pad_amounts
 from simorx.harness.genie import genie_lmmse_llrs
@@ -65,12 +65,30 @@ def extract_data_res(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
 def per_block_frequency_response(profile, batch: int, n_rx: int, cfg: GridConfig, rng) -> np.ndarray:
     """``[batch, n_rx, S]`` in ``batch_frequency_response``'s draw order: a
     mixed profile picks every member up front, then each sample draws its
-    whole realization in sample order."""
+    taps (a clustered-random member only), its gains' real parts and then
+    their imaginary parts, and sums the taps' phase rotations per subcarrier."""
     if isinstance(profile, MixedProfile):
         members = [profile.members[c] for c in rng.integers(len(profile.members), size=batch)]
     else:
         members = [profile] * batch
-    return np.stack([frequency_response(realize_channel(m, n_rx, rng), cfg) for m in members])
+    freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
+    out = []
+    for m in members:
+        if isinstance(m, ClusteredRandomProfile):
+            delays = np.concatenate([[0.0], np.sort(rng.exponential(m.delay_scale_s, size=m.num_taps - 1))])
+            db = -10.0 * np.log10(np.e) * delays / m.delay_scale_s + rng.normal(0.0, m.jitter_db, size=m.num_taps)
+            powers = 10.0 ** (db / 10.0)
+            powers /= powers.sum()
+            k_lin = np.zeros(m.num_taps)
+        else:
+            delays, powers = m.delays_s, m.powers_linear
+            k_lin = np.where(np.isnan(m.k_factors_db), 0.0, 10.0 ** (m.k_factors_db / 10.0))
+        specular = np.sqrt(powers * k_lin / (k_lin + 1.0))
+        diffuse_std = np.sqrt(powers / (k_lin + 1.0) / 2.0)
+        real = rng.standard_normal((n_rx, len(delays)))
+        gains = specular + diffuse_std * (real + 1j * rng.standard_normal((n_rx, len(delays))))
+        out.append(gains @ np.exp(-2j * np.pi * np.outer(delays, freqs)))
+    return np.stack(out)
 
 
 def nine_tap_weight_grad(conv, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -10,8 +10,6 @@ from simorx.channel.fading import (
     apply_channel_awgn,
     batch_frequency_response,
     ebno_to_n0,
-    frequency_response,
-    realize_channel,
 )
 from simorx.channel.profiles import (
     MIXED_MEMBERS,
@@ -158,50 +156,53 @@ def test_clustered_random_sampling_statistics():
 # ----------------------------------------------------------------- statistics
 
 
-def test_realization_energy_is_normalized():
+def test_realization_energy_is_normalized(desk_grid):
+    # Tap gains are independent, each with its tap's mean power, so every
+    # subcarrier's response has mean power one, the profile's total.
     p = load_profile("cdl_c_like")
-    rng = np.random.default_rng(1)
-    total = 0.0
-    n = 4000
-    for _ in range(n):
-        r = realize_channel(p, 1, rng)
-        total += float(np.sum(np.abs(r.gains) ** 2))
-    assert total / n == pytest.approx(1.0, abs=0.05)
+    h = batch_frequency_response(p, 4000, 1, desk_grid, np.random.default_rng(1))
+    assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.05)
 
 
-def test_los_tap_has_deterministic_component():
-    # At a huge K-factor the first tap collapses onto sqrt(power), phase 0.
+def test_los_tap_has_deterministic_component(desk_grid):
+    # At a huge K-factor the first tap collapses onto sqrt(power), phase 0;
+    # the weak second tap is zero-mean, so the mean response is that tap.
     text = "# name=k\n# los=true\n0 0 60\n1e-7 -20\n"
     p = parse_profile_text(text)
-    r = realize_channel(p, 2, np.random.default_rng(2))
+    h = batch_frequency_response(p, 2000, 2, desk_grid, np.random.default_rng(2))
     want = np.sqrt(p.powers_linear[0])
-    np.testing.assert_allclose(r.gains[:, 0], want, rtol=0.02)
+    np.testing.assert_allclose(h.mean(axis=0), want, rtol=0.02)
 
 
-def test_antennas_fade_independently():
+def test_antennas_fade_independently(desk_grid):
+    # A sample's subcarriers lie well inside one coherence bandwidth, so they
+    # add little averaging: it takes many samples to resolve 0.02.
     p = load_profile("cdl_b_like")
-    rng = np.random.default_rng(3)
-    draws = np.array([realize_channel(p, 2, rng).gains for _ in range(2000)])
-    corr = np.mean(draws[:, 0, :] * np.conj(draws[:, 1, :]))
+    h = batch_frequency_response(p, 20000, 2, desk_grid, np.random.default_rng(3))
+    corr = np.mean(h[:, 0, :] * np.conj(h[:, 1, :]))
     assert abs(corr) < 0.02
 
 
 def test_frequency_response_matches_direct_sum(desk_grid):
+    # cdl_c_like has no LOS tap, so each gain is CN(0, p): its real parts
+    # for both antennas are drawn first, then its imaginary parts.
     p = load_profile("cdl_c_like")
-    r = realize_channel(p, 2, np.random.default_rng(4))
-    h = frequency_response(r, desk_grid)
+    h = batch_frequency_response(p, 1, 2, desk_grid, np.random.default_rng(4))[0]
     assert h.shape == (2, 32)
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal((2, p.num_taps)) + 1j * rng.standard_normal((2, p.num_taps))
+    gains = np.sqrt(p.powers_linear / 2.0) * noise
     # direct evaluation, one subcarrier at a time
     for k in (0, 7, 31):
         f = k * desk_grid.subcarrier_spacing_hz
-        want = np.sum(r.gains * np.exp(-2j * np.pi * r.delays_s * f), axis=1)
+        want = np.sum(gains * np.exp(-2j * np.pi * p.delays_s * f), axis=1)
         np.testing.assert_allclose(h[:, k], want, atol=1e-12)
 
 
 def test_flat_profile_response_is_constant(desk_grid):
-    r = realize_channel(load_profile("flat"), 2, np.random.default_rng(5))
-    h = frequency_response(r, desk_grid)
-    np.testing.assert_allclose(h, np.broadcast_to(h[:, :1], h.shape), atol=1e-15)
+    h = batch_frequency_response(load_profile("flat"), 3, 2, desk_grid, np.random.default_rng(5))
+    np.testing.assert_allclose(h, np.broadcast_to(h[:, :, :1], h.shape), atol=1e-15)
+    assert not np.allclose(h[0], h[1])
 
 
 def test_batch_frequency_response_is_reproducible(desk_grid):
@@ -217,8 +218,8 @@ def test_batch_frequency_response_is_reproducible(desk_grid):
 @pytest.mark.parametrize("name", PACKAGED_PROFILES + ("mixed_cdl",))
 def test_batch_frequency_response_matches_per_sample_realizations(desk_grid, name):
     # Fixed members reuse their gain terms and phase matrix across the
-    # batch; the bytes and the draws must be those of one realization per
-    # sample.
+    # batch; the bytes and the draws must be those of the oracle, which
+    # draws and sums one sample at a time and shares no code with it.
     p = load_profile(name)
     batch, n_rx = 5, 2
     got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)

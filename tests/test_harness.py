@@ -44,7 +44,6 @@ from simorx.harness.results import (
     write_curve_csv,
 )
 from simorx.harness.sweep import SweepConfig, sweep
-from simorx.phy.grid import GridConfig
 from simorx.phy.ldpc import decode
 from simorx.phy.modulation import get_scheme
 from simorx.receiver import ModelSpec, ReceiverModel
@@ -524,9 +523,6 @@ def test_desk_and_full_presets():
 
 
 def test_grid_field_overrides_reach_the_grid():
-    cfg = make_train_config("desk", num_subcarriers=12, guard_lo=1, guard_hi=1, seed=5)
-    assert cfg.grid == GridConfig(num_symbols=14, num_subcarriers=12, guard_lo=1, guard_hi=1)
-    assert cfg.seed == 5
     ev = make_eval_config("desk", ebno_grid_db=[0, 8], max_blocks=4)
     assert ev.ebno_grid_db == (0, 8)
     assert ev.max_blocks == 4
@@ -534,7 +530,7 @@ def test_grid_field_overrides_reach_the_grid():
 
 
 def test_none_overrides_keep_the_preset():
-    assert make_train_config("desk", iterations=None, batch=None, guard_lo=None) == make_train_config("desk")
+    assert make_train_config("desk", iterations=None, batch=None) == make_train_config("desk")
     ev = make_eval_config("desk", max_blocks=None, ebno_grid_db=None, batch=None)
     assert ev == make_eval_config("desk")
     # A falsy value is an override like any other, and is validated.
@@ -614,16 +610,9 @@ def test_sweep_config_round_trips_through_dict_form():
         ({"techniques": ("fine_tuning", "fine_tuning")}, "techniques repeats"),
     ],
 )
-def test_sweep_config_rejects_bad_values_before_any_training(tmp_path, monkeypatch, bad, match):
-    def no_training(cfg):
-        raise AssertionError("trained before rejecting the config")
-
-    monkeypatch.setattr(simorx.harness.sweep, "train_source", no_training)
+def test_sweep_config_rejects_bad_values_before_any_training(bad, match):
     with pytest.raises(ConfigError, match=match):
         tiny_sweep_config(**bad)
-    with pytest.raises(ConfigError, match=match):
-        sweep({**tiny_sweep_config().to_dict(), **bad}, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
 
 
 def test_technique_sweep_produces_a_curve_per_variant(tmp_path):
@@ -708,7 +697,7 @@ def test_sweep_reruns_from_its_manifest_byte_for_byte(tmp_path):
         techniques=("feature_extraction",), benchmarks=(), alphas=(0.5,), iterations=2
     )
     first = sweep(cfg, tmp_path / "one")
-    replay_cfg = read_manifest(first.manifest_path)["config"]
+    replay_cfg = SweepConfig.from_dict(read_manifest(first.manifest_path)["config"])
     second = sweep(replay_cfg, tmp_path / "two")
     for a, b in zip(sorted(first.curve_paths), sorted(second.curve_paths)):
         assert os.path.basename(a) == os.path.basename(b)
@@ -1008,6 +997,30 @@ def test_cli_rejects_an_out_path_that_cannot_be_a_directory_before_any_work(
         f"error: {out}: cannot make the output directory: {reason}"
     ]
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("verb", ["adapt", "sweep"])
+def test_a_missing_source_checkpoint_leaves_no_output_directory(tmp_path, capsys, monkeypatch, verb):
+    # The source is read before --out is made, so a missing one stops the
+    # verb with one error line and nothing left behind.
+    def no_job(*args, **kwargs):
+        raise AssertionError(f"{verb} started its job before reading the source")
+
+    module, name = OUT_JOBS[verb]
+    monkeypatch.setattr(sys.modules[module], name, no_job)
+    missing = tmp_path / "missing.ckpt"
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(tiny_sweep_config(source_checkpoint=str(missing)).to_dict()))
+    argv = {
+        "adapt": ["adapt", "--source", str(missing), "--technique", "fine_tuning", "--profile", "flat"],
+        "sweep": ["sweep", "--config", str(cfg_path)],
+    }[verb]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {missing}: cannot read: No such file or directory"
+    ]
+    assert not out.exists()
 
 
 def test_cli_reports_a_non_finite_gradient_as_exit_two(tmp_path, capsys, monkeypatch):

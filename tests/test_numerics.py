@@ -92,7 +92,7 @@ STRIP_GRIDS = [(4, 5), (5, 1), (5, 2), (1, 7), (2, 2)]
 
 
 def test_identity_kernel_passes_input_through():
-    conv = Conv2D(1, 1, dtype=np.float64)
+    conv = Conv2D(1, 1, rng=np.random.default_rng(0)).astype(np.float64)
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
     conv.weights = w
@@ -103,7 +103,7 @@ def test_identity_kernel_passes_input_through():
 def test_all_ones_kernel_counts_padded_neighbourhood():
     # On an all-ones 5x5 image the output value equals the number of taps
     # that land inside the image: 9 in the interior, 6 on edges, 4 in corners.
-    conv = Conv2D(1, 1, dtype=np.float64)
+    conv = Conv2D(1, 1, rng=np.random.default_rng(0)).astype(np.float64)
     conv.weights = np.ones((1, 1, 3, 3))
     out = conv_chw(conv, np.ones((1, 5, 5)))[0]
     assert out[2, 2] == 9.0
@@ -114,7 +114,7 @@ def test_all_ones_kernel_counts_padded_neighbourhood():
 def test_gemm_path_matches_direct_convolution():
     rng = np.random.default_rng(1)
     for kernel in KERNELS:
-        conv = Conv2D(3, 4, kernel=kernel, rng=rng, dtype=np.float64)
+        conv = Conv2D(3, 4, kernel=kernel, rng=rng).astype(np.float64)
         x = rng.standard_normal((3, 6, 5))
         got = conv_chw(conv, x)
         want = conv2d_direct(x, conv.weights, conv.bias)
@@ -144,7 +144,7 @@ def test_strip_conv_matches_direct_and_finite_differences(kernel, batch):
 
 def check_conv_against_direct_and_finite_differences(kernel, batch, cin, cout, h, w, seed):
     rng = np.random.default_rng(seed)
-    conv = Conv2D(cin, cout, kernel=kernel, rng=rng, dtype=np.float64)
+    conv = Conv2D(cin, cout, kernel=kernel, rng=rng).astype(np.float64)
     conv.bias = rng.standard_normal(cout)
     x = rng.standard_normal((batch, h, w, cin))
     tape = {}
@@ -176,7 +176,7 @@ def test_weight_gradient_is_the_nine_tap_im2col_bit_for_bit(kernel, batch, dtype
     # images are summed in order, so only the forward pass and the input
     # gradient may round differently from a nine-tap im2col.
     rng = np.random.default_rng(batch)
-    conv = Conv2D(3, 4, kernel=kernel, rng=rng, dtype=dtype)
+    conv = Conv2D(3, 4, kernel=kernel, rng=rng).astype(dtype)
     for grid in [(5, 7), *STRIP_GRIDS]:
         x = rng.standard_normal((batch, *grid, 3)).astype(dtype)
         g = rng.standard_normal((batch, *grid, 4)).astype(dtype)
@@ -220,9 +220,9 @@ def test_conv_workspace_holds_one_image_of_taps(batch):
 def test_consecutive_forward_calls_return_unaliased_arrays():
     rng = np.random.default_rng(13)
     layers = [
-        Conv2D(3, 4, rng=rng, dtype=np.float64),
-        Conv2D(3, 4, kernel=(1, 1), rng=rng, dtype=np.float64),
-        LayerNorm(3, dtype=np.float64),
+        Conv2D(3, 4, rng=rng).astype(np.float64),
+        Conv2D(3, 4, kernel=(1, 1), rng=rng).astype(np.float64),
+        LayerNorm(3).astype(np.float64),
         ReLU(),
     ]
     for layer in layers:
@@ -250,14 +250,14 @@ def test_same_padding_preserves_spatial_shape():
 
 def test_weights_property_round_trips():
     rng = np.random.default_rng(3)
-    conv = Conv2D(2, 5, rng=rng, dtype=np.float64)
+    conv = Conv2D(2, 5, rng=rng).astype(np.float64)
     w = rng.standard_normal((5, 2, 3, 3))
     conv.weights = w
     np.testing.assert_array_equal(conv.weights, w)
 
 
 def test_conv_rejects_wrong_channel_count():
-    conv = Conv2D(3, 2)
+    conv = Conv2D(3, 2, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
         conv.forward(np.zeros((1, 4, 4, 2), dtype=np.float32))
     with pytest.raises(ConfigError):
@@ -266,7 +266,7 @@ def test_conv_rejects_wrong_channel_count():
 
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     rng = np.random.default_rng(4)
-    conv = Conv2D(2, 3, rng=rng, dtype=np.float64)
+    conv = Conv2D(2, 3, rng=rng).astype(np.float64)
     tape = {}
     y = conv.forward(rng.standard_normal((2, 4, 4, 2)), tape)
     gx, (grad_wmat, grad_bias) = conv.backward(np.zeros_like(y), tape)
@@ -276,7 +276,7 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
 
 
 def test_scalar_conv_weight_gradient_is_the_input():
-    conv = Conv2D(1, 1, kernel=(1, 1), dtype=np.float64)
+    conv = Conv2D(1, 1, kernel=(1, 1), rng=np.random.default_rng(0)).astype(np.float64)
     conv.weights = np.full((1, 1, 1, 1), 0.7)
     x = np.full((1, 1, 1, 1), 3.25)
     tape = {}
@@ -289,7 +289,7 @@ def test_scalar_conv_weight_gradient_is_the_input():
 
 def test_backward_requires_train_mode_forward():
     # A forward without a tape records nothing for a backward to pop.
-    conv = Conv2D(1, 1)
+    conv = Conv2D(1, 1, rng=np.random.default_rng(0))
     conv.forward(np.zeros((1, 2, 2, 1), dtype=np.float32))
     with pytest.raises(KeyError):
         conv.backward(np.zeros((1, 2, 2, 1), dtype=np.float32), {})
@@ -300,7 +300,7 @@ def test_backward_requires_train_mode_forward():
 
 def test_layer_norm_standardizes_each_position():
     rng = np.random.default_rng(5)
-    ln = LayerNorm(8, dtype=np.float64)
+    ln = LayerNorm(8).astype(np.float64)
     x = 3.0 * rng.standard_normal((4, 6, 5, 8)) + 1.5
     out = ln.forward(x)
     assert np.abs(out.mean(axis=-1)).max() < 1e-5
@@ -309,7 +309,7 @@ def test_layer_norm_standardizes_each_position():
 
 def test_layer_norm_affine_applies_after_standardization():
     rng = np.random.default_rng(6)
-    ln = LayerNorm(4, dtype=np.float64)
+    ln = LayerNorm(4).astype(np.float64)
     ln.gamma = np.array([2.0, 1.0, 0.5, -1.0])
     ln.beta = np.array([0.0, 3.0, 0.0, 1.0])
     x = rng.standard_normal((2, 3, 3, 4))
@@ -320,7 +320,7 @@ def test_layer_norm_affine_applies_after_standardization():
 
 def test_layer_norm_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
-    ln = LayerNorm(5, dtype=np.float64)
+    ln = LayerNorm(5).astype(np.float64)
     ln.gamma = rng.standard_normal(5)
     ln.beta = rng.standard_normal(5)
     x = rng.standard_normal((2, 3, 2, 5))
@@ -359,7 +359,7 @@ def test_relu_subgradient_at_zero_is_zero():
 
 def test_check_reads_the_relu_kink_distance_from_the_tape(monkeypatch):
     # A LayerNorm whose affine is all beta emits beta exactly.
-    ln = LayerNorm(3, dtype=np.float64)
+    ln = LayerNorm(3).astype(np.float64)
     ln.gamma = np.zeros(3)
     ln.beta = np.array([0.5, -0.03, 4.0])
     tape = {}
@@ -439,7 +439,7 @@ def test_check_is_exact_for_a_linear_model():
     # A conv is linear in its parameters, so the central difference has no
     # truncation error; a generous step keeps roundoff far below 1e-8.
     rng = np.random.default_rng(8)
-    model = SingleConv(Conv2D(2, 3, rng=rng, dtype=np.float64))
+    model = SingleConv(Conv2D(2, 3, rng=rng).astype(np.float64))
     x = rng.standard_normal((1, 4, 5, 2))
     report = finite_diff_check(model, x, step=1e-3)
     assert report.max_rel_err < 1e-8
@@ -481,7 +481,7 @@ def test_check_flags_a_sign_flipped_backward(monkeypatch):
 
 
 def test_check_insists_on_float64():
-    model = SingleConv(Conv2D(1, 1))
+    model = SingleConv(Conv2D(1, 1, rng=np.random.default_rng(0)))
     with pytest.raises(ConfigError):
         finite_diff_check(model, np.zeros((1, 2, 2, 1)))
 

@@ -163,7 +163,7 @@ def test_loss_gradient_matches_central_differences(seeded):
     rng = seeded(6)
     llrs = rng.standard_normal(40)
     bits = rng.integers(0, 2, 40).astype(float)
-    grad = bmd_loss_grad(llrs, bits)
+    grad = bmd_loss_grad(llrs, bits, bits.size)
     eps = 1e-6
     for i in (0, 7, 19, 39):
         up, dn = llrs.copy(), llrs.copy()
@@ -246,7 +246,7 @@ def objective_value(llr_grid, bits, cfg):
 
 def objective_grad(llr_grid, bits, cfg):
     flat = extract_llr_bits(llr_grid, cfg)
-    return scatter_llr_bit_grad(bmd_loss_grad(flat, bits), cfg, llr_grid.shape[-1])
+    return scatter_llr_bit_grad(bmd_loss_grad(flat, bits, bits.size), cfg, llr_grid.shape[-1])
 
 
 def test_objective_ignores_pilot_and_guard_positions(tiny_grid, seeded):
@@ -420,7 +420,9 @@ def store_everything(block, x, g):
 @pytest.mark.parametrize("in_channels", [6, 8], ids=["proj", "no-proj"])
 def test_block_backward_matches_the_store_everything_oracle(seeded, dtype, in_channels):
     rng = seeded(in_channels)
-    block = ResNetBlock(in_channels, 8, rng, dtype=dtype)
+    block = ResNetBlock(in_channels, 8, rng)
+    for _, layer in block.primitive_items():
+        layer.astype(dtype)
     # Non-trivial norm parameters, so that the rebuild must apply both.
     for norm in (block.norm1, block.norm2):
         norm.gamma[:] = rng.uniform(0.5, 1.5, norm.num_channels)

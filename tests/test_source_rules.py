@@ -1,6 +1,7 @@
 """Rules about the package source itself, checked on its syntax tree."""
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -374,6 +375,76 @@ def test_checkpoint_imports_nothing_from_the_layers():
     path = PACKAGE_DIR / "checkpoint.py"
     source = path.read_text(encoding="utf-8")
     assert imports_of(source, module_name(path), "simorx.numerics.layers") == []
+
+
+def layer_constructor_params(source: str) -> list:
+    """``(line, class, parameter)`` of every parameter of ``__init__`` in
+    each class of ``source`` that also defines ``forward``: every layer,
+    block and model."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+        if "forward" in methods and "__init__" in methods:
+            a = methods["__init__"].args
+            params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            found += [(p.lineno, cls.name, p.arg) for p in params if p is not None]
+    return sorted(found)
+
+
+def test_the_rule_sees_every_layer_constructor_parameter():
+    source = (
+        "class Conv:\n"
+        "    def __init__(self, c, /, k, *args, rng, dtype=None, **kw):\n"
+        "        pass\n"
+        "    def forward(self, x):\n"
+        "        pass\n"
+        "class Spec:\n"
+        "    def __init__(self, dtype):\n"
+        "        pass\n"
+    )
+    assert layer_constructor_params(source) == [
+        (2, "Conv", name) for name in sorted(("self", "c", "k", "args", "rng", "dtype", "kw"))
+    ]
+
+
+def test_no_layer_constructor_takes_a_precision():
+    # Layers are built in float32, and ``astype`` is the one way to change
+    # their precision.
+    offenders = [
+        f"{path.relative_to(PACKAGE_DIR)}:{line}: {cls}({name})"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line, cls, name in layer_constructor_params(path.read_text(encoding="utf-8"))
+        if name == "dtype"
+    ]
+    assert offenders == []
+    assert ("Conv2D", "rng") in {
+        (cls, name) for _, cls, name in layer_constructor_params((PACKAGE_DIR / "numerics" / "layers.py").read_text(encoding="utf-8"))
+    }
+
+
+def test_the_scale_presets_are_the_only_copy_of_their_values(monkeypatch):
+    # For every scale, make_train_config and make_eval_config fill exactly
+    # the config fields that have no dataclass default, so no default can
+    # disagree with a preset.
+    import simorx.config as config
+    from simorx.harness.bler import EvalConfig
+    from simorx.harness.sweep import SweepConfig
+    from simorx.training import TrainConfig
+
+    assert len({frozenset(preset) for preset in config.SCALES.values()}) == 1
+    for make, cls in ((config.make_train_config, TrainConfig), (config.make_eval_config, EvalConfig)):
+        required = {
+            f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        }
+        filled = []
+        monkeypatch.setattr(config, cls.__name__, lambda **kwargs: filled.append(set(kwargs)))
+        for scale in config.SCALES:
+            make(scale)
+        assert filled == [required] * len(config.SCALES), cls.__name__
+    assert SweepConfig().ebno_grid_db == config.EBNO_GRID_DB
 
 
 def fresh_python(code: str) -> list:

@@ -284,7 +284,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(tiny_grid, seeded):
 
     tape = {}
     flat_full = extract_llr_bits(model.forward(x, tape), tiny_grid)
-    want = model.backward(scatter_llr_bit_grad(bmd_loss_grad(flat_full, bits), tiny_grid, 2), tape)
+    want = model.backward(scatter_llr_bit_grad(bmd_loss_grad(flat_full, bits, bits.size), tiny_grid, 2), tape)
     np.testing.assert_allclose(flat, flat_full, rtol=1e-6, atol=1e-6)
     assert len(grads) == len(want) == len(model.trainable_params())
     for got, ref in zip(grads, want):
