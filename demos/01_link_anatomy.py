@@ -17,7 +17,7 @@ from simorx.channel.fading import ebno_to_n0
 from simorx.channel.profiles import load_profile
 from simorx.config import DESK_GRID
 from simorx.harness.genie import genie_lmmse_baseline
-from simorx.phy.grid import pilot_values
+from simorx.phy.grid import NUM_SYMBOLS, PILOT_SYMBOLS, SCS_KHZ, pilot_values
 from simorx.phy.ldpc import decode, syndrome
 from simorx.phy.modulation import get_scheme
 
@@ -34,9 +34,9 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
 
     print("=== the stage ===")
-    print(f"grid: {grid.num_symbols} OFDM symbols x {grid.num_subcarriers} subcarriers")
+    print(f"grid: {NUM_SYMBOLS} OFDM symbols x {grid.num_subcarriers} subcarriers at {SCS_KHZ} kHz")
     print(f"  guards: {grid.guard_lo} low + {grid.guard_hi} high subcarriers stay silent")
-    print(f"  pilots: full symbols at t={grid.pilot_symbols}, known at the receiver")
+    print(f"  pilots: full symbols at t={PILOT_SYMBOLS} at every scale, known at the receiver")
     print(f"  leaves {grid.num_data_res} data resource elements")
     pil = pilot_values(grid)
     print(f"  pilot magnitude check: |p| = {np.abs(pil).max():.3f} (unit power QPSK)")

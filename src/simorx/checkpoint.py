@@ -19,12 +19,13 @@ beta).  Offsets must tile the payload exactly; anything else is rejected.
 Writes are atomic (temp file in the same directory, then ``os.replace``).
 Optimiser state is never stored; adaptation always restarts Adam fresh.
 
-``load_checkpoint`` has two paths, chosen by whether a target spec is
-given.  Without one it rebuilds the architecture the fingerprint names and
-every tensor must apply (``simorx eval`` and evaluation of a stored
-receiver).  With one it transplants every tensor that fits into a fresh
-model of the target spec (adaptation and the ``model_transfer``
-benchmark).
+``load_checkpoint`` builds a model from a ``Checkpoint`` in memory;
+reading the file is ``read_checkpoint``'s job.  It has two paths, chosen
+by whether a target spec is given.  Without one it rebuilds the
+architecture the fingerprint names and every tensor must apply (``simorx
+eval`` and evaluation of a stored receiver).  With one it transplants
+every tensor that fits into a fresh model of the target spec (adaptation
+and the ``model_transfer`` benchmark).
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ class LoadResult:
         return [f"reinitialized {name}: {why}" for name, why in self.reinitialized]
 
 
-def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed: int = 0) -> LoadResult:
-    """Rebuild a model from a checkpoint.
+def load_checkpoint(ck: Checkpoint, target_spec: ModelSpec | None = None, init_seed: int = 0) -> LoadResult:
+    """Rebuild a model from a checkpoint that ``read_checkpoint`` returned
+    (or ``checkpoint_from_model`` built).
 
     With no ``target_spec`` the architecture and the init seed come from the
     fingerprint, and every tensor must apply: a checkpoint whose layer
@@ -288,7 +290,6 @@ def load_checkpoint(path_or_ck, target_spec: ModelSpec | None = None, init_seed:
     initialised target model (seeded by ``init_seed``) and the rest are
     reported in ``reinitialized``.
     """
-    ck = path_or_ck if isinstance(path_or_ck, Checkpoint) else read_checkpoint(path_or_ck)
     if target_spec is None:
         seed = _int_field(ck.source, "fingerprint.seed", ck.fingerprint.get("seed", 0), lo=0)
         model = ReceiverModel(ck.spec(), seed=seed)

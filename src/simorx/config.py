@@ -25,7 +25,7 @@ from .phy.grid import GridConfig
 from .training import TrainConfig
 
 FULL_GRID = GridConfig()   # GridConfig's defaults are the full-scale grid
-DESK_GRID = GridConfig(num_symbols=14, num_subcarriers=32, guard_lo=2, guard_hi=3)
+DESK_GRID = GridConfig(num_subcarriers=32, guard_lo=2, guard_hi=3)
 
 SCALES = {
     "full": {

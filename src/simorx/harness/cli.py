@@ -158,9 +158,9 @@ def _cmd_eval(args) -> int:
               "profile": args.profile, "seed": args.seed,
               "ebno_grid_db": list(eval_cfg.ebno_grid_db), "max_blocks": eval_cfg.max_blocks}
     if args.verb == "eval":
-        from ..checkpoint import load_checkpoint
+        from ..checkpoint import load_checkpoint, read_checkpoint
 
-        loaded = load_checkpoint(args.checkpoint)
+        loaded = load_checkpoint(read_checkpoint(args.checkpoint))
         loaded.model.spec.check_fits(args.modulation, eval_cfg.n_rx, args.checkpoint)
         receiver = NeuralReceiver(loaded.model, eval_cfg.grid, loaded.checkpoint.fingerprint_id)
         config["checkpoint"] = args.checkpoint

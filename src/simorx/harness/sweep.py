@@ -128,12 +128,15 @@ def sweep(cfg: SweepConfig, out_dir) -> SweepResult:
         batch=cfg.eval_batch,
     )
 
-    # Read before the output directory is made, so a bad one leaves nothing behind.
+    # Built and read before the output directory is made, so a bad config
+    # or checkpoint leaves nothing behind.
+    source_cfg = train_cfg(cfg.source_modulation, cfg.source_profile, cfg.source_seed)
+    targets = {seed: train_cfg(cfg.target_modulation, cfg.target_profile, seed) for seed in cfg.seeds}
     source_path = cfg.source_checkpoint
     source = None if source_path is None else read_checkpoint(source_path)
     make_out_dir(out_dir)
     if source is None:
-        result = train_source(train_cfg(cfg.source_modulation, cfg.source_profile, cfg.source_seed))
+        result = train_source(source_cfg)
         source = result.checkpoint
         source_path, *log = result.save(out_dir, "source")
         ckpt_paths.append(source_path)
@@ -152,8 +155,7 @@ def sweep(cfg: SweepConfig, out_dir) -> SweepResult:
             curve, technique=technique, alpha=alpha, source_fp=source.fingerprint_id
         )
 
-    for seed in cfg.seeds:
-        tgt = train_cfg(cfg.target_modulation, cfg.target_profile, seed)
+    for seed, tgt in targets.items():
         for a in cfg.alphas:
             for tech in cfg.techniques:
                 res = adapt(source, AdaptConfig(tech, float(a), tgt))

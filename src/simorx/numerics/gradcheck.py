@@ -44,19 +44,19 @@ TOLERANCE = 1e-4
 
 
 class LinearProbeObjective:
-    """Deterministic scalar probe: inner product with fixed Gaussian coefficients.
+    """Deterministic scalar probe: inner product with fixed Gaussian
+    coefficients, drawn from seed 0.
 
     Smooth in the network output, so the only kinks under test are the
     model's own.
     """
 
-    def __init__(self, seed: int = 0):
-        self._seed = int(seed)
+    def __init__(self):
         self._coeffs = None
 
     def _ensure(self, out: np.ndarray) -> np.ndarray:
         if self._coeffs is None or self._coeffs.shape != out.shape:
-            rng = np.random.default_rng(self._seed)
+            rng = np.random.default_rng(0)
             c = rng.standard_normal(out.shape) / np.sqrt(out.size)
             self._coeffs = c.astype(np.float64)
         return self._coeffs

@@ -3,10 +3,12 @@
 Activations use a channels-last layout ``[batch, height, width, channels]``
 so that the conv tap strips and the normalisation axis are both contiguous.
 
-Conv weights live in GEMM layout ``[kh * kw * c_in, c_out]``, so tap row
-``k`` of the kernel is the contiguous row block ``[k * kw * c_in, (k + 1) *
-kw * c_in)`` and needs no repacking; the canonical ``[c_out, c_in, kh, kw]``
-view used by checkpoints is exposed through the ``weights`` property.
+Convs are 3x3 or 1x1 (``KERNELS``): the receiver's convs and block 1's
+1x1 projection.  Conv weights live in GEMM layout ``[kh * kw * c_in,
+c_out]``, so tap row ``k`` of the kernel is the contiguous row block ``[k *
+kw * c_in, (k + 1) * kw * c_in)`` and needs no repacking; the canonical
+``[c_out, c_in, kh, kw]`` view used by checkpoints is exposed through the
+``weights`` property.
 
 A layer is built in float32, and ``astype`` converts it.  A layer holds
 its weights and nothing else.  What a backward pass reads goes on a tape,
@@ -15,7 +17,7 @@ records one entry under itself as the key, and keeps only what no other
 entry can reproduce:
 
 - ``Conv2D``: its input, by reference.  No tap strips are kept; the
-  backward pass rebuilds them in the workspace.
+  backward pass rebuilds them in the strip buffer.
 - ``LayerNorm``: ``(xhat, inv)``, the normalised input and the
   per-position inverse standard deviation.  ``taped_output`` and
   ``relu_output`` rebuild ``forward(x)`` and ``relu(forward(x))`` from
@@ -30,27 +32,25 @@ pops the layer's entry and returns ``(grad_in, grads)``, where ``grads``
 lists the parameter gradients in ``param_items`` order.  Since no call
 leaves state on a layer, two forwards on two tapes may share one model.
 
-Conv tap strips live in a workspace owned by the calling thread, not by
-a layer.  The strip buffer holds one image (one transport block) at a
-time, since each image's GEMMs read only its own taps, and it is the
-only conv scratch: the zero padding is written into the strips, never
-into a padded copy of the input.  It is about ``kh`` times smaller than
-that image's full im2col: each padded row's ``kw`` horizontal taps are
-copied once, and the ``kh`` tap rows of every output position are
-overlapping row slices of it (the lowering of MEC, Cho & Brand,
-arXiv:1706.06873).  The buffer grows to the largest request and is
-reused by every later conv call on that thread, so a training step
-allocates no tap memory after its first iteration.  Nothing in the
-workspace outlives the call that filled it: every forward and backward
-returns a freshly allocated array, and threads never share a workspace.
+Conv tap strips live in one strip buffer per thread, not in a layer.  It
+holds one image (one transport block) at a time, since each image's GEMMs
+read only its own taps, and it is the only conv scratch: the zero padding
+is written into the strips, never into a padded copy of the input.  It is
+about three times smaller than that image's full im2col: each padded
+row's three horizontal taps are copied once, and the three tap rows of
+every output position are overlapping row slices of it (the lowering of
+MEC, Cho & Brand, arXiv:1706.06873).  The buffer grows to the largest
+request and is reused by every later conv call on that thread, so a
+training step allocates no tap memory after its first iteration.  Nothing
+in it outlives the call that filled it: every forward and backward
+returns a freshly allocated array, and threads never share a buffer.
 Training runs the shards of a batch on two threads (``simorx.training``),
-one model on two tapes at once; the tape and the per-thread workspace are
-what make that safe.
+one model on two tapes at once; the tape and the per-thread strip buffer
+are what make that safe.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -59,53 +59,30 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import ConfigError
 
 
-class _Workspace(threading.local):
-    """Scratch arrays of the calling thread, one per named slot.
-
-    ``take`` returns a view into the slot's buffer, which is only valid
-    until the next ``take`` of the same slot on the same thread.
-    """
-
-    def __init__(self):
-        self.slots = {}
-
-    def take(self, slot: str, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buf = self.slots.get(slot)
-        if buf is None or buf.size < nbytes:
-            buf = self.slots[slot] = np.empty(nbytes, dtype=np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-
-_WORKSPACE = _Workspace()
+_STRIPS = threading.local()   # the calling thread's strip buffer, as ``_STRIPS.buf``
 
 EPSILON = 1e-9   # LayerNorm's variance floor
 
-
-def _pad_amounts(kernel: int) -> tuple[int, int]:
-    # Zero padding that preserves the spatial size ("same").  For even
-    # kernels the extra zero goes on the high side.
-    lo = (kernel - 1) // 2
-    return lo, kernel - 1 - lo
+KERNELS = ((3, 3), (1, 1))   # the receiver's convs and block 1's projection
 
 
 class Conv2D:
-    """2-D convolution with same-size zero padding.
+    """2-D convolution with same-size zero padding, 3x3 or 1x1 (``KERNELS``).
 
-    ``forward`` goes image by image: it copies that image's tap strips into
-    the thread's workspace (every padded row's ``kw`` horizontal taps at
-    each output column, with zeros where a tap falls in the padding) and
-    runs the ``kh`` tap rows' GEMMs in one batched call, each a row slice
-    of the strips against that row's block of ``wmat``, summing the ``kh``
-    products into the output.  With a tape the layer records its input
-    there.  ``backward`` runs the same per-image loop on the output
-    gradient, with the transposed pad split, against the flipped kernel,
-    which gives the input gradient; then it builds the input's strips
-    again and writes each tap row's weight-gradient GEMM into its own
-    block of the image's gradient, summed over the images in image order,
-    so the weight gradient has the bits of a nine-tap im2col.  A 1x1
-    kernel needs no strips and runs one GEMM on the whole input.
+    "Same" padding of a 3x3 kernel is one zero on every side, which is its
+    own transpose.  ``forward`` goes image by image: it copies that image's
+    tap strips into the thread's strip buffer (every padded row's three
+    horizontal taps at each output column, with zeros where a tap falls in
+    the padding) and runs the three tap rows' GEMMs in one batched call,
+    each a row slice of the strips against that row's block of ``wmat``,
+    summing the three products into the output.  With a tape the layer
+    records its input there.  ``backward`` runs the same per-image loop on
+    the output gradient against the flipped kernel, which gives the input
+    gradient; then it builds the input's strips again and writes each tap
+    row's weight-gradient GEMM into its own block of the image's gradient,
+    summed over the images in image order, so the weight gradient has the
+    bits of a nine-tap im2col.  A 1x1 kernel needs no strips and runs one
+    GEMM on the whole input.
     """
 
     kind = "conv2d"
@@ -113,6 +90,8 @@ class Conv2D:
     def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), *, rng: np.random.Generator):
         if in_channels < 1 or out_channels < 1:
             raise ConfigError("channel counts must be positive")
+        if tuple(kernel) not in KERNELS:
+            raise ConfigError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.kernel = (int(kernel[0]), int(kernel[1]))
@@ -158,84 +137,79 @@ class Conv2D:
         self.bias = self.bias.astype(dtype)
         return self
 
-    def _same_pads(self) -> tuple[int, int, int, int]:
-        kh, kw = self.kernel
-        return (*_pad_amounts(kh), *_pad_amounts(kw))
-
-    def _image_strips(self, x: np.ndarray, pads: tuple[int, int, int, int]):
+    @staticmethod
+    def _image_strips(x: np.ndarray):
         """Yield ``(rows, taps)`` for each image of ``x`` in turn, reading ``x``
-        as if it were zero-padded by ``pads``, ``(top, bottom, left, right)``,
-        which add up to ``kh - 1`` rows and ``kw - 1`` columns.
+        as if it were zero-padded by one on every side, for a 3x3 kernel.
 
-        The image's strips, every padded row's ``kw`` horizontal taps at each
-        of the ``w`` output columns (``[h + kh - 1, w, kw, c]``), live in one
-        workspace buffer that each image overwrites.  The cells that fall in
-        the padding are the same for every image, so they are zeroed once
-        per call: the pad rows, and each edge column, whose taps leave the
-        grid.  Per image, one strided copy writes the interior columns, whose
-        taps all lie in the grid (none on a grid narrower than ``kw``), and
-        one slice copy per edge column writes that column's in-range taps.
-        ``taps`` is the ``[kh, h * w, kw * c]`` view of the buffer whose entry
-        ``k`` is tap row ``k`` of every output position: strip rows ``k * w``
-        to ``k * w + h * w``.  ``rows`` is the image's slice of the
-        ``m * h * w`` output rows."""
+        The image's strips, every padded row's three horizontal taps at each
+        of the ``w`` output columns (``[h + 2, w, 3, c]``), live in the
+        thread's strip buffer, grown to fit, which each image overwrites.
+        The cells that fall in the padding are the same for every image, so
+        they are zeroed once per call: the two pad rows, and the first and
+        last column, whose taps leave the grid.  Per image, one strided copy
+        writes the interior columns, whose taps all lie in the grid (none on
+        a grid narrower than three), and one slice copy per edge column
+        writes that column's in-range taps.  ``taps`` is the ``[3, h * w, 3 *
+        c]`` view of the buffer whose entry ``k`` is tap row ``k`` of every
+        output position: strip rows ``k * w`` to ``k * w + h * w``.  ``rows``
+        is the image's slice of the ``m * h * w`` output rows."""
         m, h, w, c = x.shape
-        kh, kw = self.kernel
-        top, _, left, right = pads
-        strips = _WORKSPACE.take("strips", (h + kh - 1, w, kw, c), x.dtype)
-        strips[:top] = 0
-        strips[top + h :] = 0
-        inner = strips[top : top + h]
-        interior = range(left, w - right)
-        # Edge column j takes its taps lo to hi from x's columns j - left + lo on.
-        edges = [(j, max(0, left - j), min(kw, w + left - j)) for j in range(w) if j not in interior]
+        nbytes = (h + 2) * w * 3 * c * x.itemsize
+        buf = getattr(_STRIPS, "buf", None)
+        if buf is None or buf.size < nbytes:
+            buf = _STRIPS.buf = np.empty(nbytes, dtype=np.uint8)
+        strips = buf[:nbytes].view(x.dtype).reshape(h + 2, w, 3, c)
+        strips[0] = 0
+        strips[-1] = 0
+        inner = strips[1:-1]
+        # Edge column j takes its taps lo to hi from x's columns j - 1 + lo on.
+        edges = [(j, max(0, 1 - j), min(3, w + 1 - j)) for j in sorted({0, w - 1})]
         for j, _, _ in edges:
             inner[:, j] = 0
-        if interior:
+        if w > 2:
             sm, sh, sw, sc = x.strides
-            view = as_strided(x, shape=(m, h, len(interior), kw, c), strides=(sm, sh, sw, sw, sc))
+            view = as_strided(x, shape=(m, h, w - 2, 3, c), strides=(sm, sh, sw, sw, sc))
         s_row, s_col, _, s_c = strips.strides
-        taps = as_strided(strips, shape=(kh, h * w, kw * c), strides=(s_row, s_col, s_c))
+        taps = as_strided(strips, shape=(3, h * w, 3 * c), strides=(s_row, s_col, s_c))
         for i, img in enumerate(x):
-            if interior:
-                np.copyto(inner[:, left : w - right], view[i])
+            if w > 2:
+                np.copyto(inner[:, 1:-1], view[i])
             for j, lo, hi in edges:
-                inner[:, j, lo:hi] = img[:, j - left + lo : j - left + hi]
+                inner[:, j, lo:hi] = img[:, j - 1 + lo : j - 1 + hi]
             yield slice(i * h * w, (i + 1) * h * w), taps
 
-    def _taps_matmul(self, x: np.ndarray, pads, rhs: np.ndarray) -> np.ndarray:
-        """``[m * h * w, rhs columns]``: the taps of ``x`` padded by ``pads``
-        times ``rhs``, into a fresh array.  Per image, one batched call runs
-        the ``kh`` tap rows' GEMMs and one reduction sums them in tap-row
-        order; a 1x1 kernel is one GEMM on ``x``."""
+    def _taps_matmul(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``[m * h * w, rhs columns]``: the taps of ``x`` times ``rhs``, into
+        a fresh array.  Per image, one batched call runs the three tap rows'
+        GEMMs and one reduction sums them in tap-row order; a 1x1 kernel is
+        one GEMM on ``x``."""
         m, h, w, c = x.shape
         n = rhs.shape[1]
         out = np.empty((m * h * w, n), dtype=np.result_type(x, rhs))
-        kh, kw = self.kernel
-        if kh == kw == 1:
+        if self.kernel == (1, 1):
             return np.matmul(x.reshape(m * h * w, c), rhs, out=out)
-        blocks = rhs.reshape(kh, kw * c, n)
-        parts = np.empty((kh, h * w, n), dtype=out.dtype)
-        for rows, taps in self._image_strips(x, pads):
+        blocks = rhs.reshape(3, 3 * c, n)
+        parts = np.empty((3, h * w, n), dtype=out.dtype)
+        for rows, taps in self._image_strips(x):
             np.matmul(taps, blocks, out=parts)
             np.add.reduce(parts, axis=0, out=out[rows])
         return out
 
     def _weight_grad(self, x: np.ndarray, gm: np.ndarray) -> np.ndarray:
-        """``taps(x).T @ gm`` under same-size padding, summed over the images
-        in image order.  Each tap row's GEMM fills its own ``[kw * c, n]``
-        block of an image's gradient, so the sum is the one a nine-tap im2col
-        gives, bit for bit."""
+        """``taps(x).T @ gm``, summed over the images in image order.  Each
+        tap row's GEMM fills its own ``[3 * c, n]`` block of an image's
+        gradient, so the sum is the one a nine-tap im2col gives, bit for
+        bit."""
         m, h, w, c = x.shape
-        kh, kw = self.kernel
-        if kh == kw == 1:
+        if self.kernel == (1, 1):
             return x.reshape(m * h * w, c).T @ gm
         n = gm.shape[1]
-        total = np.empty((kh * kw * c, n), dtype=np.result_type(x, gm))
+        total = np.empty((9 * c, n), dtype=np.result_type(x, gm))
         part = np.empty_like(total)
-        for i, (rows, taps) in enumerate(self._image_strips(x, self._same_pads())):
+        for i, (rows, taps) in enumerate(self._image_strips(x)):
             dst = part if i else total
-            np.matmul(taps.transpose(0, 2, 1), gm[rows], out=dst.reshape(kh, kw * c, n))
+            np.matmul(taps.transpose(0, 2, 1), gm[rows], out=dst.reshape(3, 3 * c, n))
             if i:
                 total += part
         return total
@@ -248,24 +222,23 @@ class Conv2D:
         m, h, w, _ = x.shape
         if tape is not None:
             tape[self] = x
-        out = self._taps_matmul(x, self._same_pads(), self.wmat)
+        out = self._taps_matmul(x, self.wmat)
         out += self.bias
         return out.reshape(m, h, w, self.out_channels)
 
     def backward(self, grad_out: np.ndarray, tape: dict):
         x = tape.pop(self)
         kh, kw = self.kernel
-        ph_lo, ph_hi, pw_lo, pw_hi = self._same_pads()
         m, h, w, _ = x.shape
         gm = grad_out.reshape(m * h * w, self.out_channels)
         grad_bias = gm.sum(axis=0)
         # The input gradient is itself a same-size correlation: the output
-        # gradient against the spatially flipped kernel, with the transposed
-        # pad split.  It goes first, so that its partial products and flipped
-        # kernel are freed before the weight gradient is formed.
+        # gradient against the spatially flipped kernel.  It goes first, so
+        # that its partial products and flipped kernel are freed before the
+        # weight gradient is formed.
         flipped = self.wmat.reshape(kh, kw, self.in_channels, self.out_channels)[::-1, ::-1]
         grad_in = self._taps_matmul(
-            grad_out, (ph_hi, ph_lo, pw_hi, pw_lo),
+            grad_out,
             np.ascontiguousarray(flipped.transpose(0, 1, 3, 2)).reshape(kh * kw * self.out_channels, -1),
         ).reshape(m, h, w, self.in_channels)
         grad_wmat = self._weight_grad(x, gm)

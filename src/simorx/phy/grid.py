@@ -1,9 +1,12 @@
 """Resource grid bookkeeping for one transport block.
 
-A grid is ``[num_symbols, num_subcarriers]`` complex, time first.  Guard
-bands occupy the lowest ``guard_lo`` and highest ``guard_hi`` subcarriers
-and stay zero.  Two full OFDM symbols carry pilots on every active
-subcarrier; everything else in the active region is data.
+A grid is ``[NUM_SYMBOLS, num_subcarriers]`` complex, time first: one
+14-symbol slot at ``SCS_KHZ`` = 30 kHz subcarrier spacing.  Guard bands
+occupy the lowest ``guard_lo`` and highest ``guard_hi`` subcarriers and
+stay zero.  Two full OFDM symbols, ``PILOT_SYMBOLS``, carry pilots on every
+active subcarrier; everything else in the active region is data.  The
+slot, the spacing and the pilot layout are constants, the same at every
+scale; ``GridConfig`` holds only what the scale presets vary.
 
 The canonical order for flattening data resource elements is symbol-major,
 subcarrier-minor: all active subcarriers of the first data symbol, then the
@@ -19,33 +22,23 @@ import numpy as np
 
 from ..errors import ConfigError
 
-SUPPORTED_SCS_KHZ = (30, 60, 120)
+NUM_SYMBOLS = 14
+PILOT_SYMBOLS = (2, 11)
+SCS_KHZ = 30
+PILOT_SEED = 4150
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    num_symbols: int = 14
     num_subcarriers: int = 128
     guard_lo: int = 5
     guard_hi: int = 6
-    pilot_symbols: tuple[int, ...] = (2, 11)
-    scs_khz: int = 30
-    pilot_seed: int = 4150
 
     def __post_init__(self):
-        if self.num_symbols < 1 or self.num_subcarriers < 1:
-            raise ConfigError("grid dimensions must be positive")
         if self.guard_lo < 0 or self.guard_hi < 0:
             raise ConfigError("guard band sizes cannot be negative")
         if self.guard_lo + self.guard_hi >= self.num_subcarriers:
             raise ConfigError("guard bands leave no active subcarriers")
-        if len(set(self.pilot_symbols)) != len(self.pilot_symbols):
-            raise ConfigError("pilot symbol indices must be distinct")
-        for t in self.pilot_symbols:
-            if not 0 <= t < self.num_symbols:
-                raise ConfigError(f"pilot symbol index {t} outside the grid")
-        if self.scs_khz not in SUPPORTED_SCS_KHZ:
-            raise ConfigError(f"subcarrier spacing must be one of {SUPPORTED_SCS_KHZ} kHz")
 
     @property
     def num_active_subcarriers(self) -> int:
@@ -57,16 +50,15 @@ class GridConfig:
 
     @property
     def data_symbols(self) -> np.ndarray:
-        pilots = set(self.pilot_symbols)
-        return np.asarray([t for t in range(self.num_symbols) if t not in pilots])
+        return np.asarray([t for t in range(NUM_SYMBOLS) if t not in PILOT_SYMBOLS])
 
     @property
     def num_data_res(self) -> int:
-        return self.num_active_subcarriers * (self.num_symbols - len(self.pilot_symbols))
+        return self.num_active_subcarriers * (NUM_SYMBOLS - len(PILOT_SYMBOLS))
 
     @property
     def subcarrier_spacing_hz(self) -> float:
-        return self.scs_khz * 1e3
+        return SCS_KHZ * 1e3
 
     @cached_property
     def _data_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -85,13 +77,13 @@ class GridConfig:
 
 
 def pilot_values(cfg: GridConfig) -> np.ndarray:
-    """Unit-power QPSK pilots for every pilot symbol, ``[len(pilot_symbols), n_active]``.
+    """Unit-power QPSK pilots for every pilot symbol, ``[len(PILOT_SYMBOLS), n_active]``.
 
-    Drawn once from ``pilot_seed``; the same config always produces the same
+    Drawn once from ``PILOT_SEED``; the same config always produces the same
     sequence.
     """
-    rng = np.random.default_rng(cfg.pilot_seed)
-    bits = rng.integers(0, 2, size=(len(cfg.pilot_symbols), cfg.num_active_subcarriers, 2))
+    rng = np.random.default_rng(PILOT_SEED)
+    bits = rng.integers(0, 2, size=(len(PILOT_SYMBOLS), cfg.num_active_subcarriers, 2))
     return ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) / np.sqrt(2.0)
 
 
@@ -107,10 +99,10 @@ def build_grid(symbols: np.ndarray, cfg: GridConfig) -> np.ndarray:
             f"expected {cfg.num_data_res} data symbols, got {symbols.shape[-1]}"
         )
     lead = symbols.shape[:-1]
-    grid = np.zeros(lead + (cfg.num_symbols, cfg.num_subcarriers), dtype=np.complex128)
+    grid = np.zeros(lead + (NUM_SYMBOLS, cfg.num_subcarriers), dtype=np.complex128)
     t, f = cfg.data_symbol_index, cfg.data_subcarrier_index
     grid[..., t, f] = symbols
     pil = pilot_values(cfg)
-    for row, tsym in enumerate(cfg.pilot_symbols):
+    for row, tsym in enumerate(PILOT_SYMBOLS):
         grid[..., tsym, cfg.guard_lo : cfg.num_subcarriers - cfg.guard_hi] = pil[row]
     return grid

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, is_integer
+from ..errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +66,7 @@ DEFAULT_CONSTRUCTION_SEED = 1
 MAX_ATTEMPTS = 32   # construction seeds tried before giving up
 MAX_REPAIR = 200    # duplicate-edge repair passes per seed
 NORMALIZATION = 0.75  # min-sum scaling of each check-to-variable magnitude
+MAX_ITERS = 20        # decoder iterations before a block gives up
 _SIGN_BIT = np.uint32(0x80000000)
 
 
@@ -251,18 +252,14 @@ def syndrome(codeword: np.ndarray, code: LdpcCode) -> np.ndarray:
     return np.bitwise_xor.reduce(cw[..., code.row_vars], axis=-1)
 
 
-def decode(
-    llrs: np.ndarray,
-    code: LdpcCode,
-    max_iters: int = 20,
-) -> tuple[np.ndarray, np.ndarray]:
+def decode(llrs: np.ndarray, code: LdpcCode) -> tuple[np.ndarray, np.ndarray]:
     """Normalised min-sum decoding with flooding schedule and early stop.
 
     Returns ``(info_bits, converged)``: hard information bits ``[..., k]``
     uint8 and a boolean per block.  A block converges when its hard decision
     satisfies every check; its output freezes at that point and it leaves
     the active set.  A block that never converges returns the hard decision
-    of iteration ``max_iters``.  A posterior of exactly zero carries no
+    of iteration ``MAX_ITERS``.  A posterior of exactly zero carries no
     decision (the bit defaults to 0), so all-zero input LLRs report
     ``converged=False`` even though the zero word trivially satisfies the
     checks.
@@ -277,11 +274,7 @@ def decode(
     variable sum as ``channel + ((r_0 + r_1) + r_2)`` in check order), so
     bits and flags are bit-identical to it, whichever other blocks share
     the batch; ``tests/test_phy.py`` keeps that decoder as the oracle.
-
-    ``max_iters`` must be an integer >= 1.
     """
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     llrs = np.asarray(llrs)
     if llrs.ndim == 0 or llrs.shape[-1] != code.n:
         raise ConfigError(f"expected {code.n} LLRs per block, got shape {llrs.shape}")
@@ -306,7 +299,7 @@ def decode(
     converged = np.zeros(batch, dtype=bool)
     active = np.arange(batch)
     q = np.take(l0, check_vars, axis=0)  # variable-to-check messages [6m, B]
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         if active.size == 0:
             break
         r = _check_update(q.reshape(ROW_WEIGHT, m, active.size), norm)
@@ -324,7 +317,7 @@ def decode(
         ok = ~unsat.any(axis=0)
         if ok.any():
             ok[ok] = post[:, ok].any(axis=0)
-        last = it == max_iters - 1
+        last = it == MAX_ITERS - 1
         if last or ok.any():
             out = np.ones_like(ok) if last else ok
             info[active[out]] = (post[:k, out] < 0).T

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numerics.layers import Conv2D, LayerNorm, ReLU
-from .phy.grid import GridConfig
+from .phy.grid import NUM_SYMBOLS, GridConfig
 from .phy.modulation import get_scheme
 
 LN2 = math.log(2.0)
@@ -302,7 +302,7 @@ def bmd_loss_grad(llrs: np.ndarray, bits: np.ndarray, count: int) -> np.ndarray:
 
 def extract_llr_bits(llr_grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """``[batch, F, S, K]`` to flat ``[batch, n_data * K]`` in canonical order."""
-    if llr_grid.shape[1] != cfg.num_symbols or llr_grid.shape[2] != cfg.num_subcarriers:
+    if llr_grid.shape[1] != NUM_SYMBOLS or llr_grid.shape[2] != cfg.num_subcarriers:
         raise ConfigError(f"LLR grid {llr_grid.shape} does not match the grid config")
     flat = llr_grid[:, cfg.data_symbol_index, cfg.data_subcarrier_index, :]
     return flat.reshape(llr_grid.shape[0], -1)
@@ -311,7 +311,7 @@ def extract_llr_bits(llr_grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
 def scatter_llr_bit_grad(grad_bits: np.ndarray, cfg: GridConfig, out_bits: int) -> np.ndarray:
     """Adjoint of ``extract_llr_bits``: zeros everywhere except data REs."""
     m = grad_bits.shape[0]
-    grid = np.zeros((m, cfg.num_symbols, cfg.num_subcarriers, out_bits), dtype=grad_bits.dtype)
+    grid = np.zeros((m, NUM_SYMBOLS, cfg.num_subcarriers, out_bits), dtype=grad_bits.dtype)
     grid[:, cfg.data_symbol_index, cfg.data_subcarrier_index, :] = grad_bits.reshape(
         m, cfg.num_data_res, out_bits
     )

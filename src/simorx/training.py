@@ -41,7 +41,7 @@ from .channel.profiles import load_profile
 from .checkpoint import Checkpoint, checkpoint_from_model, save_checkpoint
 from .errors import ConfigError, TrainingDiverged, is_finite_real, is_integer
 from .numerics.adam import Adam
-from .phy.grid import GridConfig
+from .phy.grid import NUM_SYMBOLS, SCS_KHZ, GridConfig
 from .phy.modulation import get_scheme
 from .receiver import (
     ModelSpec,
@@ -113,11 +113,11 @@ class TrainConfig:
             "modulation": self.modulation,
             "profile": self.profile,
             "n_rx": self.n_rx,
-            "num_symbols": g.num_symbols,
+            "num_symbols": NUM_SYMBOLS,
             "num_subcarriers": g.num_subcarriers,
             "guard_lo": g.guard_lo,
             "guard_hi": g.guard_hi,
-            "scs_khz": g.scs_khz,
+            "scs_khz": SCS_KHZ,
             "seed": self.seed,
             "ldpc_seed": self.ldpc_seed,
         }

@@ -14,13 +14,13 @@ settings.load_profile("simorx")
 
 @pytest.fixture
 def desk_grid():
-    return GridConfig(num_symbols=14, num_subcarriers=32, guard_lo=2, guard_hi=3)
+    return GridConfig(num_subcarriers=32, guard_lo=2, guard_hi=3)
 
 
 @pytest.fixture
 def tiny_grid():
     # Smallest grid that still has guards and pilots on both sides.
-    return GridConfig(num_symbols=14, num_subcarriers=12, guard_lo=1, guard_hi=1)
+    return GridConfig(num_subcarriers=12, guard_lo=1, guard_hi=1)
 
 
 @pytest.fixture

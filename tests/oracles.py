@@ -16,9 +16,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from simorx.channel.profiles import ClusteredRandomProfile, MixedProfile
 from simorx.errors import ConfigError
-from simorx.numerics.layers import _pad_amounts
 from simorx.harness.genie import genie_lmmse_llrs
-from simorx.phy.grid import GridConfig
+from simorx.phy.grid import NUM_SYMBOLS, GridConfig
 from simorx.phy.modulation import get_scheme, qam_map
 
 
@@ -53,12 +52,12 @@ def extract_data_res(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
     t, f = cfg.data_symbol_index, cfg.data_subcarrier_index
     # Locate the (F, S) axis pair: it is the last pair for plain grids, or
     # the pair before a trailing feature axis when one exists.
-    if grid.ndim >= 2 and grid.shape[-2:] == (cfg.num_symbols, cfg.num_subcarriers):
+    if grid.ndim >= 2 and grid.shape[-2:] == (NUM_SYMBOLS, cfg.num_subcarriers):
         return grid[..., t, f]
-    if grid.ndim >= 3 and grid.shape[-3:-1] == (cfg.num_symbols, cfg.num_subcarriers):
+    if grid.ndim >= 3 and grid.shape[-3:-1] == (NUM_SYMBOLS, cfg.num_subcarriers):
         return grid[..., t, f, :]
     raise ConfigError(
-        f"no ({cfg.num_symbols}, {cfg.num_subcarriers}) axis pair in shape {grid.shape}"
+        f"no ({NUM_SYMBOLS}, {cfg.num_subcarriers}) axis pair in shape {grid.shape}"
     )
 
 
@@ -95,10 +94,14 @@ def nine_tap_weight_grad(conv, x: np.ndarray, grad_out: np.ndarray) -> np.ndarra
     """``conv``'s ``[kh * kw * c_in, c_out]`` weight gradient for input ``x``
     and output gradient ``grad_out``: per image, its ``[h * w, kh * kw *
     c_in]`` taps transposed times its rows of ``grad_out``, summed over the
-    images in image order."""
+    images in image order.  A 3x3 kernel's input is padded by one zero on
+    every side.  A 1x1 kernel's taps are ``x`` itself, which the im2col
+    lowering took as one image: one GEMM over the whole shard."""
     kh, kw = conv.kernel
     m, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), _pad_amounts(kh), _pad_amounts(kw), (0, 0)))
+    if (kh, kw) == (1, 1):
+        return x.reshape(m * h * w, c).T @ grad_out.reshape(m * h * w, -1)
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
     sm, sh, sw, sc = xp.strides
     taps = as_strided(xp, shape=(m, h, w, kh, kw, c), strides=(sm, sh, sw, sh, sw, sc))
     gm = grad_out.reshape(m, h * w, -1)

@@ -863,6 +863,23 @@ def test_cli_sweep_rejects_a_fractional_eval_batch_before_any_training(tmp_path,
     cli_sweep_rejects_before_any_training(tmp_path, capsys, monkeypatch, {"eval_batch": 2.5}, "batch")
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("batch", 0, "batch must be an integer >= 1, got 0"),
+     ("iterations", 2.5, "iterations must be an integer >= 0, got 2.5")],
+)
+def test_cli_sweep_rejects_a_bad_training_config_before_making_out(tmp_path, capsys, key, value, error):
+    # The source and target training configs are built before --out is
+    # made, so a bad budget stops the sweep with one error line and leaves
+    # no directory behind.
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**tiny_sweep_config().to_dict(), key: value}))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["eval", "baseline"])
 @pytest.mark.parametrize("form", [["--ebno", "-2,2,6"], ["--ebno=-2,2,6"]], ids=["space", "equals"])
 def test_cli_parses_an_ebno_grid_that_starts_below_zero(monkeypatch, verb, form):

@@ -9,7 +9,7 @@ import pytest
 from simorx.config import make_train_config
 from simorx.errors import ConfigError
 from simorx.numerics.layers import LayerNorm
-from simorx.phy.grid import GridConfig
+from simorx.phy.grid import NUM_SYMBOLS, PILOT_SYMBOLS, GridConfig
 from simorx.receiver import (
     ModelSpec,
     ReceiverModel,
@@ -188,7 +188,7 @@ def test_expit_is_stable_and_correct():
 
 def coord_coded_grid(cfg: GridConfig, k: int) -> np.ndarray:
     """LLR grid whose value at (t, f, bit) encodes its own coordinates."""
-    t = np.arange(cfg.num_symbols)[:, None, None]
+    t = np.arange(NUM_SYMBOLS)[:, None, None]
     f = np.arange(cfg.num_subcarriers)[None, :, None]
     b = np.arange(k)[None, None, :]
     return (t * 10000.0 + f * 10.0 + b)[None]
@@ -207,7 +207,7 @@ def test_extraction_is_symbol_major_subcarrier_minor_bits_innermost(tiny_grid):
 
 
 def test_extraction_agrees_with_grid_module_route(tiny_grid, seeded):
-    grid = seeded(8).standard_normal((3, tiny_grid.num_symbols, tiny_grid.num_subcarriers, 4))
+    grid = seeded(8).standard_normal((3, NUM_SYMBOLS, tiny_grid.num_subcarriers, 4))
     a = extract_llr_bits(grid, tiny_grid)
     b = extract_data_res(grid, tiny_grid).reshape(3, -1)
     np.testing.assert_array_equal(a, b)
@@ -221,7 +221,7 @@ def test_extraction_rejects_wrong_grid_shape(tiny_grid):
 def test_scatter_is_the_exact_adjoint_of_extraction(tiny_grid, seeded):
     rng = seeded(9)
     k = 2
-    grid = rng.standard_normal((2, tiny_grid.num_symbols, tiny_grid.num_subcarriers, k))
+    grid = rng.standard_normal((2, NUM_SYMBOLS, tiny_grid.num_subcarriers, k))
     vec = rng.standard_normal((2, tiny_grid.num_data_res * k))
     lhs = float(np.vdot(extract_llr_bits(grid, tiny_grid), vec))
     rhs = float(np.vdot(grid, scatter_llr_bit_grad(vec, tiny_grid, k)))
@@ -232,7 +232,7 @@ def test_scatter_touches_only_data_resource_elements(tiny_grid, seeded):
     k = 2
     vec = seeded(10).standard_normal((1, tiny_grid.num_data_res * k))
     grid = scatter_llr_bit_grad(vec, tiny_grid, k)
-    for t in tiny_grid.pilot_symbols:
+    for t in PILOT_SYMBOLS:
         assert np.all(grid[:, t] == 0.0)
     assert np.all(grid[:, :, : tiny_grid.guard_lo] == 0.0)
     assert np.all(grid[:, :, tiny_grid.num_subcarriers - tiny_grid.guard_hi :] == 0.0)
@@ -253,14 +253,14 @@ def test_objective_ignores_pilot_and_guard_positions(tiny_grid, seeded):
     rng = seeded(11)
     k = 2
     bits = rng.integers(0, 2, (1, tiny_grid.num_data_res * k)).astype(float)
-    grid = rng.standard_normal((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, k))
+    grid = rng.standard_normal((1, NUM_SYMBOLS, tiny_grid.num_subcarriers, k))
     base = objective_value(grid, bits, tiny_grid)
     poked = grid.copy()
-    poked[0, tiny_grid.pilot_symbols[0], :, :] += 100.0  # pilot symbol row
+    poked[0, PILOT_SYMBOLS[0], :, :] += 100.0  # pilot symbol row
     poked[0, :, 0, :] += 100.0  # guard column
     assert objective_value(poked, bits, tiny_grid) == base
     g = objective_grad(grid, bits, tiny_grid)
-    assert np.all(g[0, tiny_grid.pilot_symbols[0]] == 0.0)
+    assert np.all(g[0, PILOT_SYMBOLS[0]] == 0.0)
     assert np.all(g[0, :, 0] == 0.0)
 
 
@@ -268,7 +268,7 @@ def test_objective_gradient_matches_central_differences(tiny_grid, seeded):
     rng = seeded(12)
     k = 2
     bits = rng.integers(0, 2, (1, tiny_grid.num_data_res * k)).astype(float)
-    grid = rng.standard_normal((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, k))
+    grid = rng.standard_normal((1, NUM_SYMBOLS, tiny_grid.num_subcarriers, k))
     g = objective_grad(grid, bits, tiny_grid)
     eps = 1e-6
     t0 = int(tiny_grid.data_symbol_index[5])
@@ -282,7 +282,7 @@ def test_objective_gradient_matches_central_differences(tiny_grid, seeded):
 
 
 def test_objective_rejects_ragged_bit_counts(tiny_grid):
-    grid = np.zeros((1, tiny_grid.num_symbols, tiny_grid.num_subcarriers, 2))
+    grid = np.zeros((1, NUM_SYMBOLS, tiny_grid.num_subcarriers, 2))
     with pytest.raises(ConfigError, match="must match"):
         objective_value(grid, np.zeros((1, tiny_grid.num_data_res * 2 + 1)), tiny_grid)
 
@@ -369,7 +369,7 @@ def test_a_desk_tape_holds_only_normalised_inputs_and_conv_inputs(seeded):
     cfg = make_train_config("desk")
     spec, grid = cfg.model_spec(), cfg.grid
     model = ReceiverModel(spec, seed=3)
-    m, f, s = 8, grid.num_symbols, grid.num_subcarriers
+    m, f, s = 8, NUM_SYMBOLS, grid.num_subcarriers
     x = seeded(0).standard_normal((m, spec.in_channels, f, s)).astype(np.float32)
     tape = {}
     model.forward(x, tape)

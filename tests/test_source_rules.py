@@ -447,6 +447,86 @@ def test_the_scale_presets_are_the_only_copy_of_their_values(monkeypatch):
     assert SweepConfig().ebno_grid_db == config.EBNO_GRID_DB
 
 
+def fields_with_one_value(*instances) -> list:
+    """Names of the dataclass fields that hold an equal value in every one
+    of ``instances``."""
+    first, *rest = instances
+    return [
+        f.name for f in dataclasses.fields(first)
+        if all(getattr(other, f.name) == getattr(first, f.name) for other in rest)
+    ]
+
+
+def test_the_rule_sees_every_field_with_one_value():
+    @dataclasses.dataclass(frozen=True)
+    class Grid:
+        size: int = 8
+        pilots: tuple = (2, 11)
+        guard: int = 1
+
+    assert fields_with_one_value(Grid(), Grid(guard=2)) == ["size", "pilots"]
+    assert fields_with_one_value(Grid(), Grid(guard=2), Grid(pilots=(3,), guard=2)) == ["size"]
+    assert fields_with_one_value(Grid(), Grid(size=4, pilots=(2,), guard=0)) == []
+
+
+def test_every_grid_field_differs_between_the_scale_presets():
+    # A GridConfig field that takes one value at every scale is not a
+    # setting: it is a constant of phy/grid.py.
+    from simorx.config import DESK_GRID, FULL_GRID
+
+    assert fields_with_one_value(FULL_GRID, DESK_GRID) == []
+
+
+def conv_kernels(source: str, default) -> list:
+    """``(line, kernel)`` of every ``Conv2D(...)`` call in ``source``: its
+    literal ``kernel`` argument, by keyword or third in place, or
+    ``default`` when the call passes none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Conv2D":
+            continue
+        given = {k.arg: k.value for k in node.keywords}.get("kernel")
+        if given is None and len(node.args) > 2:
+            given = node.args[2]
+        found.append((node.lineno, default if given is None else ast.literal_eval(given)))
+    return sorted(found)
+
+
+def test_the_rule_sees_every_conv_kernel():
+    source = (
+        "from .numerics import layers\n"
+        "a = Conv2D(2, 3, rng=rng)\n"
+        "b = Conv2D(2, 3, kernel=(1, 1), rng=rng)\n"
+        "c = layers.Conv2D(2, 3, (5, 5), rng=rng)\n"
+        "d = Conv(2, 3, (7, 7))\n"
+    )
+    assert conv_kernels(source, (3, 3)) == [(2, (3, 3)), (3, (1, 1)), (4, (5, 5))]
+
+
+def test_conv_builds_only_the_kernels_the_package_uses():
+    # KERNELS is what the package's Conv2D calls build, no more and no
+    # less, and Conv2D rejects every other shape.
+    import inspect
+
+    import numpy as np
+
+    from simorx.errors import ConfigError
+    from simorx.numerics.layers import KERNELS, Conv2D
+
+    default = inspect.signature(Conv2D).parameters["kernel"].default
+    built = {
+        kernel
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for _, kernel in conv_kernels(path.read_text(encoding="utf-8"), default)
+    }
+    assert built == set(KERNELS)
+    for kernel in [(2, 3), (5, 5)]:
+        with pytest.raises(ConfigError, match="kernel must be one of"):
+            Conv2D(2, 2, kernel=kernel, rng=np.random.default_rng(0))
+
+
 def fresh_python(code: str) -> list:
     """The words ``code`` prints, run in a new interpreter that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))

@@ -15,6 +15,7 @@ from simorx.chain import SHARD, shard_map
 from simorx.checkpoint import checkpoint_bytes, checkpoint_from_model
 from simorx.config import make_train_config
 from simorx.errors import ConfigError, TrainingDiverged
+from simorx.phy.grid import NUM_SYMBOLS
 from simorx.receiver import ReceiverModel, bmd_loss_grad, extract_llr_bits, scatter_llr_bit_grad
 from simorx.training import RUN_LOG_HEADER, TrainConfig, run_training, train_source
 from simorx.transfer import AdaptConfig, adapt
@@ -266,7 +267,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(tiny_grid, seeded):
     cfg = tiny_cfg(tiny_grid, batch=4 * SHARD + 2)
     model = ReceiverModel(cfg.model_spec(), seed=cfg.seed)
     rng = seeded(5)
-    x = rng.standard_normal((cfg.batch, 2 * cfg.n_rx, tiny_grid.num_symbols, tiny_grid.num_subcarriers))
+    x = rng.standard_normal((cfg.batch, 2 * cfg.n_rx, NUM_SYMBOLS, tiny_grid.num_subcarriers))
     bits = rng.integers(0, 2, size=(cfg.batch, tiny_grid.num_data_res * 2), dtype=np.uint8)
 
     flat, grads = simorx.training._batch_gradients(model, x, bits, tiny_grid)
