@@ -14,6 +14,16 @@ left at two threads would spin on the core a shard needs.  Otherwise, or
 without that OpenBLAS, it is the builtin ``map``: the shards run one
 after another with BLAS as it was.  Shard boundaries depend on the batch
 size alone, so output bits never depend on the thread count.
+
+Every random stream of a run is ``spawn_rng(seed, *key)``, the one place
+that builds a ``SeedSequence``.  Its keys: ``(slot,)`` under the model's
+seed for a coarse layer's initial weights (slot 0 for the input conv,
+``k`` for ``block<k>``, 63 for the output conv), ``(99,)`` for the block
+adaptation adds, ``(iteration,)`` under ``TrainConfig.seed`` for a
+training iteration, ``(point, batch)`` under ``EvalConfig.seed`` for a
+BLER batch.  The one-element keys share one space, and a model is built
+with its training seed, so training iteration k replays init slot k's
+stream (ROADMAP open item 2 separates them).
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ class TransmissionBatch:
     def blocks(self, index: slice) -> TransmissionBatch:
         """The blocks at ``index`` of this batch, as views of its arrays."""
         return TransmissionBatch(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+def spawn_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed`` (keys: module docstring)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def shard_slices(stop: int) -> list:

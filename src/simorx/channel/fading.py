@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..phy.grid import GridConfig
+from ..phy.grid import SCS_KHZ, GridConfig
 from .profiles import ChannelProfile, MixedProfile
 
 
@@ -34,7 +34,7 @@ def _draw_gains(det, diffuse_std, n_rx: int, rng: np.random.Generator) -> np.nda
 
 def _phase(delays_s, cfg: GridConfig) -> np.ndarray:
     """``[T, S]``: each tap's phase rotation on each subcarrier."""
-    freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
+    freqs = np.arange(cfg.num_subcarriers) * (SCS_KHZ * 1e3)
     return np.exp(-2j * np.pi * np.outer(delays_s, freqs))
 
 

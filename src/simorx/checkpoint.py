@@ -34,7 +34,7 @@ import hashlib
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .receiver import ModelSpec, ReceiverModel
 
 MAGIC = b"NRXCKPT1"
 
-SPEC_KEYS = ("in_channels", "width_in", "width_res", "num_blocks", "out_bits")
+SPEC_KEYS = tuple(f.name for f in fields(ModelSpec))
 
 # Per layer kind, the attributes whose arrays fill a record's payload slice.
 ARRAYS = {"conv2d": ("weights", "bias"), "layer_norm": ("gamma", "beta")}

@@ -17,6 +17,14 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_integers(obj, names, lo: int) -> None:
+    """Raise ``ConfigError`` unless each ``obj.<name>`` is an integer >= ``lo``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (is_integer(value) and value >= lo):
+            raise ConfigError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 class SimorxError(Exception):
     """Base class for everything raised deliberately by this package."""
 

@@ -4,11 +4,10 @@ A block is in error when any of its information bits is wrong after LDPC
 decoding.  Each Eb/No point accumulates whole batches until it has seen
 ``max_blocks`` blocks or ``max_block_errors`` erroneous ones.
 
-Every batch draws its randomness from ``SeedSequence(seed,
-spawn_key=(point_index, batch_index))``, so the stream of any batch is
-independent of how many batches ran before it.  Batches run one after
-another and are folded with integer counters; the counts depend on the
-config alone.
+Every batch draws from a stream keyed by its Eb/No point and its index
+there (``chain.spawn_rng``), independent of the batches before it.
+Batches run one after another and are folded with integer counters; the
+counts depend on the config alone.
 
 Each batch is simulated whole, then cut into the shards of
 ``chain.shard_slices``; the receiver's ``llrs`` runs once per shard,
@@ -33,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chain import TransmissionBatch, code_for_grid, shard_map, shard_slices, simulate_batch
+from ..chain import TransmissionBatch, code_for_grid, shard_map, shard_slices, simulate_batch, spawn_rng
 from ..channel.fading import ebno_to_n0
 from ..channel.profiles import load_profile
-from ..errors import ConfigError, is_finite_real, is_integer
+from ..errors import ConfigError, check_integers, is_finite_real
 from ..phy.grid import GridConfig
 from ..phy.ldpc import decode
 from ..phy.modulation import get_scheme
@@ -59,14 +58,8 @@ class EvalConfig:
     ldpc_seed: int = 1
 
     def __post_init__(self):
-        for name in ("n_rx", "max_blocks", "max_block_errors", "batch"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("seed", "ldpc_seed"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 0):
-                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+        check_integers(self, ("n_rx", "max_blocks", "max_block_errors", "batch"), 1)
+        check_integers(self, ("seed", "ldpc_seed"), 0)
         if not self.ebno_grid_db:
             raise ConfigError("ebno_grid_db cannot be empty")
         # Checked, not converted: the values are echoed into manifests as given.
@@ -110,7 +103,7 @@ class NeuralReceiver:
 
     def llrs(self, tb: TransmissionBatch) -> np.ndarray:
         grid = self.model.forward(preprocess(tb.rx))
-        return extract_llr_bits(grid, self.cfg).astype(np.float64)
+        return extract_llr_bits(grid, self.cfg)
 
     def describe(self) -> dict:
         return {"receiver": "neural", "target_fp": self.fingerprint_id}
@@ -147,9 +140,7 @@ def run_bler(cfg: EvalConfig, receiver) -> BlerCurve:
             blocks = block_errors = bit_errors = 0
             batch_idx = 0
             while blocks < cfg.max_blocks and block_errors < cfg.max_block_errors:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, batch_idx))
-                )
+                rng = spawn_rng(cfg.seed, point_idx, batch_idx)
                 tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)
                 need = min(tb.batch, cfg.max_blocks - blocks)
                 shards = [tb.blocks(s) for s in shard_slices(need)]

@@ -1,9 +1,10 @@
-"""Adam optimiser operating on explicit parameter lists."""
+"""Adam optimiser on explicit parameter lists, with constant hyperparameters."""
 
 from __future__ import annotations
 
 import numpy as np
 
+LR = 1e-3       # step size
 BETA1 = 0.9     # decay of the first-moment average
 BETA2 = 0.999   # decay of the second-moment average
 EPS = 1e-8
@@ -18,8 +19,7 @@ class Adam:
     not serialisable; adaptation restarts always begin from fresh moments.
     """
 
-    def __init__(self, params, lr: float = 1e-3):
-        self.lr = float(lr)
+    def __init__(self, params):
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -38,4 +38,4 @@ class Adam:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            p -= LR * (m / c1) / (np.sqrt(v / c2) + EPS)

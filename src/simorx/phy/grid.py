@@ -4,7 +4,7 @@ A grid is ``[NUM_SYMBOLS, num_subcarriers]`` complex, time first: one
 14-symbol slot at ``SCS_KHZ`` = 30 kHz subcarrier spacing.  Guard bands
 occupy the lowest ``guard_lo`` and highest ``guard_hi`` subcarriers and
 stay zero.  Two full OFDM symbols, ``PILOT_SYMBOLS``, carry pilots on every
-active subcarrier; everything else in the active region is data.  The
+active subcarrier; the other ``DATA_SYMBOLS`` carry data on them.  The
 slot, the spacing and the pilot layout are constants, the same at every
 scale; ``GridConfig`` holds only what the scale presets vary.
 
@@ -26,6 +26,7 @@ NUM_SYMBOLS = 14
 PILOT_SYMBOLS = (2, 11)
 SCS_KHZ = 30
 PILOT_SEED = 4150
+DATA_SYMBOLS = tuple(t for t in range(NUM_SYMBOLS) if t not in PILOT_SYMBOLS)
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,14 @@ class GridConfig:
         return np.arange(self.guard_lo, self.num_subcarriers - self.guard_hi)
 
     @property
-    def data_symbols(self) -> np.ndarray:
-        return np.asarray([t for t in range(NUM_SYMBOLS) if t not in PILOT_SYMBOLS])
-
-    @property
     def num_data_res(self) -> int:
-        return self.num_active_subcarriers * (NUM_SYMBOLS - len(PILOT_SYMBOLS))
-
-    @property
-    def subcarrier_spacing_hz(self) -> float:
-        return SCS_KHZ * 1e3
+        return self.num_active_subcarriers * len(DATA_SYMBOLS)
 
     @cached_property
     def _data_index(self) -> tuple[np.ndarray, np.ndarray]:
         # Symbol-major, subcarrier-minor flattening order.
-        t = np.repeat(self.data_symbols, self.num_active_subcarriers)
-        f = np.tile(self.active_subcarriers, len(self.data_symbols))
+        t = np.repeat(DATA_SYMBOLS, self.num_active_subcarriers)
+        f = np.tile(self.active_subcarriers, len(DATA_SYMBOLS))
         return t, f
 
     @property

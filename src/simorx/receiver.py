@@ -20,11 +20,12 @@ runs in float64).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .chain import spawn_rng
+from .errors import ConfigError, check_integers
 from .numerics.layers import Conv2D, LayerNorm, ReLU
 from .phy.grid import NUM_SYMBOLS, GridConfig
 from .phy.modulation import get_scheme
@@ -41,9 +42,7 @@ class ModelSpec:
     out_bits: int         # bits per modulated symbol
 
     def __post_init__(self):
-        for name in ("in_channels", "width_in", "width_res", "num_blocks", "out_bits"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        check_integers(self, [f.name for f in fields(self)], 1)
 
     def check_fits(self, modulation: str, n_rx: int, where: str) -> None:
         """Reject a receiver that does not fit a link of ``modulation`` and
@@ -55,13 +54,6 @@ class ModelSpec:
                     f"{where}: the receiver has {key}={have}, but {modulation} "
                     f"with {n_rx} antennas needs {key}={want}"
                 )
-
-    def with_extra_block(self) -> "ModelSpec":
-        return replace(self, num_blocks=self.num_blocks + 1)
-
-
-def _layer_rng(seed: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(slot,)))
 
 
 class ResNetBlock:
@@ -136,19 +128,20 @@ class ReceiverModel:
     """The full receiver; owns its layers, trainable flags, and init seeding.
 
     Each coarse layer (input conv, every block, output conv) draws its
-    initial weights from an independent stream spawned from ``seed``, so
-    surgery on one layer never shifts the initialisation of another.
+    initial weights from a stream of its own under ``seed`` (its key is in
+    the ``chain`` docstring), so surgery on one layer never shifts the
+    initialisation of another.
     """
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
         self.seed = int(seed)
-        self.input_conv = Conv2D(spec.in_channels, spec.width_in, rng=_layer_rng(seed, 0))
+        self.input_conv = Conv2D(spec.in_channels, spec.width_in, rng=spawn_rng(seed, 0))
         self.blocks = []
         for i in range(spec.num_blocks):
             in_ch = spec.width_in if i == 0 else spec.width_res
-            self.blocks.append(ResNetBlock(in_ch, spec.width_res, _layer_rng(seed, 1 + i)))
-        self.output_conv = Conv2D(spec.width_res, spec.out_bits, rng=_layer_rng(seed, 63))
+            self.blocks.append(ResNetBlock(in_ch, spec.width_res, spawn_rng(seed, 1 + i)))
+        self.output_conv = Conv2D(spec.width_res, spec.out_bits, rng=spawn_rng(seed, 63))
         self.trainable = {name: True for name, _ in self.coarse_layers()}
 
     @property

@@ -20,8 +20,8 @@ through ``chain.shard_map``, held open for the whole run; the ``chain``
 docstring says when they run on threads.  The output bits depend on the
 shard size alone, never on the thread count.
 
-Randomness is derived per iteration from ``SeedSequence(seed,
-spawn_key=(iteration,))``, so runs are reproducible.  They are not
+Each iteration draws from a stream of its own (``chain.spawn_rng``, whose
+docstring lists the keys), so runs are reproducible.  They are not
 resumable: Adam's moments are not saved and the run log is written only
 when the run ends, so an interrupted run starts over (see ROADMAP's open
 item on resumable training).
@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import code_for_grid, shard_map, shard_slices, simulate_batch
+from .chain import code_for_grid, shard_map, shard_slices, simulate_batch, spawn_rng
 from .channel.fading import ebno_to_n0
 from .channel.profiles import load_profile
 from .checkpoint import Checkpoint, checkpoint_from_model, save_checkpoint
-from .errors import ConfigError, TrainingDiverged, is_finite_real, is_integer
+from .errors import ConfigError, TrainingDiverged, check_integers, is_finite_real
 from .numerics.adam import Adam
 from .phy.grid import NUM_SYMBOLS, SCS_KHZ, GridConfig
 from .phy.modulation import get_scheme
@@ -68,23 +68,14 @@ class TrainConfig:
     num_blocks: int = 4
     batch: int
     iterations: int
-    lr: float = 1e-3
     ebno_lo_db: float = -4.0
     ebno_hi_db: float = 8.0
     seed: int = 0
     ldpc_seed: int = 1
 
     def __post_init__(self):
-        for name in ("n_rx", "width_in", "width_res", "num_blocks", "batch"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("iterations", "seed", "ldpc_seed"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 0):
-                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-        if not (is_finite_real(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
+        check_integers(self, ("n_rx", "width_in", "width_res", "num_blocks", "batch"), 1)
+        check_integers(self, ("iterations", "seed", "ldpc_seed"), 0)
         for name in ("ebno_lo_db", "ebno_hi_db"):
             if not is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
@@ -158,10 +149,6 @@ class TrainResult:
         return paths
 
 
-def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration,)))
-
-
 def _shard_gradients(model: ReceiverModel, x, bits, grid: GridConfig, n_bits: int):
     """One shard's flat logits and the gradients of its part of the batch
     loss, whose bit count is ``n_bits``, on a tape of its own."""
@@ -187,13 +174,12 @@ def _batch_gradients(model: ReceiverModel, x, bits, grid: GridConfig, smap=map):
     return np.concatenate(flats), total
 
 
-def run_training(
-    model: ReceiverModel, cfg: TrainConfig, iterations: int | None = None, fingerprint: dict | None = None
-) -> TrainResult:
-    """Run the BMD training loop on an existing model (shared by source
-    training and adaptation).  Each shard's forward records on a fresh
-    tape, which its backward consumes; the backward returns the gradients
-    of ``model.trainable_params()``, and only those parameters receive
+def run_training(model: ReceiverModel, cfg: TrainConfig, fingerprint: dict | None = None) -> TrainResult:
+    """Run ``cfg.iterations`` steps of the BMD loop on an existing model
+    (source training, and adaptation with its α budget as ``iterations``).
+    Each shard's forward records on a fresh tape, which its backward
+    consumes; the backward returns the gradients of
+    ``model.trainable_params()``, and only those parameters receive
     updates, so frozen tensors keep their exact bit patterns.
 
     Every checkpoint it builds, the result's and a ``TrainingDiverged``
@@ -203,16 +189,15 @@ def run_training(
     scheme = cfg.scheme()
     profile = load_profile(cfg.profile)
     code = code_for_grid(cfg.grid, scheme, cfg.ldpc_seed)
-    steps = cfg.iterations if iterations is None else iterations
     fp = cfg.fingerprint() if fingerprint is None else fingerprint
 
     params = model.trainable_params()
-    opt = Adam(params, lr=cfg.lr)
+    opt = Adam(params)
     log_lines = [RUN_LOG_HEADER]
-    losses = np.empty(steps)
+    losses = np.empty(cfg.iterations)
     with shard_map(cfg.batch) as smap:
-        for it in range(steps):
-            rng = _iteration_rng(cfg.seed, it)
+        for it in range(cfg.iterations):
+            rng = spawn_rng(cfg.seed, it)
             ebno = rng.uniform(cfg.ebno_lo_db, cfg.ebno_hi_db, size=cfg.batch)
             n0 = ebno_to_n0(ebno, scheme.bits_per_symbol, code.rate)
             tb = simulate_batch(cfg.grid, scheme, code, profile, n0, cfg.batch, cfg.n_rx, rng)

@@ -35,8 +35,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from .chain import spawn_rng
 from .checkpoint import (
     Checkpoint,
     LoadResult,
@@ -70,16 +69,15 @@ REFERENCE_PARAM_TOTALS = {
 
 
 def add_resnet_block(model: ReceiverModel) -> ReceiverModel:
-    """Insert a fresh float32 width-preserving block, initialised from the
-    model's seed, just before the output conv.
+    """Insert a fresh float32 width-preserving block just before the output
+    conv, its weights from stream ``(99,)`` under the model's seed.
 
     Existing tensors and trainable flags are untouched; the new block
     trains until ``set_trainable`` says otherwise.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(99,)))
     width = model.spec.width_res
-    model.blocks.append(ResNetBlock(width, width, rng))
-    model.spec = model.spec.with_extra_block()
+    model.blocks.append(ResNetBlock(width, width, spawn_rng(model.seed, 99)))
+    model.spec = replace(model.spec, num_blocks=model.spec.num_blocks + 1)
     model.trainable = {name: model.trainable.get(name, True) for name, _ in model.coarse_layers()}
     return model
 
@@ -131,14 +129,10 @@ class ParamReport:
 
 def count_params(model: ReceiverModel) -> ParamReport:
     """Exact per-coarse-layer parameter counts with trainable flags."""
-    layers = []
-    for name, layer in model.coarse_layers():
-        if isinstance(layer, ResNetBlock):
-            n = sum(arr.size for _, prim in layer.primitive_items() for _, arr in prim.param_items())
-        else:
-            n = sum(arr.size for _, arr in layer.param_items())
-        layers.append(LayerCount(name, int(n), model.trainable[name]))
-    return ParamReport(layers)
+    counts = {name: 0 for name, _ in model.coarse_layers()}
+    for qual, layer in model.primitive_layers():
+        counts[qual.split(".")[0]] += sum(arr.size for _, arr in layer.param_items())
+    return ParamReport([LayerCount(name, n, model.trainable[name]) for name, n in counts.items()])
 
 
 def reference_comparison(train_cfg: TrainConfig) -> str:
@@ -225,7 +219,7 @@ def adapt(source, cfg: AdaptConfig) -> TrainResult:
     set_trainable(model, FROZEN_PREFIX[cfg.technique], fresh)
     fp = cfg.target.fingerprint()
     fp.update({"technique": cfg.technique, "alpha": repr(cfg.alpha)})
-    result = run_training(model, cfg.target, iterations=cfg.steps, fingerprint=fp)
+    result = run_training(model, replace(cfg.target, iterations=cfg.steps), fingerprint=fp)
     return replace(result, transplant_delta=loaded.delta)
 
 
@@ -238,7 +232,7 @@ def run_benchmark(kind: str, source, target: TrainConfig, alpha: float | None = 
         model = ReceiverModel(target.model_spec(), seed=target.seed)
         fp = target.fingerprint()
         fp.update({"technique": "without_tl", "alpha": repr(alpha)})
-        return run_training(model, target, iterations=steps, fingerprint=fp)
+        return run_training(model, replace(target, iterations=steps), fingerprint=fp)
     if kind == "model_transfer":
         loaded = _load_for_target(source, target)
         fp = target.fingerprint()

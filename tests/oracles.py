@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 from simorx.channel.profiles import ClusteredRandomProfile, MixedProfile
 from simorx.errors import ConfigError
 from simorx.harness.genie import genie_lmmse_llrs
-from simorx.phy.grid import NUM_SYMBOLS, GridConfig
+from simorx.phy.grid import NUM_SYMBOLS, SCS_KHZ, GridConfig
 from simorx.phy.modulation import get_scheme, qam_map
 
 
@@ -70,7 +70,7 @@ def per_block_frequency_response(profile, batch: int, n_rx: int, cfg: GridConfig
         members = [profile.members[c] for c in rng.integers(len(profile.members), size=batch)]
     else:
         members = [profile] * batch
-    freqs = np.arange(cfg.num_subcarriers) * cfg.subcarrier_spacing_hz
+    freqs = np.arange(cfg.num_subcarriers) * SCS_KHZ * 1e3
     out = []
     for m in members:
         if isinstance(m, ClusteredRandomProfile):

@@ -22,7 +22,7 @@ from simorx.channel.profiles import (
     profile_data_path,
 )
 from simorx.errors import ConfigError
-from simorx.phy.grid import GridConfig
+from simorx.phy.grid import SCS_KHZ
 
 from oracles import per_block_frequency_response
 
@@ -194,7 +194,7 @@ def test_frequency_response_matches_direct_sum(desk_grid):
     gains = np.sqrt(p.powers_linear / 2.0) * noise
     # direct evaluation, one subcarrier at a time
     for k in (0, 7, 31):
-        f = k * desk_grid.subcarrier_spacing_hz
+        f = k * SCS_KHZ * 1e3
         want = np.sum(gains * np.exp(-2j * np.pi * p.delays_s * f), axis=1)
         np.testing.assert_allclose(h[:, k], want, atol=1e-12)
 

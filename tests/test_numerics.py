@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simorx.numerics.adam
 from simorx.errors import ConfigError
 from simorx.numerics.adam import Adam
 from simorx.numerics.gradcheck import LinearProbeObjective, finite_diff_check, relu_kink_distance
@@ -374,22 +375,24 @@ def test_check_reads_the_relu_kink_distance_from_the_tape(monkeypatch):
 
 def test_adam_zero_gradient_keeps_parameters():
     p = np.array([1.0, -2.0])
-    opt = Adam([p], lr=1e-3)
+    opt = Adam([p])
     opt.step([p], [np.zeros(2)])
     np.testing.assert_array_equal(p, [1.0, -2.0])
     assert opt.t == 1
 
 
 def test_adam_first_step_magnitude():
-    # With bias correction the first update is lr * g / (|g| + eps).
+    # With bias correction the first update is LR * g / (|g| + eps).
     p = np.array([0.0])
-    opt = Adam([p], lr=1e-3)
+    opt = Adam([p])
     opt.step([p], [np.array([0.5])])
     assert p[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
-def test_adam_two_steps_match_hand_computed_trace():
-    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+def test_adam_two_steps_match_hand_computed_trace(monkeypatch):
+    # Each step reads the module's step size.
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    monkeypatch.setattr(simorx.numerics.adam, "LR", lr)
     g = 0.3
     theta = 1.0
     m = v = 0.0
@@ -403,7 +406,7 @@ def test_adam_two_steps_match_hand_computed_trace():
         trace.append(theta)
 
     p = np.array([1.0])
-    opt = Adam([p], lr=lr)
+    opt = Adam([p])
     for want in trace:
         opt.step([p], [np.array([g])])
         assert p[0] == pytest.approx(want, rel=1e-12)
@@ -411,7 +414,7 @@ def test_adam_two_steps_match_hand_computed_trace():
 
 def test_adam_rejects_non_finite_gradients():
     p = np.array([1.0])
-    opt = Adam([p], lr=1e-3)
+    opt = Adam([p])
     with pytest.raises(FloatingPointError):
         opt.step([p], [np.array([np.nan])])
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import simorx.phy.grid
 import simorx.phy.ldpc
 from simorx.errors import ConfigError
-from simorx.phy.grid import PILOT_SYMBOLS, GridConfig, build_grid, pilot_values
+from simorx.phy.grid import DATA_SYMBOLS, PILOT_SYMBOLS, SCS_KHZ, GridConfig, build_grid, pilot_values
 from simorx.phy.ldpc import (
     COL_WEIGHT,
     ROW_WEIGHT,
@@ -157,10 +157,9 @@ def test_grid_leading_dims_and_feature_axis(desk_grid):
     np.testing.assert_array_equal(out[0, 0], feat[0, 0, cfg.guard_lo])
 
 
-def test_data_symbols_exclude_pilot_symbols(desk_grid):
-    ds = desk_grid.data_symbols
-    assert len(ds) == 12
-    assert 2 not in ds and 11 not in ds
+def test_data_symbols_exclude_pilot_symbols():
+    assert len(DATA_SYMBOLS) == 12
+    assert 2 not in DATA_SYMBOLS and 11 not in DATA_SYMBOLS
 
 
 def test_grid_config_validation():
@@ -173,7 +172,7 @@ def test_grid_config_validation():
 
 
 def test_subcarrier_spacing():
-    assert GridConfig().subcarrier_spacing_hz == 30e3
+    assert SCS_KHZ == 30
 
 
 # ----------------------------------------------------------------------- ldpc

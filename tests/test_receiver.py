@@ -9,7 +9,7 @@ import pytest
 from simorx.config import make_train_config
 from simorx.errors import ConfigError
 from simorx.numerics.layers import LayerNorm
-from simorx.phy.grid import NUM_SYMBOLS, PILOT_SYMBOLS, GridConfig
+from simorx.phy.grid import DATA_SYMBOLS, NUM_SYMBOLS, PILOT_SYMBOLS, GridConfig
 from simorx.receiver import (
     ModelSpec,
     ReceiverModel,
@@ -85,13 +85,15 @@ def test_forward_rejects_channel_mismatch():
 
 def test_spec_rejects_non_positive_fields():
     for field in ("in_channels", "width_in", "width_res", "num_blocks", "out_bits"):
-        with pytest.raises(ConfigError):
-            small_spec(**{field: 0})
+        for bad in (0, -1, 1.5, 2.0, True, "4", None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+                small_spec(**{field: bad})
+        assert getattr(small_spec(**{field: np.int64(4)}), field) == 4
 
 
 def test_spec_edits_return_new_specs():
     spec = small_spec()
-    assert spec.with_extra_block().num_blocks == spec.num_blocks + 1
+    assert replace(spec, num_blocks=spec.num_blocks + 1).num_blocks == 3
     assert replace(spec, out_bits=6).out_bits == 6
     with pytest.raises(ConfigError):
         replace(spec, out_bits=0)
@@ -100,7 +102,7 @@ def test_spec_edits_return_new_specs():
 
 def test_adding_a_block_leaves_other_layer_inits_alone():
     a = ReceiverModel(small_spec(), seed=11)
-    b = ReceiverModel(small_spec().with_extra_block(), seed=11)
+    b = ReceiverModel(replace(small_spec(), num_blocks=3), seed=11)
     np.testing.assert_array_equal(a.input_conv.wmat, b.input_conv.wmat)
     np.testing.assert_array_equal(a.blocks[0].conv1.wmat, b.blocks[0].conv1.wmat)
     np.testing.assert_array_equal(a.blocks[1].conv2.wmat, b.blocks[1].conv2.wmat)
@@ -199,7 +201,7 @@ def test_extraction_is_symbol_major_subcarrier_minor_bits_innermost(tiny_grid):
     flat = extract_llr_bits(coord_coded_grid(tiny_grid, k), tiny_grid)
     want = [
         t * 10000.0 + f * 10.0 + b
-        for t in tiny_grid.data_symbols
+        for t in DATA_SYMBOLS
         for f in tiny_grid.active_subcarriers
         for b in range(k)
     ]

@@ -693,6 +693,52 @@ def test_one_writer_for_checkpoints_and_manifests():
     assert offenders == []
 
 
+def seed_sequences(source: str) -> list:
+    """``(line, scope)`` of every use of numpy's ``SeedSequence`` in
+    ``source``, as ``np.random.SeedSequence``, ``numpy.random.SeedSequence``
+    or a name imported from ``numpy.random``, under any alias; ``scope`` as
+    in ``uses_of``."""
+    names = {"SeedSequence"} | {
+        a.asname
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+        for a in node.names
+        if a.name == "SeedSequence" and a.asname
+    }
+    return [(line, scope) for line, scope, _ in uses_of(source, names)]
+
+
+def test_the_rule_sees_every_form_of_seed_sequence():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy.random import SeedSequence\n"
+        "from numpy.random import SeedSequence as Seeds\n"
+        "a = np.random.SeedSequence(1)\n"
+        "def spawn(seed):\n"
+        "    return numpy.random.SeedSequence(seed, spawn_key=(0,))\n"
+        "class Model:\n"
+        "    def rng(self):\n"
+        "        return SeedSequence(2)\n"
+        "b = Seeds(3)\n"
+        "c = np.random.default_rng(4)\n"
+    )
+    assert seed_sequences(source) == [(5, ""), (7, "spawn"), (10, "Model.rng"), (11, "")]
+
+
+def test_only_spawn_rng_builds_a_seed_sequence():
+    # The chain docstring lists the key of every random stream; a
+    # SeedSequence built anywhere else is a stream that list does not name,
+    # free to collide with one that it does.
+    builds = [
+        (path.relative_to(PACKAGE_DIR).as_posix(), line, scope)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line, scope in seed_sequences(path.read_text(encoding="utf-8"))
+    ]
+    assert [(name, scope) for name, _, scope in builds if name == "chain.py"] == [("chain.py", "spawn_rng")]
+    assert [f"{name}:{line}: {scope or 'module'}" for name, line, scope in builds if name != "chain.py"] == []
+
+
 def public_definitions(source: str) -> list:
     """``(line, name)`` of every public function and class that ``source``
     defines at module level, and of every public method of those classes

@@ -49,7 +49,6 @@ def tiny_cfg(grid, **kw):
         num_blocks=4,
         batch=2,
         iterations=20,
-        lr=1e-3,
         seed=3,
     )
     base.update(kw)
